@@ -2,8 +2,9 @@
 
 Core pieces:
 
-* :mod:`projbound.jacobi` -- the Jacobi polynomial family (evaluation,
-  norms, largest roots, Gauss quadrature, tail weight integrals);
+* :mod:`projbound.jacobi` -- the Jacobi polynomial family (one
+  three-term recurrence for every value, norms, largest roots, tail weight
+  integrals);
 * :mod:`projbound.specials` -- log-Gamma, the Gauss hypergeometric value
   used by the closed-form bound, Bessel J and its first positive zero;
 * :mod:`projbound.testfn` -- the convolution test function and the bound
@@ -33,7 +34,6 @@ from .bounds import (
 )
 from .cubature import (
     PointSet,
-    Quaternion,
     VerificationReport,
     circle_design,
     gram_matrix,
@@ -41,21 +41,16 @@ from .cubature import (
     moment_test,
     orthonormal_design,
     parse_point_set,
-    projective_cos,
     verify,
 )
 from .fields import Field, field_params
 from .jacobi import (
     JacobiParams,
     NumericalError,
-    QuadratureRule,
-    gauss_jacobi,
     incomplete_weight_integral,
     jacobi_deriv,
     jacobi_eval,
     jacobi_eval_all,
-    jacobi_norm_nu,
-    jacobi_value_at_one,
     largest_root,
     tau,
 )
@@ -74,8 +69,6 @@ __all__ = [
     "NumericalError",
     "OscillationReport",
     "PointSet",
-    "QuadratureRule",
-    "Quaternion",
     "VerificationReport",
     "YudinTestFunction",
     "asymptotic_report",
@@ -89,15 +82,12 @@ __all__ = [
     "delta_H",
     "eval_f",
     "field_params",
-    "gauss_jacobi",
     "gram_matrix",
     "hypergeom_F",
     "incomplete_weight_integral",
     "jacobi_deriv",
     "jacobi_eval",
     "jacobi_eval_all",
-    "jacobi_norm_nu",
-    "jacobi_value_at_one",
     "kappa",
     "lambda_asym",
     "largest_root",
@@ -108,7 +98,6 @@ __all__ = [
     "orthonormal_design",
     "oscillation_report",
     "parse_point_set",
-    "projective_cos",
     "real_integral_ratio",
     "root_asymptotic_ratio",
     "tau",

@@ -36,8 +36,11 @@ from .specials import bessel_first_zero, hypergeom_F, log_gamma
 #: relative slack for the internal agreement checks between equivalent forms
 _CONSISTENCY_RTOL = 1e-9
 
+#: relative slack within which ceil_snap treats a value as an integer
+_SNAP_RTOL = 1e-9
 
-def ceil_snap(z: float, rel: float = 1e-9) -> int:
+
+def ceil_snap(z: float) -> int:
     """Smallest integer >= z, snapping to an integer within relative slack.
 
     The snap keeps values that are exact integers in exact arithmetic (the
@@ -45,7 +48,7 @@ def ceil_snap(z: float, rel: float = 1e-9) -> int:
     few ulps of floating-point noise.
     """
     nearest = round(z)
-    if abs(z - nearest) <= rel * max(1.0, abs(z)):
+    if abs(z - nearest) <= _SNAP_RTOL * max(1.0, abs(z)):
         return int(nearest)
     return math.ceil(z)
 
@@ -272,9 +275,13 @@ def kappa(field: Field, m: int) -> LogScaled:
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
     nu = field.delta * (m - 1) / 2.0
-    j1 = bessel_first_zero(nu).value
-    log_val = 2.0 * nu * math.log(j1) - 2.0 * log_gamma(nu + 1.0) - nu * math.log(16.0)
+    log_val = _log_kappa(nu, bessel_first_zero(nu).value)
     return LogScaled(value=_exp_safe(log_val), log_value=log_val)
+
+
+def _log_kappa(nu: float, j1: float) -> float:
+    """log kappa from nu and the Bessel zero j1 = j_{nu,1}."""
+    return 2.0 * nu * math.log(j1) - 2.0 * log_gamma(nu + 1.0) - nu * math.log(16.0)
 
 
 @dataclass(frozen=True)
@@ -302,7 +309,7 @@ def asymptotic_report(field: Field, m_list) -> list[AsymptoticRow]:
         a, b = params.alpha, params.beta
         nu = d * (m - 1) / 2.0
         j1 = bessel_first_zero(nu).value
-        kap = kappa(field, m)
+        log_kap = _log_kappa(nu, j1)
         lam = lambda_asym(field, m)
         log_approx = -math.log(math.pi * d * m) + d * (m - 1) * (1.0 - math.log(4.0))
         testfn_log = (
@@ -314,13 +321,13 @@ def asymptotic_report(field: Field, m_list) -> list[AsymptoticRow]:
                 m=m,
                 nu=nu,
                 bessel_zero=j1,
-                kappa=kap.value,
-                log_kappa=kap.log_value,
+                kappa=_exp_safe(log_kap),
+                log_kappa=log_kap,
                 log_kappa_approx=log_approx,
-                log_ratio=kap.log_value - log_approx,
+                log_ratio=log_kap - log_approx,
                 lp_liminf_log=-lam.log_value,
                 testfn_liminf_log=testfn_log,
-                gap_factor_log=d * (m - 1) * math.log(2.0) + kap.log_value,
+                gap_factor_log=d * (m - 1) * math.log(2.0) + log_kap,
             )
         )
     return rows

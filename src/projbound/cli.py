@@ -9,17 +9,13 @@ Subcommands:
 
 All numeric output uses 12 significant digits; integers print exactly.  CSV
 output begins with a versioned schema comment so table diffs stay stable.
-The PROJBOUND_THREADS environment variable caps internal parallelism for
-table generation (default 1; output ordering is deterministic either way).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .bounds import (
     asymptotic_report,
@@ -40,14 +36,6 @@ _TESTFN_SCHEMA = "k,c_h,c_g,c_f"
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("PROJBOUND_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _write_output(text: str, out_path):
@@ -81,22 +69,15 @@ def cmd_bound(args) -> int:
     return 0
 
 
-def _table_rows(field: Field, m: int, p_values):
-    def one(p):
-        rep = yudin_bound(field, m, p)
-        return {
-            "p": p,
-            "lp_bound": rep.lp_bound,
-            "yudin_raw": rep.yudin_raw,
-            "yudin_bound": rep.yudin_bound,
-            "delta": rep.yudin_bound - rep.lp_bound,
-        }
-
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, p_values))
-    return [one(p) for p in p_values]
+def _table_row(field: Field, m: int, p: int) -> dict:
+    rep = yudin_bound(field, m, p)
+    return {
+        "p": p,
+        "lp_bound": rep.lp_bound,
+        "yudin_raw": rep.yudin_raw,
+        "yudin_bound": rep.yudin_bound,
+        "delta": rep.yudin_bound - rep.lp_bound,
+    }
 
 
 def cmd_table(args, parser) -> int:
@@ -105,7 +86,7 @@ def cmd_table(args, parser) -> int:
     if args.p_min % 2 or args.p_max % 2 or args.p_min < 2:
         parser.error("p-min and p-max must be even integers >= 2")
     field = Field.parse(args.field)
-    rows = _table_rows(field, args.m, range(args.p_min, args.p_max + 1, 2))
+    rows = [_table_row(field, args.m, p) for p in range(args.p_min, args.p_max + 1, 2)]
     verbose_alt = args.verbose and field is Field.H and args.m == 2
     if verbose_alt:
         for row in rows:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .bounds import lp_bound, yudin_bound
 from .fields import Field, field_params
-from .jacobi import NumericalError
+from .jacobi import NumericalError, _iter_values
 
 _UNIT_NORM_TOL = 1e-12
 _DUPLICATE_TOL = 1e-12
@@ -36,34 +36,6 @@ INTERPRETATION_NOTE = (
     "weights as coefficients; with equal weights this is the projective "
     "(p/2)-design condition"
 )
-
-
-@dataclass(frozen=True)
-class Quaternion:
-    """Hamilton quaternion w + x i + y j + z k."""
-
-    w: float
-    x: float
-    y: float
-    z: float
-
-    def __mul__(self, other: "Quaternion") -> "Quaternion":
-        a, b = self, other
-        return Quaternion(
-            a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
-            a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
-            a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
-            a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w,
-        )
-
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
-    def __abs__(self) -> float:
-        return math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.w, self.x, self.y, self.z])
 
 
 def _qconj(a: np.ndarray) -> np.ndarray:
@@ -84,21 +56,6 @@ def _qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         ],
         axis=-1,
     )
-
-
-def projective_cos(x: np.ndarray, y: np.ndarray) -> float:
-    """Projective cosine 2|(x,y)|^2 - 1 of two unit nodes given as (m, 4) arrays.
-
-    The inner product conjugates the left argument coordinate-wise, so the
-    value is invariant under right multiplication of either node by a unit
-    scalar of the field.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 2 or x.shape[1] != 4:
-        raise ValueError(f"node shape mismatch: {x.shape} vs {y.shape}, expected (m, 4)")
-    inner = _qmul(_qconj(x), y).sum(axis=0)
-    return 2.0 * float(np.dot(inner, inner)) - 1.0
 
 
 class PointSet:
@@ -153,13 +110,8 @@ class PointSet:
             )
 
     def _find_duplicates(self):
-        cosines = gram_matrix(self)
-        pairs = []
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if cosines[i, j] >= 1.0 - _DUPLICATE_TOL:
-                    pairs.append((i, j))
-        return pairs
+        i, j = np.nonzero(np.triu(gram_matrix(self) >= 1.0 - _DUPLICATE_TOL, 1))
+        return list(zip(i.tolist(), j.tolist()))
 
 
 def gram_matrix(ps: PointSet) -> np.ndarray:
@@ -179,22 +131,13 @@ def moment_test(ps: PointSet, p: int) -> list[float]:
     """
     if p < 2 or p % 2 != 0:
         raise ValueError(f"p must be a positive even integer, got {p}")
-    params = field_params(ps.field, ps.m)
-    a, b = params.alpha, params.beta
-    t = gram_matrix(ps)
+    values = _iter_values(field_params(ps.field, ps.m), p // 2, gram_matrix(ps))
+    next(values)  # P_0
     pair_w = np.outer(ps.weights, ps.weights)
 
     moments = []
-    p_prev = np.ones_like(t)
-    p_curr = 0.5 * ((a + b + 2.0) * t + (a - b))
-    for k in range(1, p // 2 + 1):
-        if k >= 2:
-            c1 = 2.0 * k * (k + a + b) * (2.0 * k + a + b - 2.0)
-            c2 = (2.0 * k + a + b - 1.0) * (a * a - b * b)
-            c3 = (2.0 * k + a + b - 2.0) * (2.0 * k + a + b - 1.0) * (2.0 * k + a + b)
-            c4 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + a + b)
-            p_curr, p_prev = ((c2 + c3 * t) * p_curr - c4 * p_prev) / c1, p_curr
-        m_k = math.fsum((pair_w * p_curr).ravel())
+    for k, p_k in enumerate(values, start=1):
+        m_k = math.fsum((pair_w * p_k).ravel())
         if m_k < _MOMENT_NEGATIVE_GUARD:
             raise NumericalError(
                 f"moment M_{k} = {m_k!r} violates nonnegativity; numerical failure"

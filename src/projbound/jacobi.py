@@ -1,10 +1,10 @@
 """Jacobi polynomials for the weight (1-t)^alpha (1+t)^beta on (-1, 1).
 
 Everything downstream (test functions, closed-form bounds, the design
-verifier) is built on this family, normalized so that P_k(1) = C(alpha+k, k).
-Gauss-Jacobi quadrature doubles as the independent oracle for all the
-weight integrals, so it is kept deliberately separate from the recurrence
-evaluation path.
+verifier) is built on this family, normalized so that P_k(1) = C(alpha+k, k),
+and every value of it comes from one forward three-term recurrence
+(Szego, Orthogonal Polynomials, 4.5).  Gauss-Jacobi nodes serve only the
+integrals over a tail [xi, 1] of the weight.
 """
 
 from __future__ import annotations
@@ -15,6 +15,10 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln, roots_jacobi
+
+
+#: Gauss-Jacobi order of the tail weight integral
+_TAIL_ORDER = 64
 
 
 class NumericalError(RuntimeError):
@@ -47,6 +51,37 @@ class JacobiParams:
         return (1.0 - t) ** self.alpha * (1.0 + t) ** self.beta
 
 
+@lru_cache(maxsize=8)
+def _recurrence(alpha: float, beta: float, k: int) -> tuple:
+    """Coefficients (c1, c2, c3, c4) of c1 P_n = (c2 + c3 t) P_{n-1} - c4 P_{n-2}, n = 2..k.
+
+    Cached because a largest-root search evaluates the same degree hundreds
+    of times; it uses two tables, P_k and the derivative family at k-1.
+    """
+    a, b = alpha, beta
+    coeffs = []
+    for n in range(2, k + 1):
+        c1 = 2.0 * n * (n + a + b) * (2.0 * n + a + b - 2.0)
+        c2 = (2.0 * n + a + b - 1.0) * (a * a - b * b)
+        c3 = (2.0 * n + a + b - 2.0) * (2.0 * n + a + b - 1.0) * (2.0 * n + a + b)
+        c4 = 2.0 * (n + a - 1.0) * (n + b - 1.0) * (2.0 * n + a + b)
+        coeffs.append((c1, c2, c3, c4))
+    return tuple(coeffs)
+
+
+def _iter_values(params: JacobiParams, k: int, t: np.ndarray):
+    """Yield P_0(t), ..., P_k(t) by the forward three-term recurrence."""
+    a, b = params.alpha, params.beta
+    p_prev = np.ones_like(t)
+    yield p_prev
+    if k >= 1:
+        pk = 0.5 * ((a + b + 2.0) * t + (a - b))
+        yield pk
+        for c1, c2, c3, c4 in _recurrence(a, b, k):
+            pk, p_prev = ((c2 + c3 * t) * pk - c4 * p_prev) / c1, pk
+            yield pk
+
+
 def jacobi_eval(params: JacobiParams, k: int, t):
     """Evaluate P_k at t (scalar or ndarray) by the forward three-term recurrence.
 
@@ -55,19 +90,9 @@ def jacobi_eval(params: JacobiParams, k: int, t):
     """
     if k < 0:
         raise ValueError(f"degree must be >= 0, got {k}")
-    a, b = params.alpha, params.beta
     scalar = np.isscalar(t)
-    t = np.asarray(t, dtype=float)
-    pk = np.ones_like(t)
-    if k >= 1:
-        p_prev = pk
-        pk = 0.5 * ((a + b + 2.0) * t + (a - b))
-        for n in range(2, k + 1):
-            c1 = 2.0 * n * (n + a + b) * (2.0 * n + a + b - 2.0)
-            c2 = (2.0 * n + a + b - 1.0) * (a * a - b * b)
-            c3 = (2.0 * n + a + b - 2.0) * (2.0 * n + a + b - 1.0) * (2.0 * n + a + b)
-            c4 = 2.0 * (n + a - 1.0) * (n + b - 1.0) * (2.0 * n + a + b)
-            pk, p_prev = ((c2 + c3 * t) * pk - c4 * p_prev) / c1, pk
+    for pk in _iter_values(params, k, np.asarray(t, dtype=float)):
+        pass
     return float(pk) if scalar else pk
 
 
@@ -76,18 +101,10 @@ def jacobi_eval_all(params: JacobiParams, k_max: int, t) -> np.ndarray:
 
     Returns an array of shape (k_max+1,) + shape(t).
     """
-    a, b = params.alpha, params.beta
     t = np.asarray(t, dtype=float)
     out = np.empty((k_max + 1,) + t.shape, dtype=float)
-    out[0] = 1.0
-    if k_max >= 1:
-        out[1] = 0.5 * ((a + b + 2.0) * t + (a - b))
-    for n in range(2, k_max + 1):
-        c1 = 2.0 * n * (n + a + b) * (2.0 * n + a + b - 2.0)
-        c2 = (2.0 * n + a + b - 1.0) * (a * a - b * b)
-        c3 = (2.0 * n + a + b - 2.0) * (2.0 * n + a + b - 1.0) * (2.0 * n + a + b)
-        c4 = 2.0 * (n + a - 1.0) * (n + b - 1.0) * (2.0 * n + a + b)
-        out[n] = ((c2 + c3 * t) * out[n - 1] - c4 * out[n - 2]) / c1
+    for n, pn in enumerate(_iter_values(params, k_max, t)):
+        out[n] = pn
     return out
 
 
@@ -100,36 +117,12 @@ def jacobi_deriv(params: JacobiParams, k: int, t):
     return 0.5 * (k + params.lam) * jacobi_eval(params.raised(), k - 1, t)
 
 
-def jacobi_value_at_one(params: JacobiParams, k: int) -> float:
-    """P_k(1) = C(alpha+k, k), computed through log-Gamma."""
-    a = params.alpha
-    return math.exp(gammaln(a + k + 1.0) - gammaln(a + 1.0) - gammaln(k + 1.0))
-
-
 def tau(params: JacobiParams) -> float:
     """Total weight mass: integral of (1-t)^alpha (1+t)^beta over (-1, 1)."""
     a, b = params.alpha, params.beta
     return math.exp(
         (a + b + 1.0) * math.log(2.0) + gammaln(a + 1.0) + gammaln(b + 1.0) - gammaln(a + b + 2.0)
     )
-
-
-def jacobi_norm_nu(params: JacobiParams, k: int) -> float:
-    """nu_k = 1 / ||P_k||^2 in the weighted L2 space."""
-    if k < 0:
-        raise ValueError(f"degree must be >= 0, got {k}")
-    if k == 0:
-        return 1.0 / tau(params)
-    a, b = params.alpha, params.beta
-    log_sq_norm = (
-        (a + b + 1.0) * math.log(2.0)
-        - math.log(2.0 * k + a + b + 1.0)
-        + gammaln(k + a + 1.0)
-        + gammaln(k + b + 1.0)
-        - gammaln(k + a + b + 1.0)
-        - gammaln(k + 1.0)
-    )
-    return math.exp(-log_sq_norm)
 
 
 def jacobi_norm_nu_all(params: JacobiParams, k_max: int) -> np.ndarray:
@@ -206,20 +199,6 @@ def largest_root(params: JacobiParams, k: int) -> float:
     )
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss-Jacobi rule: exact for polynomials of degree <= 2*order - 1."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    params: JacobiParams
-    order: int
-
-    def integrate(self, f) -> float:
-        """Integral of f(t) * (1-t)^alpha (1+t)^beta over (-1, 1)."""
-        return float(np.dot(self.weights, f(self.nodes)))
-
-
 @lru_cache(maxsize=256)
 def _roots_jacobi_cached(order: int, alpha: float, beta: float):
     x, w = roots_jacobi(order, alpha, beta)
@@ -228,23 +207,7 @@ def _roots_jacobi_cached(order: int, alpha: float, beta: float):
     return x, w
 
 
-def gauss_jacobi(params: JacobiParams, order: int) -> QuadratureRule:
-    """Gauss-Jacobi quadrature rule with `order` nodes for this weight."""
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    nodes, weights = _roots_jacobi_cached(order, params.alpha, params.beta)
-    if not (np.all(np.diff(nodes) > 0) and np.all(weights > 0)):
-        raise NumericalError(f"gauss_jacobi: invalid rule for order={order}, {params}")
-    mass = tau(params)
-    if abs(weights.sum() - mass) > 1e-12 * mass:
-        raise NumericalError(
-            f"gauss_jacobi: weight sum {weights.sum()!r} deviates from {mass!r} "
-            f"(order={order}, {params})"
-        )
-    return QuadratureRule(nodes, weights, params, order)
-
-
-def tail_rule(params: JacobiParams, xi: float, order: int = 64):
+def tail_rule(params: JacobiParams, xi: float, order: int):
     """Nodes t and effective weights for integrals of f(t)*weight(t) over [xi, 1].
 
     The endpoint factor (1-t)^alpha is absorbed into a Gauss-Jacobi rule with
@@ -259,7 +222,7 @@ def tail_rule(params: JacobiParams, xi: float, order: int = 64):
     return t, scale * w * (1.0 + t) ** params.beta
 
 
-def incomplete_weight_integral(params: JacobiParams, xi: float, order: int = 64) -> float:
+def incomplete_weight_integral(params: JacobiParams, xi: float) -> float:
     """Integral of (1-t)^alpha (1+t)^beta over [xi, 1], xi in (-1, 1)."""
-    _, w = tail_rule(params, xi, order)
+    _, w = tail_rule(params, xi, _TAIL_ORDER)
     return float(w.sum())

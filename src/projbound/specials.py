@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import gammaln
 from scipy.special import jv as _besselj
 
-from .jacobi import JacobiParams, NumericalError, _roots_jacobi_cached
+from .jacobi import NumericalError, _roots_jacobi_cached
 
 # Accepted argument ranges.  Larger than strictly needed by the tables so the
 # asymptotic reports can reach nu ~ 400 (quaternionic case at m = 200).
@@ -26,6 +26,9 @@ _X_MAX = 1000.0
 # J_nu (>= 3.11 over all nu >= 0), so a sign change is never skipped.
 _SCAN_STEP = 1.5
 
+#: Gauss-Jacobi order of the Euler integral behind hypergeom_F
+_HYPERGEOM_ORDER = 64
+
 
 def log_gamma(x: float) -> float:
     """ln Gamma(x) for x > 0."""
@@ -34,7 +37,7 @@ def log_gamma(x: float) -> float:
     return float(gammaln(x))
 
 
-def hypergeom_F(beta: float, alpha: float, eps: float, order: int = 64) -> float:
+def hypergeom_F(beta: float, alpha: float, eps: float) -> float:
     """F(-beta, alpha+1; alpha+2; eps) for alpha > -1, 0 <= eps < 1.
 
     Computed through the Euler integral
@@ -47,26 +50,9 @@ def hypergeom_F(beta: float, alpha: float, eps: float, order: int = 64) -> float
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"hypergeom_F requires 0 <= eps < 1, got {eps}")
     # s = (1+u)/2 turns s^alpha ds into a (0, alpha) Jacobi weight on (-1, 1)
-    u, w = _roots_jacobi_cached(order, 0.0, alpha)
+    u, w = _roots_jacobi_cached(_HYPERGEOM_ORDER, 0.0, alpha)
     s = 0.5 * (1.0 + u)
     return (alpha + 1.0) * 0.5 ** (alpha + 1.0) * float(np.dot(w, (1.0 - eps * s) ** beta))
-
-
-def hypergeom_series(beta: float, alpha: float, eps: float, tol: float = 1e-17) -> float:
-    """Power-series evaluation of F(-beta, alpha+1; alpha+2; eps); cross-check route."""
-    if not 0.0 <= eps < 1.0:
-        raise ValueError(f"hypergeom_series requires 0 <= eps < 1, got {eps}")
-    total = term = 1.0
-    n = 0
-    while abs(term) > tol * abs(total):
-        term *= (n - beta) * (n + alpha + 1.0) / ((n + alpha + 2.0) * (n + 1.0)) * eps
-        total += term
-        n += 1
-        if n > 100_000:
-            raise NumericalError(f"hypergeom_series stalled at eps={eps}")
-        if term == 0.0:
-            break
-    return total
 
 
 def bessel_j(nu: float, x: float) -> float:

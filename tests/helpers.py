@@ -3,12 +3,15 @@
 Everything here deliberately avoids the package's own evaluation paths:
 moments come from high-precision mpmath arithmetic, convolutions from a
 geometric quadrature over the sphere, special-function references from
-mpmath.  Agreement between these and the package is the point of the tests.
+mpmath, Gauss-Jacobi rules from scipy's Golub-Welsch nodes, projective
+cosines from scalar quaternion products.  Agreement between these and the
+package is the point of the tests.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -17,6 +20,102 @@ from scipy.special import roots_jacobi
 
 def field_alpha_beta(delta: int, m: int) -> tuple[float, float]:
     return (delta * (m - 1) - 2) / 2.0, (delta - 2) / 2.0
+
+
+@dataclass(frozen=True)
+class Quaternion:
+    """Hamilton quaternion w + x i + y j + z k."""
+
+    w: float
+    x: float
+    y: float
+    z: float
+
+    def __mul__(self, other: "Quaternion") -> "Quaternion":
+        a, b = self, other
+        return Quaternion(
+            a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
+            a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
+            a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
+            a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w,
+        )
+
+    def conjugate(self) -> "Quaternion":
+        return Quaternion(self.w, -self.x, -self.y, -self.z)
+
+    def __abs__(self) -> float:
+        return math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
+
+    def as_array(self) -> np.ndarray:
+        return np.array([self.w, self.x, self.y, self.z])
+
+
+def projective_cos(x, y) -> float:
+    """Projective cosine 2|(x,y)|^2 - 1 of two unit nodes given as (m, 4) arrays.
+
+    The inner product sum_i conj(x_i) y_i is built from Quaternion products,
+    one coordinate pair at a time, so it shares no code with the package's
+    vectorised Gram kernel.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape or x.ndim != 2 or x.shape[1] != 4:
+        raise ValueError(f"node shape mismatch: {x.shape} vs {y.shape}, expected (m, 4)")
+    inner = sum(
+        ((Quaternion(*xi).conjugate() * Quaternion(*yi)).as_array() for xi, yi in zip(x, y)),
+        np.zeros(4),
+    )
+    return 2.0 * float(np.dot(inner, inner)) - 1.0
+
+
+@dataclass(frozen=True)
+class QuadratureRule:
+    """Gauss-Jacobi rule: exact for polynomials of degree <= 2*order - 1."""
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    order: int
+
+    def integrate(self, f) -> float:
+        """Integral of f(t) * (1-t)^alpha (1+t)^beta over (-1, 1)."""
+        return float(np.dot(self.weights, f(self.nodes)))
+
+
+def gauss_jacobi(params, order: int) -> QuadratureRule:
+    """Gauss-Jacobi rule with `order` nodes for the weight of params (alpha, beta)."""
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    a, b = params.alpha, params.beta
+    nodes, weights = roots_jacobi(order, a, b)
+    if not (np.all(np.diff(nodes) > 0) and np.all(weights > 0)):
+        raise RuntimeError(f"gauss_jacobi: invalid rule for order={order}, {params}")
+    mass = math.exp(
+        (a + b + 1.0) * math.log(2.0) + math.lgamma(a + 1.0) + math.lgamma(b + 1.0)
+        - math.lgamma(a + b + 2.0)
+    )
+    if abs(weights.sum() - mass) > 1e-12 * mass:
+        raise RuntimeError(
+            f"gauss_jacobi: weight sum {weights.sum()!r} deviates from {mass!r} "
+            f"(order={order}, {params})"
+        )
+    return QuadratureRule(nodes, weights, order)
+
+
+def hypergeom_series(beta: float, alpha: float, eps: float, tol: float = 1e-17) -> float:
+    """Power-series evaluation of F(-beta, alpha+1; alpha+2; eps)."""
+    if not 0.0 <= eps < 1.0:
+        raise ValueError(f"hypergeom_series requires 0 <= eps < 1, got {eps}")
+    total = term = 1.0
+    n = 0
+    while abs(term) > tol * abs(total):
+        term *= (n - beta) * (n + alpha + 1.0) / ((n + alpha + 2.0) * (n + 1.0)) * eps
+        total += term
+        n += 1
+        if n > 100_000:
+            raise RuntimeError(f"hypergeom_series stalled at eps={eps}")
+        if term == 0.0:
+            break
+    return total
 
 
 def monomial_moment(alpha: float, beta: float, j: int) -> float:

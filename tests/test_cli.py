@@ -1,11 +1,17 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from projbound import BoundReport, circle_design
 from projbound.cli import main
+
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_DIR = REPO_ROOT / "tests" / "data" / "golden"
+GOLDEN_CASES = json.loads((GOLDEN_DIR / "invocations.json").read_text())
 
 
 def run(capsys, *argv):
@@ -75,12 +81,6 @@ class TestTableCommand:
         _, first, _ = run(capsys, "table", "--field", "H", "--p-min", "2", "--p-max", "30")
         _, second, _ = run(capsys, "table", "--field", "H", "--p-min", "2", "--p-max", "30")
         assert first == second
-
-    def test_threads_env_does_not_change_bytes(self, capsys, monkeypatch):
-        _, base, _ = run(capsys, "table", "--field", "C", "--p-min", "2", "--p-max", "40")
-        monkeypatch.setenv("PROJBOUND_THREADS", "4")
-        _, threaded, _ = run(capsys, "table", "--field", "C", "--p-min", "2", "--p-max", "40")
-        assert base == threaded
 
     def test_markdown_format(self, capsys):
         code, out, _ = run(
@@ -225,3 +225,14 @@ class TestTestfnCommand:
         assert code == 0
         text = target.read_text()
         assert text.startswith("# projbound testfn v1 field=H m=2 l=2")
+
+
+class TestGoldenOutput:
+    """The README's CLI invocations print exactly the recorded bytes and exit codes."""
+
+    @pytest.mark.parametrize("case", GOLDEN_CASES, ids=[c["name"] for c in GOLDEN_CASES])
+    def test_bytes_match_recording(self, capsys, monkeypatch, case):
+        monkeypatch.chdir(REPO_ROOT)  # verify paths in the README are repo-relative
+        code, out, _ = run(capsys, *case["argv"])
+        assert code == case["exit"]
+        assert out.encode("utf-8") == (GOLDEN_DIR / f"{case['name']}.out").read_bytes()

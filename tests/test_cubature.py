@@ -7,16 +7,16 @@ import pytest
 from projbound import (
     Field,
     PointSet,
-    Quaternion,
     circle_design,
     gram_matrix,
     load_point_set,
     moment_test,
     orthonormal_design,
     parse_point_set,
-    projective_cos,
     verify,
 )
+
+from helpers import Quaternion, projective_cos
 
 
 def random_point_set(rng, field, m, n):
@@ -119,6 +119,25 @@ class TestPointSetValidation:
         with pytest.warns(UserWarning, match="coincident"):
             ps = PointSet(Field.R, 2, nodes)
         assert ps.duplicates == [(0, 1)]
+
+    @pytest.mark.parametrize("field", list(Field), ids=lambda f: f.name)
+    def test_duplicate_pairs_match_pairwise_scan(self, field):
+        rng = np.random.default_rng(53)
+        base = random_point_set(rng, field, 3, 6)
+        a = random_unit_scalar(rng, field)
+        moved = np.array([(Quaternion(*coord) * a).as_array() for coord in base.nodes[4]])
+        nodes = np.concatenate([base.nodes, base.nodes[[1, 1]], moved[None], base.nodes[:1]])
+        with pytest.warns(UserWarning, match="coincident"):
+            ps = PointSet(field, 3, nodes)
+        want = [
+            (i, j)
+            for i in range(ps.n)
+            for j in range(i + 1, ps.n)
+            if projective_cos(nodes[i], nodes[j]) >= 1.0 - 1e-12
+        ]
+        assert want == [(0, 9), (1, 6), (1, 7), (4, 8), (6, 7)]
+        assert ps.duplicates == want
+        assert all(type(k) is int for pair in ps.duplicates for k in pair)
 
 
 class TestMomentTest:

@@ -9,18 +9,16 @@ from projbound import (
     JacobiParams,
     NumericalError,
     field_params,
-    gauss_jacobi,
     incomplete_weight_integral,
     jacobi_deriv,
     jacobi_eval,
     jacobi_eval_all,
-    jacobi_norm_nu,
-    jacobi_value_at_one,
     largest_root,
     tau,
 )
+from projbound.jacobi import jacobi_norm_nu_all, jacobi_value_at_one_all
 
-from helpers import monomial_moment
+from helpers import gauss_jacobi, monomial_moment
 
 FIELD_PARAMS = [field_params(f, m) for f in Field for m in range(2, 7)]
 
@@ -53,7 +51,7 @@ class TestEval:
         t = np.linspace(-1.0, 1.0, 10_000)
         for k in (1, 3, 7, 15):
             vals = np.abs(jacobi_eval(params, k, t))
-            assert vals.max() <= jacobi_value_at_one(params, k) * (1 + 1e-10)
+            assert vals.max() <= jacobi_value_at_one_all(params, k)[k] * (1 + 1e-10)
 
     def test_eval_all_matches_single(self):
         params = JacobiParams(2.0, 0.5)
@@ -120,21 +118,23 @@ class TestTauAndNorms:
 
     def test_nu_zero_is_reciprocal_tau(self):
         for params in (JacobiParams(0.3, 1.7), JacobiParams(-0.5, -0.5)):
-            assert jacobi_norm_nu(params, 0) == pytest.approx(1.0 / tau(params), rel=1e-13)
+            nu_0 = jacobi_norm_nu_all(params, 0)[0]
+            assert nu_0 == pytest.approx(1.0 / tau(params), rel=1e-13)
 
     def test_nu_legendre_degree_one(self):
-        assert jacobi_norm_nu(JacobiParams(0, 0), 1) == pytest.approx(1.5, rel=1e-13)
+        assert jacobi_norm_nu_all(JacobiParams(0, 0), 1)[1] == pytest.approx(1.5, rel=1e-13)
 
     def test_nu_parabolic_degree_one(self):
         # 1 / integral of 4 t^2 (1 - t^2) = 15/16
-        assert jacobi_norm_nu(JacobiParams(1, 1), 1) == pytest.approx(15.0 / 16.0, rel=1e-13)
+        nu_1 = jacobi_norm_nu_all(JacobiParams(1, 1), 1)[1]
+        assert nu_1 == pytest.approx(15.0 / 16.0, rel=1e-13)
 
     @pytest.mark.parametrize("params", FIELD_PARAMS, ids=str)
     def test_norms_match_quadrature(self, params):
         rule = gauss_jacobi(params, 48)
         for k in range(21):
             sq = rule.integrate(lambda t, k=k: jacobi_eval(params, k, t) ** 2)
-            assert 1.0 / jacobi_norm_nu(params, k) == pytest.approx(sq, rel=1e-11)
+            assert 1.0 / jacobi_norm_nu_all(params, k)[k] == pytest.approx(sq, rel=1e-11)
 
     @pytest.mark.parametrize("params", FIELD_PARAMS, ids=str)
     def test_orthogonality(self, params):
@@ -160,7 +160,7 @@ class TestLargestRoot:
         for k in range(1, 31):
             root = largest_root(params, k)
             assert prev < root < 1.0
-            scale = jacobi_value_at_one(params, k)
+            scale = jacobi_value_at_one_all(params, k)[k]
             assert abs(jacobi_eval(params, k, root)) <= 1e-11 * scale
             prev = root
 
@@ -210,7 +210,7 @@ class TestGaussJacobi:
         params = JacobiParams(1, 1)
         rule = gauss_jacobi(params, 16)
         val = rule.integrate(lambda t: jacobi_eval(params, 4, t) ** 2)
-        assert val == pytest.approx(1.0 / jacobi_norm_nu(params, 4), rel=1e-11)
+        assert val == pytest.approx(1.0 / jacobi_norm_nu_all(params, 4)[4], rel=1e-11)
 
     @pytest.mark.parametrize("order", [1, 2, 5, 8, 16])
     def test_monomial_exactness(self, order):

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from projbound import bessel_first_zero, bessel_j, hypergeom_F, log_gamma
-from projbound.specials import hypergeom_series
 
-from helpers import mp_bessel_first_zero, mp_besselj, mp_hyp2f1
+from helpers import hypergeom_series, mp_bessel_first_zero, mp_besselj, mp_hyp2f1
 
 
 class TestLogGamma:

@@ -10,10 +10,9 @@ from projbound import (
     eval_f,
     field_params,
     jacobi_eval,
-    jacobi_norm_nu,
-    jacobi_value_at_one,
     tau,
 )
+from projbound.jacobi import jacobi_norm_nu_all, jacobi_value_at_one_all
 
 from helpers import conv_oracle, quad_tail, real_m3_testfn_oracle
 
@@ -116,7 +115,7 @@ class TestCoefficientsAgainstQuadrature:
                 lambda t, k=k: (jacobi_eval(params, tf.r, t) - p_r_xi)
                 * jacobi_eval(params, k, t),
             )
-            product = g_quad * h_quad / (t0 * jacobi_value_at_one(params, k))
+            product = g_quad * h_quad / (t0 * jacobi_value_at_one_all(params, k)[k])
             assert abs(tf.coeff_f[k] - product) <= 1e-10 * scale
 
     def test_c0_of_g_identity(self):
@@ -204,7 +203,9 @@ class TestConvolutionGeometry:
         t0 = tau(params)
         for j in range(7):
             for k in range(7):
-                b_mk = t0 * jacobi_norm_nu(params, k) * jacobi_value_at_one(params, k)
+                b_mk = (
+                    t0 * jacobi_norm_nu_all(params, k)[k] * jacobi_value_at_one_all(params, k)[k]
+                )
                 if j == k == 0:
                     assert b_mk == pytest.approx(1.0, rel=1e-13)
                 for t in t_vals:
