@@ -9,7 +9,10 @@ not a failed design.
 
 Nodes are stored as quaternion coordinate quadruples for all three fields
 (real and complex scalars are embedded with vanishing imaginary parts), so a
-single inner-product kernel serves R, C and H.
+single inner-product kernel serves R, C and H.  The kernel splits each
+quaternion q = z + w j into the complex pair z = q0 + i q1, w = q2 + i q3 and
+works in C^{2m}; the Gram matrix is computed once, when the point set is
+built.
 """
 
 from __future__ import annotations
@@ -38,26 +41,6 @@ INTERPRETATION_NOTE = (
 )
 
 
-def _qconj(a: np.ndarray) -> np.ndarray:
-    out = a.copy()
-    out[..., 1:] = -out[..., 1:]
-    return out
-
-
-def _qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ],
-        axis=-1,
-    )
-
-
 class PointSet:
     """Weighted nodes on the unit sphere of K^m, quaternion-embedded.
 
@@ -66,12 +49,16 @@ class PointSet:
     scalar dimension vanish), each node must have unit norm, and nodes are
     expected to be projectively distinct (violations are reported as
     duplicates, not errors: the moment test stays meaningful).
+
+    The set keeps read-only copies of nodes and weights, because ``cos``,
+    the (n, n) Gram matrix of projective cosines, is derived from them once,
+    here, and read by the duplicate scan and by moment_test.
     """
 
     def __init__(self, field: Field, m: int, nodes, weights=None):
         if m < 2:
             raise ValueError(f"m must be >= 2, got {m}")
-        nodes = np.asarray(nodes, dtype=float)
+        nodes = np.array(nodes, dtype=float)
         if nodes.ndim != 3 or nodes.shape[1] != m or nodes.shape[2] != 4:
             raise ValueError(f"nodes must have shape (n, {m}, 4), got {nodes.shape}")
         n = nodes.shape[0]
@@ -79,7 +66,7 @@ class PointSet:
             raise ValueError("point set must contain at least one node")
         if weights is None:
             weights = np.full(n, 1.0 / n)
-        weights = np.asarray(weights, dtype=float)
+        weights = np.array(weights, dtype=float)
         if weights.shape != (n,):
             raise ValueError(f"weights must have shape ({n},), got {weights.shape}")
         if np.any(weights <= 0.0):
@@ -97,29 +84,45 @@ class PointSet:
         if bad.size:
             raise ValueError(f"nodes {bad.tolist()} are not unit-norm (|1 - |x|| > 1e-12)")
 
+        nodes.setflags(write=False)
+        weights.setflags(write=False)
         self.field = field
         self.m = m
         self.nodes = nodes
         self.weights = weights
         self.n = n
-        self.duplicates = self._find_duplicates()
+        self.cos = gram_matrix(self)
+        self.cos.setflags(write=False)
+        i, j = np.nonzero(np.triu(self.cos >= 1.0 - _DUPLICATE_TOL, 1))
+        self.duplicates = list(zip(i.tolist(), j.tolist()))
         if self.duplicates:
             warnings.warn(
                 f"point set has projectively coincident node pairs: {self.duplicates}",
                 stacklevel=2,
             )
 
-    def _find_duplicates(self):
-        i, j = np.nonzero(np.triu(gram_matrix(self) >= 1.0 - _DUPLICATE_TOL, 1))
-        return list(zip(i.tolist(), j.tolist()))
-
 
 def gram_matrix(ps: PointSet) -> np.ndarray:
-    """All pairwise projective cosines, shape (n, n)."""
-    a = _qconj(ps.nodes)[:, None, :, :]  # (n, 1, m, 4)
-    b = ps.nodes[None, :, :, :]  # (1, n, m, 4)
-    inner = _qmul(a, b).sum(axis=2)  # (n, n, 4)
-    return 2.0 * (inner**2).sum(axis=-1) - 1.0
+    """All pairwise projective cosines, shape (n, n).
+
+    Each node x, with quaternion coordinates q = z + w j, maps to
+    u = (z, conj(w)) in C^{2m}.  Then (x, y) = u_x^H u_y + (u_x^T J u_y) j
+    with J u = (u[m:], -u[:m]), so |(x, y)|^2 = |G1|^2 + |G2|^2 for
+    G1 = conj(U) U^T and G2 = U (J U)^T.  Both are accumulated as 2m
+    elementwise outer products instead of a BLAS product: BLAS rounds an
+    entry by its position in a tile, so a permuted point set would not get
+    the permuted Gram matrix bit for bit.  Real nodes give exactly the real
+    dot products.
+    """
+    q = ps.nodes
+    u = np.concatenate([q[..., 0] + 1j * q[..., 1], q[..., 2] - 1j * q[..., 3]], axis=1)
+    ju = np.concatenate([u[:, ps.m :], -u[:, : ps.m]], axis=1)
+    g1 = np.zeros((ps.n, ps.n), dtype=complex)
+    g2 = np.zeros((ps.n, ps.n), dtype=complex)
+    for col, jcol in zip(u.T, ju.T):
+        g1 += np.multiply.outer(col.conj(), col)
+        g2 += np.multiply.outer(col, jcol)
+    return 2.0 * (g1.real**2 + g1.imag**2 + g2.real**2 + g2.imag**2) - 1.0
 
 
 def moment_test(ps: PointSet, p: int) -> list[float]:
@@ -131,7 +134,7 @@ def moment_test(ps: PointSet, p: int) -> list[float]:
     """
     if p < 2 or p % 2 != 0:
         raise ValueError(f"p must be a positive even integer, got {p}")
-    values = _iter_values(field_params(ps.field, ps.m), p // 2, gram_matrix(ps))
+    values = _iter_values(field_params(ps.field, ps.m), p // 2, ps.cos)
     next(values)  # P_0
     pair_w = np.outer(ps.weights, ps.weights)
 

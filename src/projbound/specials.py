@@ -17,11 +17,6 @@ from scipy.special import jv as _besselj
 
 from .jacobi import NumericalError, _roots_jacobi_cached
 
-# Accepted argument ranges.  Larger than strictly needed by the tables so the
-# asymptotic reports can reach nu ~ 400 (quaternionic case at m = 200).
-_NU_MAX = 500.0
-_X_MAX = 1000.0
-
 # The scan step must stay below the minimal gap between consecutive zeros of
 # J_nu (>= 3.11 over all nu >= 0), so a sign change is never skipped.
 _SCAN_STEP = 1.5
@@ -57,10 +52,10 @@ def hypergeom_F(beta: float, alpha: float, eps: float) -> float:
 
 def bessel_j(nu: float, x: float) -> float:
     """Bessel function J_nu(x) for nu >= 0, x >= 0."""
-    if not 0.0 <= nu <= _NU_MAX:
-        raise ValueError(f"bessel_j requires 0 <= nu <= {_NU_MAX}, got {nu}")
-    if not 0.0 <= x <= _X_MAX:
-        raise ValueError(f"bessel_j requires 0 <= x <= {_X_MAX}, got {x}")
+    if not nu >= 0.0:
+        raise ValueError(f"bessel_j requires nu >= 0, got {nu}")
+    if not x >= 0.0:
+        raise ValueError(f"bessel_j requires x >= 0, got {x}")
     return float(_besselj(nu, x))
 
 
@@ -85,8 +80,8 @@ def bessel_first_zero(nu: float) -> BesselZero:
     sqrt(2*(nu+1)*(nu+3)), so an upward scan from the lower bound with a step
     below the minimal zero gap brackets exactly the first zero.
     """
-    if not 0.0 <= nu <= _NU_MAX:
-        raise ValueError(f"bessel_first_zero requires 0 <= nu <= {_NU_MAX}, got {nu}")
+    if not nu >= 0.0:
+        raise ValueError(f"bessel_first_zero requires nu >= 0, got {nu}")
     lower = math.sqrt(nu * (nu + 2.0))
     upper = math.sqrt(2.0 * (nu + 1.0) * (nu + 3.0))
 

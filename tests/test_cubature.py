@@ -1,9 +1,11 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import projbound.cubature
 from projbound import (
     Field,
     PointSet,
@@ -17,6 +19,8 @@ from projbound import (
 )
 
 from helpers import Quaternion, projective_cos
+
+BASIS_H_M2 = Path(__file__).resolve().parent.parent / "demos" / "data" / "basis_h_m2.json"
 
 
 def random_point_set(rng, field, m, n):
@@ -119,6 +123,19 @@ class TestPointSetValidation:
         with pytest.warns(UserWarning, match="coincident"):
             ps = PointSet(Field.R, 2, nodes)
         assert ps.duplicates == [(0, 1)]
+
+    def test_keeps_read_only_copies(self):
+        nodes = np.zeros((2, 2, 4))
+        nodes[0, 0, 0] = nodes[1, 1, 0] = 1.0
+        weights = np.array([0.5, 0.5])
+        ps = PointSet(Field.R, 2, nodes, weights)
+        nodes[1] = nodes[0]  # the caller's arrays stay the caller's
+        weights[:] = 0.0
+        assert ps.duplicates == [] and ps.weights.tolist() == [0.5, 0.5]
+        assert ps.nodes[1, 1, 0] == 1.0 and ps.cos[0, 1] == -1.0
+        for derived in (ps.nodes, ps.weights, ps.cos):
+            with pytest.raises(ValueError, match="read-only"):
+                derived[0] = 0.0
 
     @pytest.mark.parametrize("field", list(Field), ids=lambda f: f.name)
     def test_duplicate_pairs_match_pairwise_scan(self, field):
@@ -239,6 +256,22 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify(circle_design(4), 4, tol=0.0)
 
+    def test_icosahedron_diagonals(self):
+        phi = (1.0 + math.sqrt(5.0)) / 2.0
+        lines = [(0, 1, phi), (0, 1, -phi), (1, phi, 0), (1, -phi, 0), (phi, 0, 1), (-phi, 0, 1)]
+        nodes = np.zeros((6, 3, 4))
+        nodes[:, :, 0] = np.array(lines) / math.sqrt(1.0 + phi**2)
+        ps = PointSet(Field.R, 3, nodes)
+        report = verify(ps, 4)
+        assert report.passed
+        assert report.n == 6 == report.lp_bound == report.yudin_bound
+        assert report.tight_lp and report.tight_yudin
+        # every pair has |(x, y)|^2 = 1/5, and P_3^(0,-1/2)(-3/5) = P_6(1/sqrt 5) = 41/125,
+        # so M_3 = (6 + 30 * 41/125) / 36 = 11/25
+        report = verify(ps, 6)
+        assert not report.passed
+        assert report.moments[2] == pytest.approx(11 / 25, abs=1e-12)
+
 
 class TestPointSetIO:
     def circle_doc(self, p):
@@ -298,9 +331,11 @@ class TestPointSetIO:
 
 
 class TestGramMatrix:
-    def test_matches_pairwise_kernel(self):
+    @pytest.mark.parametrize("field", list(Field), ids=lambda f: f.name)
+    @pytest.mark.parametrize("m", [2, 3, 8])
+    def test_matches_pairwise_kernel(self, field, m):
         rng = np.random.default_rng(47)
-        ps = random_point_set(rng, Field.H, 3, 5)
+        ps = random_point_set(rng, field, m, 5)
         g = gram_matrix(ps)
         for i in range(5):
             for j in range(5):
@@ -308,3 +343,16 @@ class TestGramMatrix:
                     projective_cos(ps.nodes[i], ps.nodes[j]), abs=1e-13
                 )
         assert np.allclose(np.diag(g), 1.0, atol=1e-12)
+
+    def test_computed_once_per_verify(self, monkeypatch):
+        calls = []
+        original = projbound.cubature.gram_matrix
+
+        def counting(ps):
+            calls.append(ps.n)
+            return original(ps)
+
+        monkeypatch.setattr(projbound.cubature, "gram_matrix", counting)
+        ps, p = load_point_set(BASIS_H_M2)
+        assert verify(ps, p).passed
+        assert calls == [ps.n]

@@ -98,8 +98,9 @@ class TestBesselJ:
             bessel_j(-0.5, 1.0)
         with pytest.raises(ValueError):
             bessel_j(0.0, -1.0)
-        with pytest.raises(ValueError):
-            bessel_j(0.0, 1001.0)
+        # no upper cap on the order or the argument
+        for nu in (0.0, 502.0, 598.0):
+            assert bessel_j(nu, 1001.0) == pytest.approx(mp_besselj(nu, 1001.0), abs=1e-12)
 
 
 class TestBesselFirstZero:
@@ -133,5 +134,10 @@ class TestBesselFirstZero:
     def test_domain(self):
         with pytest.raises(ValueError):
             bessel_first_zero(-1.0)
-        with pytest.raises(ValueError):
-            bessel_first_zero(501.0)
+        # no upper cap on the order: nu = 598 is the quaternionic case at m = 300
+        for nu in (502.0, 598.0):
+            j = bessel_first_zero(nu).value
+            assert mp_besselj(nu, j - 1e-9) > 0.0 > mp_besselj(nu, j + 1e-9)
+            olver = nu + 1.8557571 * nu ** (1 / 3) + 1.033150 * nu ** (-1 / 3)
+            assert j == pytest.approx(olver, abs=1e-4)
+            assert math.sqrt(nu * (nu + 2.0)) < j < math.sqrt(2.0 * (nu + 1.0) * (nu + 3.0))
