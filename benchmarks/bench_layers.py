@@ -1,0 +1,141 @@
+"""In-process timings of two source trees of projbound, written as one JSON record.
+
+    python benchmarks/bench_layers.py --parent OLD/src --change src --out BENCH_5.json
+
+Each tree is timed in its own fresh interpreter, so neither sees the other's
+modules or caches.  Recorded per tree (seconds, median of the repetitions):
+
+* ``largest_root`` at k in {100, 1000} for (alpha, beta) in {(2, 2), (100, 1)},
+  with the recurrence cache cleared before every call, as for a new request;
+* ``gram_matrix`` for a random R, m=4, n=2000 point set;
+* ``table --field H --p-min 2 --p-max 1200`` through ``cli.main``;
+* ``import projbound.cli`` in a new interpreter.
+
+The record also holds the machine: CPU count and model, Python, numpy and
+scipy versions.  Not part of the test suite; takes about a minute.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+
+ROOT_CASES = [(2.0, 2.0, 100), (2.0, 2.0, 1000), (100.0, 1.0, 100), (100.0, 1.0, 1000)]
+TABLE_ARGV = ["table", "--field", "H", "--p-min", "2", "--p-max", "1200"]
+REPS = 5
+
+
+def _median_time(fn, reps: int) -> float:
+    times = []
+    for _ in range(reps):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
+def measure() -> dict:
+    """Timings of the projbound importable in this interpreter."""
+    import numpy as np
+
+    from projbound import cli, cubature, jacobi
+
+    out = {}
+    for alpha, beta, k in ROOT_CASES:
+        params = jacobi.JacobiParams(alpha, beta)
+
+        def root():
+            jacobi._recurrence.cache_clear()
+            jacobi.largest_root(params, k)
+
+        root()  # lazy imports
+        out[f"largest_root(alpha={alpha:g},beta={beta:g},k={k})_s"] = _median_time(root, REPS)
+
+    rng = np.random.default_rng(0)
+    nodes = np.zeros((2000, 4, 4))
+    nodes[..., 0] = rng.standard_normal((2000, 4))
+    nodes /= np.sqrt((nodes**2).sum(axis=(1, 2)))[:, None, None]
+    ps = cubature.PointSet(cubature.Field.R, 4, nodes)
+    out["gram_matrix(R,m=4,n=2000)_s"] = _median_time(lambda: cubature.gram_matrix(ps), REPS)
+
+    def table():
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(TABLE_ARGV)
+
+    out["cli " + " ".join(TABLE_ARGV) + "_s"] = _median_time(table, 1)
+    return out
+
+
+def _import_time(src: str) -> float:
+    code = (
+        "import time; t = time.perf_counter(); import projbound.cli; "
+        "print(time.perf_counter() - t)"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    return float(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                capture_output=True, text=True).stdout)
+
+
+def run_tree(src: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, __file__, "--child"], env=env, check=True,
+                          capture_output=True, text=True)
+    timings = json.loads(proc.stdout)
+    timings["import projbound.cli_s"] = statistics.median(_import_time(src) for _ in range(REPS))
+    return timings
+
+
+def machine() -> dict:
+    import numpy
+    import scipy
+
+    model = None
+    with contextlib.suppress(OSError):
+        with open("/proc/cpuinfo") as f:
+            model = next((line.split(":", 1)[1].strip() for line in f
+                          if line.startswith("model name")), None)
+    return {
+        "nproc": os.cpu_count(),
+        "cpu": model,
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+    }
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--parent", help="src directory of the parent tree")
+    parser.add_argument("--change", help="src directory of the changed tree")
+    parser.add_argument("--out", help="JSON file to write")
+    args = parser.parse_args()
+    if args.child:
+        print(json.dumps(measure()))
+        return 0
+    if not (args.parent and args.change and args.out):
+        parser.error("--parent, --change and --out are required")
+    record = {
+        "machine": machine(),
+        "repetitions": {"largest_root": REPS, "gram_matrix": REPS, "table": 1, "import": REPS},
+        "parent": run_tree(os.path.abspath(args.parent)),
+        "change": run_tree(os.path.abspath(args.change)),
+    }
+    with open(args.out, "w") as f:
+        json.dump(record, f, indent=2)
+        f.write("\n")
+    print(json.dumps(record, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

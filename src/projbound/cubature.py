@@ -108,21 +108,28 @@ def gram_matrix(ps: PointSet) -> np.ndarray:
     Each node x, with quaternion coordinates q = z + w j, maps to
     u = (z, conj(w)) in C^{2m}.  Then (x, y) = u_x^H u_y + (u_x^T J u_y) j
     with J u = (u[m:], -u[:m]), so |(x, y)|^2 = |G1|^2 + |G2|^2 for
-    G1 = conj(U) U^T and G2 = U (J U)^T.  Both are accumulated as 2m
+    G1 = conj(U) U^T and G2 = U (J U)^T.  Both are accumulated as
     elementwise outer products instead of a BLAS product: BLAS rounds an
     entry by its position in a tile, so a permuted point set would not get
-    the permuted Gram matrix bit for bit.  Real nodes give exactly the real
-    dot products.
+    the permuted Gram matrix bit for bit.  Over R and C the w half of u
+    vanishes, so u = z (real over R), G1 has m terms and G2 = 0; leaving
+    out these exact zeros changes no bit of the result.
     """
     q = ps.nodes
-    u = np.concatenate([q[..., 0] + 1j * q[..., 1], q[..., 2] - 1j * q[..., 3]], axis=1)
-    ju = np.concatenate([u[:, ps.m :], -u[:, : ps.m]], axis=1)
-    g1 = np.zeros((ps.n, ps.n), dtype=complex)
-    g2 = np.zeros((ps.n, ps.n), dtype=complex)
-    for col, jcol in zip(u.T, ju.T):
-        g1 += np.multiply.outer(col.conj(), col)
-        g2 += np.multiply.outer(col, jcol)
-    return 2.0 * (g1.real**2 + g1.imag**2 + g2.real**2 + g2.imag**2) - 1.0
+    u = q[..., 0] if ps.field is Field.R else q[..., 0] + 1j * q[..., 1]
+    if ps.field is Field.H:
+        u = np.concatenate([u, q[..., 2] - 1j * q[..., 3]], axis=1)
+    terms = [(u.conj(), u)]
+    if ps.field is Field.H:
+        terms.append((u, np.concatenate([u[:, ps.m :], -u[:, : ps.m]], axis=1)))
+    sq = np.zeros((ps.n, ps.n))
+    for left, right in terms:
+        g = np.zeros((ps.n, ps.n), dtype=u.dtype)
+        for a, b in zip(left.T, right.T):
+            g += np.multiply.outer(a, b)
+        sq += g.real**2
+        sq += g.imag**2
+    return 2.0 * sq - 1.0
 
 
 def moment_test(ps: PointSet, p: int) -> list[float]:

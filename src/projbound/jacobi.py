@@ -3,8 +3,10 @@
 Everything downstream (test functions, closed-form bounds, the design
 verifier) is built on this family, normalized so that P_k(1) = C(alpha+k, k),
 and every value of it comes from one forward three-term recurrence
-(Szego, Orthogonal Polynomials, 4.5).  Gauss-Jacobi nodes serve only the
-integrals over a tail [xi, 1] of the weight.
+(Szego, Orthogonal Polynomials, 4.5).  The same recurrence coefficients give
+the largest root, as the top eigenvalue of the symmetric tridiagonal Jacobi
+matrix (Golub & Welsch 1969) polished by Newton steps.  Gauss-Jacobi nodes
+serve only the integrals over a tail [xi, 1] of the weight.
 """
 
 from __future__ import annotations
@@ -19,6 +21,9 @@ from scipy.special import gammaln, roots_jacobi
 
 #: Gauss-Jacobi order of the tail weight integral
 _TAIL_ORDER = 64
+
+#: magnitude past which the Newton polish of largest_root rescales P_k and P_k'
+_RESCALE = 1e100
 
 
 class NumericalError(RuntimeError):
@@ -55,8 +60,8 @@ class JacobiParams:
 def _recurrence(alpha: float, beta: float, k: int) -> tuple:
     """Coefficients (c1, c2, c3, c4) of c1 P_n = (c2 + c3 t) P_{n-1} - c4 P_{n-2}, n = 2..k.
 
-    Cached because a largest-root search evaluates the same degree hundreds
-    of times; it uses two tables, P_k and the derivative family at k-1.
+    Cached: largest_root reads one table twice (Jacobi matrix, Newton polish),
+    and the verifier and the test-function tables reuse theirs across calls.
     """
     a, b = alpha, beta
     coeffs = []
@@ -85,8 +90,7 @@ def _iter_values(params: JacobiParams, k: int, t: np.ndarray):
 def jacobi_eval(params: JacobiParams, k: int, t):
     """Evaluate P_k at t (scalar or ndarray) by the forward three-term recurrence.
 
-    Degree-k polynomial with P_k(1) = C(alpha+k, k).  Evaluation outside
-    [-1, 1] is permitted (used for root bracketing).
+    Degree-k polynomial with P_k(1) = C(alpha+k, k); t may lie outside [-1, 1].
     """
     if k < 0:
         raise ValueError(f"degree must be >= 0, got {k}")
@@ -154,49 +158,37 @@ def jacobi_value_at_one_all(params: JacobiParams, k_max: int) -> np.ndarray:
 def largest_root(params: JacobiParams, k: int) -> float:
     """Largest root of P_k, located in (-1, 1).
 
-    All roots are simple and interior, so a sign-change scan on a Chebyshev
-    angle grid brackets the largest one; a bisection-safeguarded Newton
-    iteration then polishes it to near machine precision.
+    The roots of P_k are the eigenvalues of the k x k Jacobi matrix of the
+    recurrence (Golub & Welsch 1969).  Written as
+    t P_{n-1} = A P_n + B P_{n-1} + C P_{n-2}, it is symmetric with diagonal
+    B_0..B_{k-1} and off-diagonal sqrt(A_j C_{j+1}).  LAPACK bisection gives
+    its top eigenvalue to a few ulps; two Newton steps on P_k / P_k', run
+    over the same coefficients and rescaled together so that neither
+    overflows, polish it to near machine precision.
     """
     if k < 1:
         raise ValueError(f"degree must be >= 1, got {k}")
-    n_grid = 8 * k
-    t_hi = 1.0
-    v_hi = jacobi_eval(params, k, 1.0)  # P_k(1) > 0 always
-    lo = hi = None
-    for i in range(1, n_grid + 1):
-        t = math.cos(math.pi * i / n_grid)
-        v = jacobi_eval(params, k, t)
-        if v == 0.0:
-            return t
-        if (v_hi > 0.0) != (v > 0.0):
-            lo, hi = t, t_hi
-            break
-        t_hi, v_hi = t, v
-    if lo is None:
-        raise NumericalError(f"largest_root: no sign change found for k={k}, {params}")
+    from scipy.linalg import eigh_tridiagonal  # scipy.linalg costs import time
 
-    # invariant: P_k(hi) > 0 > P_k(lo)
-    x = 0.5 * (lo + hi)
-    for _ in range(200):
-        f = jacobi_eval(params, k, x)
-        if f == 0.0:
-            return x
-        if f > 0.0:
-            hi = x
-        else:
-            lo = x
-        df = jacobi_deriv(params, k, x)
-        x_new = x - f / df if df != 0.0 else math.nan
-        if not (lo < x_new < hi):
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 4e-16 * max(1.0, abs(x)) or (hi - lo) <= 4e-16:
-            return x_new
-        x = x_new
-    raise NumericalError(
-        f"largest_root: Newton/bisection did not converge for k={k}, {params}; "
-        f"bracket=({lo}, {hi})"
-    )
+    a, b = params.alpha, params.beta
+    coeffs = _recurrence(a, b, k)
+    c1, c2, c3, c4 = np.array(coeffs, dtype=float).reshape(-1, 4).T
+    diag = np.concatenate([[(b - a) / (a + b + 2.0)], -c2 / c3])
+    upper = np.concatenate([[2.0 / (a + b + 2.0)], c1 / c3])
+    off = np.sqrt(upper[:-1] * c4 / c3)
+    top = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(k - 1, k - 1))
+    x = float(top[0])
+    for _ in range(2):
+        p_prev, p = 1.0, 0.5 * ((a + b + 2.0) * x + (a - b))
+        d_prev, d = 0.0, 0.5 * (a + b + 2.0)
+        for c1_n, c2_n, c3_n, c4_n in coeffs:
+            s = c2_n + c3_n * x
+            d, d_prev = (s * d + c3_n * p - c4_n * d_prev) / c1_n, d
+            p, p_prev = (s * p - c4_n * p_prev) / c1_n, p
+            if abs(p) > _RESCALE or abs(d) > _RESCALE:
+                p, p_prev, d, d_prev = (v / _RESCALE for v in (p, p_prev, d, d_prev))
+        x -= p / d
+    return x
 
 
 @lru_cache(maxsize=256)

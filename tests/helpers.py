@@ -4,7 +4,8 @@ Everything here deliberately avoids the package's own evaluation paths:
 moments come from high-precision mpmath arithmetic, convolutions from a
 geometric quadrature over the sphere, special-function references from
 mpmath, Gauss-Jacobi rules from scipy's Golub-Welsch nodes, projective
-cosines from scalar quaternion products.  Agreement between these and the
+cosines from scalar quaternion products, largest Jacobi roots from a sign
+scan over scipy's eval_jacobi.  Agreement between these and the
 package is the point of the tests.
 """
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
-from scipy.special import roots_jacobi
+from scipy.special import eval_jacobi, roots_jacobi
 
 
 def field_alpha_beta(delta: int, m: int) -> tuple[float, float]:
@@ -99,6 +100,65 @@ def gauss_jacobi(params, order: int) -> QuadratureRule:
             f"(order={order}, {params})"
         )
     return QuadratureRule(nodes, weights, order)
+
+
+def largest_root_scan(alpha: float, beta: float, k: int) -> float:
+    """Largest root of P_k^(alpha, beta) by a sign scan, then safeguarded Newton.
+
+    P_k(1) > 0 and every root is simple and interior, so the first
+    non-positive value on a Chebyshev angle grid of 8k points, scanned down
+    from t = 1, brackets the largest root; Newton steps kept inside the
+    bracket by bisection then polish it.  Values come from
+    scipy.special.eval_jacobi and the derivative from its (alpha+1, beta+1)
+    family, so no arithmetic is shared with the package's recurrence.
+    """
+    grid = np.cos(np.pi * np.arange(8 * k + 1) / (8 * k))
+    values = eval_jacobi(k, alpha, beta, grid)
+    i = int(np.argmin(values > 0.0))
+    if values[i] == 0.0:
+        return float(grid[i])
+    lo, hi = grid[i], grid[i - 1]
+
+    # invariant: P_k(hi) > 0 > P_k(lo)
+    x = 0.5 * (lo + hi)
+    for _ in range(200):
+        f = eval_jacobi(k, alpha, beta, x)
+        if f == 0.0:
+            return float(x)
+        if f > 0.0:
+            hi = x
+        else:
+            lo = x
+        df = 0.5 * (k + alpha + beta + 1.0) * eval_jacobi(k - 1, alpha + 1.0, beta + 1.0, x)
+        x_new = x - f / df if df != 0.0 else math.nan
+        if not (lo < x_new < hi):
+            x_new = 0.5 * (lo + hi)
+        if abs(x_new - x) <= 4e-16 * max(1.0, abs(x)) or (hi - lo) <= 4e-16:
+            return float(x_new)
+        x = x_new
+    raise RuntimeError(f"largest_root_scan: no convergence for k={k}, ({alpha}, {beta})")
+
+
+def mp_jacobi(alpha: float, beta: float, k: int, x: float, dps: int = 60):
+    """P_k^(alpha, beta)(x) as an mpmath number, by the three-term recurrence at dps digits.
+
+    Returned unrounded: at high degree and large alpha the value exceeds the
+    float range.
+    """
+    with mpmath.workdps(dps):
+        a, b, x = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(x)
+        p_prev, p = mpmath.mpf(1), ((a + b + 2) * x + (a - b)) / 2
+        if k == 0:
+            return p_prev
+        for n in range(2, k + 1):
+            s = 2 * n + a + b
+            p, p_prev = (
+                ((s - 1) * ((a * a - b * b) + s * (s - 2) * x) * p
+                 - 2 * (n + a - 1) * (n + b - 1) * s * p_prev)
+                / (2 * n * (n + a + b) * (s - 2)),
+                p,
+            )
+        return +p
 
 
 def hypergeom_series(beta: float, alpha: float, eps: float, tol: float = 1e-17) -> float:

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -236,3 +239,16 @@ class TestGoldenOutput:
         code, out, _ = run(capsys, *case["argv"])
         assert code == case["exit"]
         assert out.encode("utf-8") == (GOLDEN_DIR / f"{case['name']}.out").read_bytes()
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_linalg_unloaded(self):
+        # scipy.linalg is imported where it is used, so it adds nothing to the
+        # start-up of a command that never needs it
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        code = "import sys, projbound.cli; print('scipy.linalg' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

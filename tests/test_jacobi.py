@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from projbound import (
 )
 from projbound.jacobi import jacobi_norm_nu_all, jacobi_value_at_one_all
 
-from helpers import gauss_jacobi, monomial_moment
+from helpers import gauss_jacobi, largest_root_scan, monomial_moment, mp_jacobi
 
 FIELD_PARAMS = [field_params(f, m) for f in Field for m in range(2, 7)]
 
@@ -193,6 +194,38 @@ class TestLargestRoot:
     def test_rejects_degree_zero(self):
         with pytest.raises(ValueError):
             largest_root(JacobiParams(0, 0), 0)
+
+    @pytest.mark.parametrize(
+        "alpha,beta", [(-0.5, -0.5), (0.5, -0.5), (2, 2), (1.5, 0.5), (100, 1)]
+    )
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 30, 120, 600])
+    def test_matches_scan_oracle(self, alpha, beta, k):
+        ref = largest_root_scan(alpha, beta, k)
+        got = largest_root(JacobiParams(alpha, beta), k)
+        assert abs(got - ref) <= 4 * np.spacing(abs(ref)) + 1e-12 * (1.0 - ref)
+
+    @pytest.mark.parametrize(
+        "alpha,beta,k", [(-0.5, -0.5, 40), (-0.5, -0.5, 1000), (0.5, 0.0, 90), (0.5, 0.0, 1000)]
+    )
+    def test_within_one_ulp_of_the_root(self, alpha, beta, k):
+        # the Newton polish matters here: the bare top eigenvalue of the
+        # Jacobi matrix was 1.03-1.43 ulp away from these roots
+        x = largest_root(JacobiParams(alpha, beta), k)
+        below, above = (mp_jacobi(alpha, beta, k, np.nextafter(x, t)) for t in (-1.0, 2.0))
+        assert (below > 0) != (above > 0)
+
+    def test_no_overflow_at_high_degree_and_large_alpha(self):
+        # P_1000(1) is about 4e361, past the float range, so a root search
+        # that evaluates the unnormalised recurrence meets inf and NaN here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = largest_root(JacobiParams(399.0, 2.0), 1000)
+
+        def positive(t):
+            return mp_jacobi(399.0, 2.0, 1000, t, dps=50) > 0
+
+        assert positive(x * (1 - 1e-12)) != positive(x * (1 + 1e-12))
+        assert all(positive(t) for t in np.linspace(x, 1.0, 41)[1:])
 
 
 class TestGaussJacobi:
