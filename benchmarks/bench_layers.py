@@ -1,6 +1,6 @@
 """In-process timings of two source trees of projbound, written as one JSON record.
 
-    python benchmarks/bench_layers.py --parent OLD/src --change src --out BENCH_5.json
+    python benchmarks/bench_layers.py --parent OLD/src --change src --out BENCH_6.json
 
 Each tree is timed in its own fresh interpreter, so neither sees the other's
 modules or caches.  Recorded per tree (seconds, median of the repetitions):
@@ -8,11 +8,15 @@ modules or caches.  Recorded per tree (seconds, median of the repetitions):
 * ``largest_root`` at k in {100, 1000} for (alpha, beta) in {(2, 2), (100, 1)},
   with the recurrence cache cleared before every call, as for a new request;
 * ``gram_matrix`` for a random R, m=4, n=2000 point set;
+* ``moment_test`` for random equal-weight sets: H, m=2, n=2000, p=8 and
+  R, m=3, n=4000, p=4;
 * ``table --field H --p-min 2 --p-max 1200`` through ``cli.main``;
-* ``import projbound.cli`` in a new interpreter.
+* ``import projbound.cli`` in a new interpreter;
+* a one-shot ``python -m projbound.cli verify`` of a random H, m=3, p=8,
+  n=2000 point-set file, wall time of the whole process.
 
 The record also holds the machine: CPU count and model, Python, numpy and
-scipy versions.  Not part of the test suite; takes about a minute.
+scipy versions.  Not part of the test suite; takes a few minutes.
 """
 
 from __future__ import annotations
@@ -26,11 +30,15 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 ROOT_CASES = [(2.0, 2.0, 100), (2.0, 2.0, 1000), (100.0, 1.0, 100), (100.0, 1.0, 1000)]
 TABLE_ARGV = ["table", "--field", "H", "--p-min", "2", "--p-max", "1200"]
+MOMENT_CASES = [("H", 2, 2000, 8), ("R", 3, 4000, 4)]
+VERIFY_CASE = ("H", 3, 2000, 8)
 REPS = 5
+MOMENT_REPS = 3
 
 
 def _median_time(fn, reps: int) -> float:
@@ -42,10 +50,19 @@ def _median_time(fn, reps: int) -> float:
     return statistics.median(times)
 
 
-def measure() -> dict:
-    """Timings of the projbound importable in this interpreter."""
+def random_nodes(delta: int, m: int, n: int, seed: int = 0):
+    """n random unit vectors of K^m, quaternion-embedded as an (n, m, 4) array."""
     import numpy as np
 
+    rng = np.random.default_rng(seed)
+    nodes = np.zeros((n, m, 4))
+    nodes[..., :delta] = rng.standard_normal((n, m, delta))
+    nodes /= np.sqrt((nodes**2).sum(axis=(1, 2)))[:, None, None]
+    return nodes
+
+
+def measure() -> dict:
+    """Timings of the projbound importable in this interpreter."""
     from projbound import cli, cubature, jacobi
 
     out = {}
@@ -59,12 +76,17 @@ def measure() -> dict:
         root()  # lazy imports
         out[f"largest_root(alpha={alpha:g},beta={beta:g},k={k})_s"] = _median_time(root, REPS)
 
-    rng = np.random.default_rng(0)
-    nodes = np.zeros((2000, 4, 4))
-    nodes[..., 0] = rng.standard_normal((2000, 4))
-    nodes /= np.sqrt((nodes**2).sum(axis=(1, 2)))[:, None, None]
-    ps = cubature.PointSet(cubature.Field.R, 4, nodes)
+    ps = cubature.PointSet(cubature.Field.R, 4, random_nodes(1, 4, 2000))
     out["gram_matrix(R,m=4,n=2000)_s"] = _median_time(lambda: cubature.gram_matrix(ps), REPS)
+    del ps
+
+    for name, m, n, p in MOMENT_CASES:
+        field = cubature.Field.parse(name)
+        ps = cubature.PointSet(field, m, random_nodes(field.delta, m, n))
+        out[f"moment_test({name},m={m},n={n},p={p})_s"] = _median_time(
+            lambda: cubature.moment_test(ps, p), MOMENT_REPS
+        )
+        del ps
 
     def table():
         with contextlib.redirect_stdout(io.StringIO()):
@@ -84,12 +106,37 @@ def _import_time(src: str) -> float:
                                 capture_output=True, text=True).stdout)
 
 
-def run_tree(src: str) -> dict:
+def _verify_time(src: str, path: str) -> float:
+    env = dict(os.environ, PYTHONPATH=src)
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "projbound.cli", "verify", path], env=env,
+                          capture_output=True, text=True)
+    elapsed = time.perf_counter() - start
+    if proc.returncode not in (0, 1):
+        raise RuntimeError(f"verify exited {proc.returncode}: {proc.stderr}")
+    return elapsed
+
+
+def write_verify_file(directory: str) -> str:
+    name, m, n, p = VERIFY_CASE
+    delta = {"R": 1, "C": 2, "H": 4}[name]
+    nodes = random_nodes(delta, m, n, seed=1)[..., :delta]
+    path = os.path.join(directory, "verify.json")
+    with open(path, "w") as f:
+        json.dump({"field": name, "m": m, "p": p, "nodes": nodes.tolist()}, f)
+    return path
+
+
+def run_tree(src: str, verify_file: str) -> dict:
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, __file__, "--child"], env=env, check=True,
                           capture_output=True, text=True)
     timings = json.loads(proc.stdout)
     timings["import projbound.cli_s"] = statistics.median(_import_time(src) for _ in range(REPS))
+    name, m, n, p = VERIFY_CASE
+    timings[f"cli verify one-shot({name},m={m},n={n},p={p})_s"] = statistics.median(
+        _verify_time(src, verify_file) for _ in range(MOMENT_REPS)
+    )
     return timings
 
 
@@ -124,12 +171,15 @@ def main() -> int:
         return 0
     if not (args.parent and args.change and args.out):
         parser.error("--parent, --change and --out are required")
-    record = {
-        "machine": machine(),
-        "repetitions": {"largest_root": REPS, "gram_matrix": REPS, "table": 1, "import": REPS},
-        "parent": run_tree(os.path.abspath(args.parent)),
-        "change": run_tree(os.path.abspath(args.change)),
-    }
+    with tempfile.TemporaryDirectory() as tmp:
+        verify_file = write_verify_file(tmp)
+        record = {
+            "machine": machine(),
+            "repetitions": {"largest_root": REPS, "gram_matrix": REPS, "moment_test": MOMENT_REPS,
+                            "table": 1, "import": REPS, "verify one-shot": MOMENT_REPS},
+            "parent": run_tree(os.path.abspath(args.parent), verify_file),
+            "change": run_tree(os.path.abspath(args.change), verify_file),
+        }
     with open(args.out, "w") as f:
         json.dump(record, f, indent=2)
         f.write("\n")

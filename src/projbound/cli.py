@@ -14,6 +14,7 @@ output begins with a versioned schema comment so table diffs stay stable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -246,8 +247,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built once per process: parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "bound":

@@ -12,7 +12,8 @@ Nodes are stored as quaternion coordinate quadruples for all three fields
 single inner-product kernel serves R, C and H.  The kernel splits each
 quaternion q = z + w j into the complex pair z = q0 + i q1, w = q2 + i q3 and
 works in C^{2m}; the Gram matrix is computed once, when the point set is
-built.
+built.  The moment sums stream over row blocks of it and are correctly
+rounded by exact extraction, so a moment does not depend on the node order.
 """
 
 from __future__ import annotations
@@ -27,11 +28,14 @@ import numpy as np
 
 from .bounds import lp_bound, yudin_bound
 from .fields import Field, field_params
-from .jacobi import NumericalError, _iter_values
+from .jacobi import NumericalError, _iter_values, jacobi_value_at_one_all
 
 _UNIT_NORM_TOL = 1e-12
 _DUPLICATE_TOL = 1e-12
 _MOMENT_NEGATIVE_GUARD = -1e-10
+
+#: Gram entries per row block of the moment sums (512 KiB of doubles)
+_BLOCK_ELEMENTS = 1 << 16
 
 #: reading of the vanishing-moment condition used by this verifier
 INTERPRETATION_NOTE = (
@@ -45,10 +49,11 @@ class PointSet:
     """Weighted nodes on the unit sphere of K^m, quaternion-embedded.
 
     nodes: array (n, m, 4); weights: array (n,) of positive reals summing
-    to 1.  Coordinates must respect the field (imaginary parts beyond the
-    scalar dimension vanish), each node must have unit norm, and nodes are
-    expected to be projectively distinct (violations are reported as
-    duplicates, not errors: the moment test stays meaningful).
+    to 1.  Every coordinate and weight must be finite.  Coordinates must
+    respect the field (imaginary parts beyond the scalar dimension vanish),
+    each node must have unit norm, and nodes are expected to be projectively
+    distinct (violations are reported as duplicates, not errors: the moment
+    test stays meaningful).
 
     The set keeps read-only copies of nodes and weights, because ``cos``,
     the (n, n) Gram matrix of projective cosines, is derived from them once,
@@ -69,6 +74,10 @@ class PointSet:
         weights = np.array(weights, dtype=float)
         if weights.shape != (n,):
             raise ValueError(f"weights must have shape ({n},), got {weights.shape}")
+        if not np.all(np.isfinite(nodes)):
+            raise ValueError("node coordinates must be finite")
+        if not np.all(np.isfinite(weights)):
+            raise ValueError("weights must be finite")
         if np.any(weights <= 0.0):
             raise ValueError("weights must be strictly positive")
         total = math.fsum(weights)
@@ -132,22 +141,74 @@ def gram_matrix(ps: PointSet) -> np.ndarray:
     return 2.0 * sq - 1.0
 
 
+class _ExactSum:
+    """Correctly rounded sum of up to `count` floats, added in any chunks and order.
+
+    Error-free extraction on a fixed ladder (Rump, Ogita & Oishi 2008,
+    SIAM J. Sci. Comput. 31, ExtractVector).  With shift = ceil(log2(count + 2)),
+    level j has e_j = e_0 - j (52 - shift) and sigma_j = 2^(e_j + shift).
+    For |x| <= 2^e_j, q = (sigma_j + x) - sigma_j is a multiple of
+    2^-53 sigma_j, x - q is exact and at most 2^e_{j+1}, and every sum of up
+    to `count` such q is exact.  So each level's running sum is exact, and
+    fsum of the few level sums rounds the exact total once.  The a-priori
+    `bound` anchors e_0; a value above it lands on a level j < 0, which is
+    exact all the same.
+    """
+
+    def __init__(self, bound: float, count: int):
+        self.shift = (count + 1).bit_length()
+        self.step = 52 - self.shift
+        self.top = math.frexp(bound)[1]
+        self.levels: dict[int, float] = {}
+
+    def add(self, x: np.ndarray) -> None:
+        """Add every entry of x, which is overwritten (it ends all zero)."""
+        q = np.empty_like(x)
+        while True:
+            largest = max(x.max(), -x.min())
+            if largest == 0.0:
+                return
+            # the first level j with 2^e_j >= largest, as largest < 2^E for frexp's E
+            j = (self.top - math.frexp(largest)[1]) // self.step
+            sigma = math.ldexp(1.0, self.top - j * self.step + self.shift)
+            np.add(x, sigma, out=q)
+            q -= sigma
+            self.levels[j] = self.levels.get(j, 0.0) + float(q.sum())
+            x -= q
+
+    def total(self) -> float:
+        return math.fsum(self.levels.values())
+
+
 def moment_test(ps: PointSet, p: int) -> list[float]:
     """Jacobi moments M_1 .. M_{p/2}; all vanish iff the set has cubature index p.
 
-    Each moment is a compensated sum of the n^2 weighted kernel values.  A
-    moment below the -1e-10 guard contradicts positive semidefiniteness and
-    raises NumericalError.
+    Each moment is the correctly rounded sum of the n^2 weighted kernel
+    values w_i w_j P_k(cos_ij), by exact extraction (`_ExactSum`) fed one row
+    block of the Gram matrix at a time, so no (n, n) temporary is made and
+    the result does not depend on the node order.  A moment below the
+    -1e-10 guard contradicts positive semidefiniteness and raises
+    NumericalError.
     """
     if p < 2 or p % 2 != 0:
         raise ValueError(f"p must be a positive even integer, got {p}")
-    values = _iter_values(field_params(ps.field, ps.m), p // 2, ps.cos)
-    next(values)  # P_0
-    pair_w = np.outer(ps.weights, ps.weights)
+    params = field_params(ps.field, ps.m)
+    w = ps.weights
+    # alpha >= beta >= -1/2 for every field, so |P_k| <= P_k(1) on [-1, 1];
+    # the factor 2 covers a cosine rounded past 1
+    bounds = 2.0 * w.max() ** 2 * jacobi_value_at_one_all(params, p // 2)[1:]
+    sums = [_ExactSum(bound, ps.n * ps.n) for bound in bounds]
+    rows = max(1, _BLOCK_ELEMENTS // ps.n)
+    for r0 in range(0, ps.n, rows):
+        pair_w = w[r0 : r0 + rows, None] * w[None, :]
+        values = _iter_values(params, p // 2, ps.cos[r0 : r0 + rows])
+        next(values)  # P_0
+        for acc, p_k in zip(sums, values):
+            acc.add(pair_w * p_k)
 
     moments = []
-    for k, p_k in enumerate(values, start=1):
-        m_k = math.fsum((pair_w * p_k).ravel())
+    for k, acc in enumerate(sums, start=1):
+        m_k = acc.total()
         if m_k < _MOMENT_NEGATIVE_GUARD:
             raise NumericalError(
                 f"moment M_{k} = {m_k!r} violates nonnegativity; numerical failure"

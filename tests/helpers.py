@@ -6,7 +6,9 @@ geometric quadrature over the sphere, special-function references from
 mpmath, Gauss-Jacobi rules from scipy's Golub-Welsch nodes, projective
 cosines from scalar quaternion products, largest Jacobi roots from a sign
 scan over scipy's eval_jacobi.  Agreement between these and the
-package is the point of the tests.
+package is the point of the tests.  The one exception is fsum_moments, which
+shares the package's kernel values on purpose: it pins the moment
+summation alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 from scipy.special import eval_jacobi, roots_jacobi
+
+from projbound.fields import field_params
+from projbound.jacobi import _iter_values
 
 
 def field_alpha_beta(delta: int, m: int) -> tuple[float, float]:
@@ -67,6 +72,19 @@ def projective_cos(x, y) -> float:
         np.zeros(4),
     )
     return 2.0 * float(np.dot(inner, inner)) - 1.0
+
+
+def fsum_moments(ps, p: int) -> list[float]:
+    """M_1 .. M_{p/2} of a PointSet by math.fsum over the whole (n, n) weighted matrix.
+
+    The same kernel values w_i w_j P_k(cos_ij) as moment_test, summed by the
+    full-matrix route it replaced; both sums are correctly rounded, so they
+    agree bit for bit.
+    """
+    values = _iter_values(field_params(ps.field, ps.m), p // 2, ps.cos)
+    next(values)  # P_0
+    pair_w = np.outer(ps.weights, ps.weights)
+    return [math.fsum((pair_w * p_k).ravel()) for p_k in values]
 
 
 @dataclass(frozen=True)

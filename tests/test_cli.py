@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from projbound import BoundReport, circle_design
-from projbound.cli import main
+from projbound import cli
+from projbound.cli import build_parser, main
 
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -170,6 +171,19 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", str(tmp_path / "absent.json"))
         assert code == 2
 
+    @pytest.mark.parametrize("what", ["node", "weight"])
+    def test_non_finite_exit_2(self, capsys, tmp_path, what):
+        path = write_circle_file(tmp_path / "nan.json", 6)
+        doc = json.loads(path.read_text())
+        if what == "node":
+            doc["nodes"][1][0][0] = math.nan
+        else:
+            doc["weights"][1] = math.nan
+        path.write_text(json.dumps(doc))  # written as the bare token NaN, which json reads
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2 and out == ""
+        assert "must be finite" in err
+
     def test_verbose_moments_and_note(self, capsys, tmp_path):
         path = write_circle_file(tmp_path / "c.json", 6)
         code, out, _ = run(capsys, "verify", str(path), "--verbose")
@@ -228,6 +242,40 @@ class TestTestfnCommand:
         assert code == 0
         text = target.read_text()
         assert text.startswith("# projbound testfn v1 field=H m=2 l=2")
+
+
+class TestParserReuse:
+    """main builds its parser once; later calls print exactly what a first call does."""
+
+    CALLS = [
+        ["bound", "--field", "C", "--m", "3", "--p", "12"],
+        ["bound", "--field", "R", "--m", "2", "--p", "7"],  # error from main: exit 2
+        ["bound", "--field", "Q", "--m", "2", "--p", "4"],  # error from argparse: exit 2
+        ["table", "--help"],
+        ["testfn", "--field", "H", "--m", "2", "--l", "1", "--kmax", "4"],
+        ["bound", "--field", "C", "--m", "3", "--p", "12"],
+    ]
+
+    @staticmethod
+    def call(capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_calls_in_a_row_match_first_calls(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal width
+        alone = []
+        for argv in self.CALLS:
+            cli._parser.cache_clear()
+            alone.append(self.call(capsys, argv))
+        cli._parser.cache_clear()
+        in_a_row = [self.call(capsys, argv) for argv in self.CALLS]
+        assert in_a_row == alone
+        assert [code for code, _, _ in alone] == [0, 2, 2, 0, 0, 0]
+        assert build_parser() is not build_parser()
 
 
 class TestGoldenOutput:

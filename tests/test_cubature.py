@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,17 +19,21 @@ from projbound import (
     verify,
 )
 
-from helpers import Quaternion, projective_cos
+from projbound.cubature import _BLOCK_ELEMENTS, _ExactSum
+
+from helpers import Quaternion, fsum_moments, projective_cos
 
 BASIS_H_M2 = Path(__file__).resolve().parent.parent / "demos" / "data" / "basis_h_m2.json"
 
 
-def random_point_set(rng, field, m, n):
+def random_point_set(rng, field, m, n, equal_weights=False):
     d = field.delta
     nodes = np.zeros((n, m, 4))
     raw = rng.standard_normal((n, m, d))
     raw /= np.sqrt((raw**2).sum(axis=(1, 2)))[:, None, None]
     nodes[:, :, :d] = raw
+    if equal_weights:
+        return PointSet(field, m, nodes)
     w = rng.uniform(0.2, 1.0, size=n)
     w /= w.sum()
     w[-1] = 1.0 - math.fsum(w[:-1])  # force fsum-exact normalization
@@ -115,6 +120,18 @@ class TestPointSetValidation:
         nodes[0, 0, 3] = 1.0 / math.sqrt(2.0)  # quaternionic component in a C set
         with pytest.raises(ValueError, match="scalar dimension"):
             PointSet(Field.C, 2, nodes)
+
+    @pytest.mark.parametrize("what", ["node", "weight"])
+    def test_rejects_non_finite(self, what):
+        nodes = np.zeros((2, 2, 4))
+        nodes[0, 0, 0] = nodes[1, 1, 0] = 1.0
+        weights = np.array([0.5, 0.5])
+        if what == "node":
+            nodes[1, 0, 0] = math.nan  # passes the unit-norm test: nan > tol is False
+        else:
+            weights[1] = math.nan  # passes the positivity and sum tests
+        with pytest.raises(ValueError, match="finite"):
+            PointSet(Field.R, 2, nodes, weights)
 
     def test_duplicates_warn_not_error(self):
         nodes = np.zeros((2, 2, 4))
@@ -217,17 +234,76 @@ class TestMomentTest:
 
     def test_permutation_invariance_is_exact(self):
         rng = np.random.default_rng(43)
-        ps = random_point_set(rng, Field.H, 2, 6)
-        perm = rng.permutation(6)
-        shuffled = PointSet(Field.H, 2, ps.nodes[perm], ps.weights[perm])
-        # compensated summation makes each moment the correctly rounded sum,
-        # so reordering the nodes changes nothing, bit for bit
-        assert moment_test(shuffled, 10) == moment_test(ps, 10)
+        for n in (6, 700):
+            ps = random_point_set(rng, Field.H, 2, n)
+            perm = rng.permutation(n)
+            shuffled = PointSet(Field.H, 2, ps.nodes[perm], ps.weights[perm])
+            # exact extraction makes each moment the correctly rounded sum, so
+            # reordering the nodes, which moves kernel values between row
+            # blocks (700 rows make 8 blocks), changes nothing, bit for bit
+            assert moment_test(shuffled, 10) == moment_test(ps, 10)
+
+    # 512 rows split into 4 blocks of 128 exactly; 511 leaves the last one a row short
+    @pytest.mark.parametrize(
+        "field, n, equal_weights",
+        [(f, n, eq) for f in Field for n in (1, 511, 512) for eq in (True, False)]
+        + [(Field.H, 2500, True), (Field.R, 2500, False)],
+        ids=lambda v: v.name if isinstance(v, Field) else str(v),
+    )
+    def test_matches_full_matrix_fsum_bit_for_bit(self, field, n, equal_weights):
+        assert _BLOCK_ELEMENTS // 511 == _BLOCK_ELEMENTS // 512 == 128
+        rng = np.random.default_rng(59)
+        ps = random_point_set(rng, field, 3, n, equal_weights)
+        p = 8 if n > 1000 else 16
+        assert moment_test(ps, p) == fsum_moments(ps, p)
+
+    def test_streams_without_an_n_by_n_temporary(self):
+        rng = np.random.default_rng(67)
+        ps = random_point_set(rng, Field.H, 2, 2000, equal_weights=True)
+        tracemalloc.start()
+        try:
+            moment_test(ps, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20  # one (2000, 2000) float array is 30.5 MiB
 
     def test_validation(self):
         ps = circle_design(4)
         with pytest.raises(ValueError):
             moment_test(ps, 3)
+
+
+class TestExactSum:
+    @staticmethod
+    def adversarial(case):
+        rng = np.random.default_rng(71)
+        if case == "cancellation":
+            x = rng.standard_normal(3000) * 10.0 ** rng.uniform(-8, 8, 3000)
+            return rng.permutation(np.concatenate([x, -x, [1e-3, 2.0**-60, -(2.0**-90)]]))
+        if case == "wide":
+            return rng.standard_normal(5000) * np.exp(rng.uniform(-60, 60, 5000))
+        if case == "ties":
+            # 1 + 2^-53 is halfway between two doubles: rounds to even, then up
+            return np.array([1.0, 2.0**-53, 1e100, -1e100, 2.0**-200])
+        if case == "subnormal":
+            return rng.integers(-1000, 1000, 4000) * 5e-324
+        if case == "zeros":
+            return np.zeros(1000)
+        return np.array([-math.pi])
+
+    @pytest.mark.parametrize(
+        "case", ["cancellation", "wide", "ties", "subnormal", "zeros", "single"]
+    )
+    @pytest.mark.parametrize("anchor", [1.0, 1e-20, 1e20])
+    def test_matches_fsum_in_any_chunks(self, case, anchor):
+        x = self.adversarial(case)
+        bound = anchor * (float(np.abs(x).max()) or 1.0)  # a misplaced anchor stays exact
+        for pieces in (1, 7):
+            acc = _ExactSum(bound, x.size)
+            for chunk in np.array_split(x, min(pieces, x.size)):
+                acc.add(chunk.copy())
+            assert acc.total() == math.fsum(x)
 
 
 class TestVerify:
