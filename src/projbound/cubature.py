@@ -11,9 +11,10 @@ Nodes are stored as quaternion coordinate quadruples for all three fields
 (real and complex scalars are embedded with vanishing imaginary parts), so a
 single inner-product kernel serves R, C and H.  The kernel splits each
 quaternion q = z + w j into the complex pair z = q0 + i q1, w = q2 + i q3 and
-works in C^{2m}; the Gram matrix is computed once, when the point set is
-built.  The moment sums stream over row blocks of it and are correctly
-rounded by exact extraction, so a moment does not depend on the node order.
+works in C^{2m}; the Gram matrix is computed once, in row blocks, when the
+point set is built.  The moment sums stream over row blocks of it and are
+correctly rounded by exact extraction, so a moment does not depend on the
+node order.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ _UNIT_NORM_TOL = 1e-12
 _DUPLICATE_TOL = 1e-12
 _MOMENT_NEGATIVE_GUARD = -1e-10
 
-#: Gram entries per row block of the moment sums (512 KiB of doubles)
+#: Gram entries per row block of gram_matrix and the moment sums (512 KiB of doubles)
 _BLOCK_ELEMENTS = 1 << 16
 
 #: reading of the vanishing-moment condition used by this verifier
@@ -123,6 +124,11 @@ def gram_matrix(ps: PointSet) -> np.ndarray:
     the permuted Gram matrix bit for bit.  Over R and C the w half of u
     vanishes, so u = z (real over R), G1 has m terms and G2 = 0; leaving
     out these exact zeros changes no bit of the result.
+
+    The entries are computed one row block at a time into the result, so the
+    result is the only (n, n) array made: each entry gets the same operations
+    in the same order whatever the block, and the process's peak memory does
+    not depend on how earlier (n, n) temporaries were laid out in the heap.
     """
     q = ps.nodes
     u = q[..., 0] if ps.field is Field.R else q[..., 0] + 1j * q[..., 1]
@@ -131,14 +137,18 @@ def gram_matrix(ps: PointSet) -> np.ndarray:
     terms = [(u.conj(), u)]
     if ps.field is Field.H:
         terms.append((u, np.concatenate([u[:, ps.m :], -u[:, : ps.m]], axis=1)))
-    sq = np.zeros((ps.n, ps.n))
-    for left, right in terms:
-        g = np.zeros((ps.n, ps.n), dtype=u.dtype)
-        for a, b in zip(left.T, right.T):
-            g += np.multiply.outer(a, b)
-        sq += g.real**2
-        sq += g.imag**2
-    return 2.0 * sq - 1.0
+    cos = np.empty((ps.n, ps.n))
+    rows = max(1, _BLOCK_ELEMENTS // ps.n)
+    for r0 in range(0, ps.n, rows):
+        sq = np.zeros((min(rows, ps.n - r0), ps.n))
+        for left, right in terms:
+            g = np.zeros(sq.shape, dtype=u.dtype)
+            for a, b in zip(left[r0 : r0 + rows].T, right.T):
+                g += np.multiply.outer(a, b)
+            sq += g.real**2
+            sq += g.imag**2
+        cos[r0 : r0 + rows] = 2.0 * sq - 1.0
+    return cos
 
 
 class _ExactSum:

@@ -420,6 +420,26 @@ class TestGramMatrix:
                 )
         assert np.allclose(np.diag(g), 1.0, atol=1e-12)
 
+    # 700 rows make 8 blocks of 93 rows, the last one 49 rows
+    @pytest.mark.parametrize("field", list(Field), ids=lambda f: f.name)
+    def test_row_blocks_match_one_block_bit_for_bit(self, field, monkeypatch):
+        rng = np.random.default_rng(73)
+        ps = random_point_set(rng, field, 3, 700)
+        blocked = gram_matrix(ps)
+        monkeypatch.setattr(projbound.cubature, "_BLOCK_ELEMENTS", ps.n * ps.n)
+        assert blocked.tobytes() == gram_matrix(ps).tobytes()
+
+    def test_result_is_its_only_n_by_n_array(self):
+        rng = np.random.default_rng(79)
+        ps = random_point_set(rng, Field.H, 2, 2000, equal_weights=True)
+        tracemalloc.start()
+        try:
+            gram_matrix(ps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 36 * 2**20  # the (2000, 2000) float result is 30.5 MiB
+
     def test_computed_once_per_verify(self, monkeypatch):
         calls = []
         original = projbound.cubature.gram_matrix
