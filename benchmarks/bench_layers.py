@@ -1,6 +1,6 @@
 """In-process timings of two source trees of projbound, written as one JSON record.
 
-    python benchmarks/bench_layers.py --parent OLD/src --change src --out BENCH_6.json
+    python benchmarks/bench_layers.py --parent OLD/src --change src --out BENCH_7.json
 
 Each tree is timed in its own fresh interpreter, so neither sees the other's
 modules or caches.  Recorded per tree (seconds, median of the repetitions):
@@ -10,7 +10,10 @@ modules or caches.  Recorded per tree (seconds, median of the repetitions):
 * ``gram_matrix`` for a random R, m=4, n=2000 point set;
 * ``moment_test`` for random equal-weight sets: H, m=2, n=2000, p=8 and
   R, m=3, n=4000, p=4;
-* ``table --field H --p-min 2 --p-max 1200`` through ``cli.main``;
+* one-order ``bessel_first_zero`` at nu in {0.5, 10, 147, 598}, per call over
+  200 calls: a single zero, as ``kappa`` and ``root_asymptotic_ratio`` ask;
+* ``table --field H --p-min 2 --p-max 1200`` and ``asym --field H --m-max 300``
+  through ``cli.main``;
 * ``import projbound.cli`` in a new interpreter;
 * a one-shot ``python -m projbound.cli verify`` of a random H, m=3, p=8,
   n=2000 point-set file, wall time of the whole process.
@@ -35,6 +38,9 @@ import time
 
 ROOT_CASES = [(2.0, 2.0, 100), (2.0, 2.0, 1000), (100.0, 1.0, 100), (100.0, 1.0, 1000)]
 TABLE_ARGV = ["table", "--field", "H", "--p-min", "2", "--p-max", "1200"]
+ASYM_ARGV = ["asym", "--field", "H", "--m-max", "300"]
+BESSEL_ORDERS = [0.5, 10.0, 147.0, 598.0]
+BESSEL_NUMBER = 200
 MOMENT_CASES = [("H", 2, 2000, 8), ("R", 3, 4000, 4)]
 VERIFY_CASE = ("H", 3, 2000, 8)
 REPS = 5
@@ -63,7 +69,7 @@ def random_nodes(delta: int, m: int, n: int, seed: int = 0):
 
 def measure() -> dict:
     """Timings of the projbound importable in this interpreter."""
-    from projbound import cli, cubature, jacobi
+    from projbound import cli, cubature, jacobi, specials
 
     out = {}
     for alpha, beta, k in ROOT_CASES:
@@ -88,11 +94,21 @@ def measure() -> dict:
         )
         del ps
 
-    def table():
-        with contextlib.redirect_stdout(io.StringIO()):
-            cli.main(TABLE_ARGV)
+    for nu in BESSEL_ORDERS:
 
-    out["cli " + " ".join(TABLE_ARGV) + "_s"] = _median_time(table, 1)
+        def zeros():
+            for _ in range(BESSEL_NUMBER):
+                specials.bessel_first_zero(nu)
+
+        out[f"bessel_first_zero(nu={nu:g})_s"] = _median_time(zeros, REPS) / BESSEL_NUMBER
+
+    def run_cli(argv):
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(argv)
+
+    out["cli " + " ".join(TABLE_ARGV) + "_s"] = _median_time(lambda: run_cli(TABLE_ARGV), 1)
+    run_cli(ASYM_ARGV)  # warm-up, not timed
+    out["cli " + " ".join(ASYM_ARGV) + "_s"] = _median_time(lambda: run_cli(ASYM_ARGV), REPS)
     return out
 
 
@@ -176,7 +192,9 @@ def main() -> int:
         record = {
             "machine": machine(),
             "repetitions": {"largest_root": REPS, "gram_matrix": REPS, "moment_test": MOMENT_REPS,
-                            "table": 1, "import": REPS, "verify one-shot": MOMENT_REPS},
+                            "bessel_first_zero": f"{REPS} x {BESSEL_NUMBER} calls",
+                            "table": 1, "asym": REPS, "import": REPS,
+                            "verify one-shot": MOMENT_REPS},
             "parent": run_tree(os.path.abspath(args.parent), verify_file),
             "change": run_tree(os.path.abspath(args.change), verify_file),
         }

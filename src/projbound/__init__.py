@@ -6,7 +6,8 @@ Core pieces:
   three-term recurrence for every value, norms, largest roots, tail weight
   integrals);
 * :mod:`projbound.specials` -- log-Gamma, the Gauss hypergeometric value
-  used by the closed-form bound, Bessel J and its first positive zero;
+  used by the closed-form bound, Bessel J and its first positive zero, for
+  one order or an array of orders;
 * :mod:`projbound.testfn` -- the convolution test function and the bound
   it certifies;
 * :mod:`projbound.bounds` -- classical LP bound, the Yudin-type closed
@@ -54,7 +55,14 @@ from .jacobi import (
     largest_root,
     tau,
 )
-from .specials import BesselZero, bessel_first_zero, bessel_j, hypergeom_F, log_gamma
+from .specials import (
+    BesselZero,
+    bessel_first_zero,
+    bessel_first_zeros,
+    bessel_j,
+    hypergeom_F,
+    log_gamma,
+)
 from .testfn import YudinTestFunction, bound_from_test_function, build_test_function, eval_f
 
 __version__ = "0.1.0"
@@ -73,6 +81,7 @@ __all__ = [
     "YudinTestFunction",
     "asymptotic_report",
     "bessel_first_zero",
+    "bessel_first_zeros",
     "bessel_j",
     "bound_from_test_function",
     "build_test_function",

@@ -31,7 +31,7 @@ from .jacobi import (
     largest_root,
     tau,
 )
-from .specials import bessel_first_zero, hypergeom_F, log_gamma
+from .specials import bessel_first_zero, bessel_first_zeros, hypergeom_F, log_gamma
 
 #: relative slack for the internal agreement checks between equivalent forms
 _CONSISTENCY_RTOL = 1e-9
@@ -291,6 +291,7 @@ class AsymptoticRow:
     m: int
     nu: float
     bessel_zero: float
+    bessel_residual: float  # |J_nu(bessel_zero)|, as the zero solver returned it
     kappa: float
     log_kappa: float
     log_kappa_approx: float  # log of (1/(pi*d*m)) * (e/4)^{d(m-1)}
@@ -301,14 +302,19 @@ class AsymptoticRow:
 
 
 def asymptotic_report(field: Field, m_list) -> list[AsymptoticRow]:
-    """Rows comparing the two liminf constants and their quotient for each m."""
+    """Rows comparing the two liminf constants and their quotient for each m.
+
+    The Bessel zeros j_{nu,1} of all rows come from one bessel_first_zeros call.
+    """
     rows = []
     d = field.delta
-    for m in m_list:
+    m_list = list(m_list)
+    zeros = bessel_first_zeros([d * (m - 1) / 2.0 for m in m_list])
+    for m, zero in zip(m_list, zeros):
         params = field_params(field, m)
         a, b = params.alpha, params.beta
         nu = d * (m - 1) / 2.0
-        j1 = bessel_first_zero(nu).value
+        j1 = zero.value
         log_kap = _log_kappa(nu, j1)
         lam = lambda_asym(field, m)
         log_approx = -math.log(math.pi * d * m) + d * (m - 1) * (1.0 - math.log(4.0))
@@ -321,6 +327,7 @@ def asymptotic_report(field: Field, m_list) -> list[AsymptoticRow]:
                 m=m,
                 nu=nu,
                 bessel_zero=j1,
+                bessel_residual=zero.residual,
                 kappa=_exp_safe(log_kap),
                 log_kappa=log_kap,
                 log_kappa_approx=log_approx,

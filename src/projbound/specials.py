@@ -1,9 +1,9 @@
-"""Scalar special functions: log-Gamma, a Gauss 2F1 value, Bessel J and its first zero.
+"""Special functions: log-Gamma, a Gauss 2F1 value, Bessel J and its first zero.
 
 Only the narrow slices needed by the bound formulas are exposed: the
 hypergeometric value F(-beta, alpha+1; alpha+2; eps) that appears in the
 closed-form bound, and the first positive zero j_{nu,1} that governs its
-large-p behavior.
+large-p behavior, for one order or for an array of orders at once.
 """
 
 from __future__ import annotations
@@ -59,11 +59,6 @@ def bessel_j(nu: float, x: float) -> float:
     return float(_besselj(nu, x))
 
 
-def _bessel_j_deriv(nu: float, x: float) -> float:
-    # J_nu'(x) = J_{nu-1}(x) - (nu/x) J_nu(x); scipy handles negative order
-    return float(_besselj(nu - 1.0, x)) - (nu / x) * float(_besselj(nu, x))
-
-
 @dataclass(frozen=True)
 class BesselZero:
     """First positive zero of J_nu, with the residual |J_nu(value)| achieved."""
@@ -73,53 +68,92 @@ class BesselZero:
     residual: float
 
 
-def bessel_first_zero(nu: float) -> BesselZero:
-    """First positive zero j_{nu,1}, by bracketed Newton/bisection on J_nu.
+def bessel_first_zeros(nus) -> list[BesselZero]:
+    """First positive zeros j_{nu,1} of a 1-D sequence of orders, by bracketed Newton/bisection.
 
     J_nu is positive on (0, j_{nu,1}) and sqrt(nu*(nu+2)) < j_{nu,1} <
     sqrt(2*(nu+1)*(nu+3)), so an upward scan from the lower bound with a step
-    below the minimal zero gap brackets exactly the first zero.
+    below the minimal zero gap brackets exactly the first zero.  Newton steps
+    on J_nu, with J_nu'(x) = J_{nu-1}(x) - (nu/x) J_nu(x), polish it; a step
+    that does not land strictly inside the bracket is replaced by bisection,
+    and an order stops once its step is within 4e-16*x.
+
+    The orders are solved together: each scan or Newton step is one
+    scipy.special.jv call on the orders still running, and an order drops
+    out of the arrays once it is bracketed or converged.  Every operation is
+    elementwise, so each zero and residual is the same double that solving
+    its order alone gives.
     """
-    if not nu >= 0.0:
-        raise ValueError(f"bessel_first_zero requires nu >= 0, got {nu}")
-    lower = math.sqrt(nu * (nu + 2.0))
-    upper = math.sqrt(2.0 * (nu + 1.0) * (nu + 3.0))
+    nu = np.asarray(nus, dtype=float)
+    if nu.ndim != 1:
+        raise ValueError(f"bessel_first_zeros takes a 1-D sequence of orders, got shape {nu.shape}")
+    if not np.all(nu >= 0.0):
+        raise ValueError(f"bessel_first_zero requires nu >= 0, got {nu[~(nu >= 0.0)][0]}")
+    lower = np.sqrt(nu * (nu + 2.0))
+    upper = np.sqrt(2.0 * (nu + 1.0) * (nu + 3.0))
 
-    lo, f_lo = lower, bessel_j(nu, lower) if lower > 0.0 else 1.0
-    hi = None
-    x = lower
-    while x < upper + _SCAN_STEP:
-        x = x + _SCAN_STEP
-        f = bessel_j(nu, x)
-        if f < 0.0:
-            hi = x
-            break
-        lo, f_lo = x, f
-    if hi is None or f_lo <= 0.0:
-        raise NumericalError(f"bessel_first_zero: bracketing failed for nu={nu}")
+    # scan: [lo, hi] is the first step of x = lower, lower + 1.5, ... over
+    # which J_nu turns negative; `run` indexes the orders still scanning
+    lo, f_lo, hi = np.empty_like(nu), np.empty_like(nu), np.empty_like(nu)
+    run, n_run, x, up = np.arange(nu.size), nu, lower, upper
+    f = np.where(lower > 0.0, _besselj(nu, lower), 1.0)
+    while run.size:
+        stuck = ~(x < up + _SCAN_STEP)
+        if np.count_nonzero(stuck):
+            raise NumericalError(f"bessel_first_zero: bracketing failed for nu={n_run[stuck][0]}")
+        x_next = x + _SCAN_STEP
+        f_next = _besselj(n_run, x_next)
+        neg = f_next < 0.0
+        if np.count_nonzero(neg):
+            done = run[neg]
+            lo[done], f_lo[done], hi[done] = x[neg], f[neg], x_next[neg]
+            keep = ~neg
+            run, n_run, x_next, f_next, up = (
+                run[keep], n_run[keep], x_next[keep], f_next[keep], up[keep]
+            )
+        x, f = x_next, f_next
+    if np.count_nonzero(f_lo <= 0.0):
+        raise NumericalError(f"bessel_first_zero: bracketing failed for nu={nu[f_lo <= 0.0][0]}")
 
-    # invariant: J_nu(lo) > 0 > J_nu(hi)
-    x = 0.5 * (lo + hi)
-    for _ in range(200):
-        f = bessel_j(nu, x)
-        if f > 0.0:
-            lo = x
-        elif f < 0.0:
-            hi = x
-        df = _bessel_j_deriv(nu, x)
-        x_new = x - f / df if df != 0.0 else math.nan
-        if not (lo < x_new < hi):
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 4e-16 * x:
+    # Newton from the midpoint; invariant: J_nu(lo) > 0 > J_nu(hi).  One jv
+    # call gives J_nu(x) and J_{nu-1}(x), one row of `orders` each.
+    value = np.empty_like(nu)
+    run, orders, x = np.arange(nu.size), np.stack((nu, nu - 1.0)), 0.5 * (lo + hi)
+    # df == 0 makes the Newton step inf or nan, which the bracket test rejects
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(200):
+            if not run.size:
+                break
+            j = _besselj(orders, x)
+            f = j[0]
+            np.copyto(lo, x, where=f > 0.0)
+            np.copyto(hi, x, where=f < 0.0)
+            x_new = x - f / (j[1] - (orders[0] / x) * f)
+            np.copyto(x_new, 0.5 * (lo + hi), where=~((lo < x_new) & (x_new < hi)))
+            done = np.abs(x_new - x) <= 4e-16 * x
             x = x_new
-            break
-        x = x_new
-    else:
-        raise NumericalError(f"bessel_first_zero: no convergence for nu={nu}")
+            if np.count_nonzero(done):
+                value[run[done]] = x[done]
+                keep = ~done
+                run, orders, x, lo, hi = run[keep], orders[:, keep], x[keep], lo[keep], hi[keep]
+    if run.size:
+        raise NumericalError(f"bessel_first_zero: no convergence for nu={orders[0, 0]}")
 
-    residual = abs(bessel_j(nu, x))
-    if not (lower < x < upper):
-        raise NumericalError(f"bessel_first_zero: {x} escaped bracket for nu={nu}")
-    if residual > 1e-12:
-        raise NumericalError(f"bessel_first_zero: residual {residual} too large for nu={nu}")
-    return BesselZero(nu=nu, value=x, residual=residual)
+    residual = np.abs(_besselj(nu, value))
+    escaped = ~((lower < value) & (value < upper))
+    if escaped.any():
+        i = int(np.argmax(escaped))
+        raise NumericalError(f"bessel_first_zero: {value[i]} escaped bracket for nu={nu[i]}")
+    large = residual > 1e-12
+    if large.any():
+        i = int(np.argmax(large))
+        raise NumericalError(f"bessel_first_zero: residual {residual[i]} too large for nu={nu[i]}")
+    return [
+        BesselZero(nu=n, value=v, residual=r)
+        for n, v, r in zip(nu.tolist(), value.tolist(), residual.tolist())
+    ]
+
+
+def bessel_first_zero(nu: float) -> BesselZero:
+    """First positive zero j_{nu,1}: the one-order case of bessel_first_zeros."""
+    return bessel_first_zeros([nu])[0]

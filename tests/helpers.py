@@ -5,10 +5,12 @@ moments come from high-precision mpmath arithmetic, convolutions from a
 geometric quadrature over the sphere, special-function references from
 mpmath, Gauss-Jacobi rules from scipy's Golub-Welsch nodes, projective
 cosines from scalar quaternion products, largest Jacobi roots from a sign
-scan over scipy's eval_jacobi.  Agreement between these and the
-package is the point of the tests.  The one exception is fsum_moments, which
-shares the package's kernel values on purpose: it pins the moment
-summation alone, bit for bit.
+scan over scipy's eval_jacobi.  Agreement between these and the package is
+the point of the tests.  Two exceptions share the package's route on
+purpose and pin one step of it bit for bit: fsum_moments takes the
+package's kernel values and checks the moment summation alone, and
+bessel_first_zero_scan runs the package's Bessel-zero algorithm one order
+and one scalar jv call at a time and checks the array-valued solver's path.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
-from scipy.special import eval_jacobi, roots_jacobi
+from scipy.special import eval_jacobi, jv, roots_jacobi
 
 from projbound.fields import field_params
 from projbound.jacobi import _iter_values
@@ -155,6 +157,52 @@ def largest_root_scan(alpha: float, beta: float, k: int) -> float:
             return float(x_new)
         x = x_new
     raise RuntimeError(f"largest_root_scan: no convergence for k={k}, ({alpha}, {beta})")
+
+
+def bessel_first_zero_scan(nu: float) -> tuple[float, float]:
+    """First positive zero j_{nu,1} and |J_nu| there, by the one-order scan plus Newton.
+
+    The package's per-order algorithm, kept here one order and one scalar
+    scipy.special.jv call at a time as the path reference for its
+    array-valued solver: an upward scan in steps of 1.5 from
+    sqrt(nu*(nu+2)) brackets the first zero, then Newton steps kept strictly
+    inside the bracket by bisection, with J_nu'(x) = J_{nu-1}(x) -
+    (nu/x) J_nu(x), stop once a step is within 4e-16*x.  Returns
+    (value, residual).
+    """
+    step = 1.5
+    lower = math.sqrt(nu * (nu + 2.0))
+    upper = math.sqrt(2.0 * (nu + 1.0) * (nu + 3.0))
+
+    lo, f_lo = lower, float(jv(nu, lower)) if lower > 0.0 else 1.0
+    hi = None
+    x = lower
+    while x < upper + step:
+        x = x + step
+        f = float(jv(nu, x))
+        if f < 0.0:
+            hi = x
+            break
+        lo, f_lo = x, f
+    if hi is None or f_lo <= 0.0:
+        raise RuntimeError(f"bessel_first_zero_scan: bracketing failed for nu={nu}")
+
+    # invariant: J_nu(lo) > 0 > J_nu(hi)
+    x = 0.5 * (lo + hi)
+    for _ in range(200):
+        f = float(jv(nu, x))
+        if f > 0.0:
+            lo = x
+        elif f < 0.0:
+            hi = x
+        df = float(jv(nu - 1.0, x)) - (nu / x) * float(jv(nu, x))
+        x_new = x - f / df if df != 0.0 else math.nan
+        if not (lo < x_new < hi):
+            x_new = 0.5 * (lo + hi)
+        if abs(x_new - x) <= 4e-16 * x:
+            return x_new, abs(float(jv(nu, x_new)))
+        x = x_new
+    raise RuntimeError(f"bessel_first_zero_scan: no convergence for nu={nu}")
 
 
 def mp_jacobi(alpha: float, beta: float, k: int, x: float, dps: int = 60):

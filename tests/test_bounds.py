@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
+import projbound.specials
 from projbound import (
     BoundReport,
     Field,
     NumericalError,
     asymptotic_report,
+    bessel_j,
     bound_from_test_function,
     build_test_function,
     ceil_snap,
@@ -217,6 +219,27 @@ class TestAsymptoticConstants:
             assert row.gap_factor_log == pytest.approx(
                 row.nu * 2.0 * math.log(2.0) + row.log_kappa, rel=1e-12
             )
+
+    def test_one_zero_solve_per_report(self, monkeypatch):
+        # the per-order solves made about 13,000 jv calls for this report
+        calls = []
+        original = projbound.specials._besselj
+
+        def counting(nu, x):
+            calls.append(nu)
+            return original(nu, x)
+
+        monkeypatch.setattr(projbound.specials, "_besselj", counting)
+        rows = asymptotic_report(Field.H, range(2, 301))
+        assert len(rows) == 299
+        assert len(calls) <= 80
+
+    def test_rows_carry_the_bessel_residual(self):
+        for field in Field:
+            rows = asymptotic_report(field, range(2, 301))
+            for row in rows:
+                assert 0.0 <= row.bessel_residual <= 1e-12
+                assert row.bessel_residual == abs(bessel_j(row.nu, row.bessel_zero))
 
     def test_log_kappa_decreasing_in_m(self):
         rows = asymptotic_report(Field.C, [50, 100, 200])

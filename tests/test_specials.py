@@ -3,9 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from projbound import bessel_first_zero, bessel_j, hypergeom_F, log_gamma
+from projbound import bessel_first_zero, bessel_first_zeros, bessel_j, hypergeom_F, log_gamma
 
-from helpers import hypergeom_series, mp_bessel_first_zero, mp_besselj, mp_hyp2f1
+from helpers import (
+    bessel_first_zero_scan,
+    hypergeom_series,
+    mp_bessel_first_zero,
+    mp_besselj,
+    mp_hyp2f1,
+)
 
 
 class TestLogGamma:
@@ -131,9 +137,29 @@ class TestBesselFirstZero:
             assert z.value > nu
             prev = z.value
 
+    def test_matches_scan_oracle_bit_for_bit(self):
+        # every order asym meets up to m = 300, fractional orders, and nu = 0,
+        # where the scan starts at lower == 0
+        field_orders = [d * (m - 1) / 2.0 for d in (1, 2, 4) for m in range(2, 301)]
+        fractional = np.random.default_rng(31).uniform(0.0, 600.0, 200).tolist()
+        orders = field_orders + fractional + [0.0]
+        zeros = bessel_first_zeros(orders)
+        assert [z.nu for z in zeros] == orders
+        for nu, z in zip(orders, zeros):
+            want = bessel_first_zero_scan(nu)
+            assert (z.value, z.residual) == want, nu
+            one = bessel_first_zero(nu)
+            assert (one.value, one.residual) == want, nu
+
     def test_domain(self):
         with pytest.raises(ValueError):
             bessel_first_zero(-1.0)
+        for bad in (math.nan, -0.5):
+            with pytest.raises(ValueError):
+                bessel_first_zeros([1.0, bad, 2.0])
+        with pytest.raises(ValueError):
+            bessel_first_zeros([[1.0, 2.0]])
+        assert bessel_first_zeros([]) == []
         # no upper cap on the order: nu = 598 is the quaternionic case at m = 300
         for nu in (502.0, 598.0):
             j = bessel_first_zero(nu).value
