@@ -1,9 +1,13 @@
 """In-process timings of two source trees of projbound, written as one JSON record.
 
-    python benchmarks/bench_layers.py --parent OLD/src --change src --out BENCH_7.json
+    python benchmarks/bench_layers.py --parent OLD/src --change src --out BENCH_8.json
 
-Each tree is timed in its own fresh interpreter, so neither sees the other's
-modules or caches.  Recorded per tree (seconds, median of the repetitions):
+The two trees are timed in rounds that alternate between them (parent then
+change, then change then parent, and so on), so a drift of the host's speed
+during the run lands on both trees alike instead of reading as a change.
+Each tree is timed in a fresh interpreter per round, so neither sees the
+other's modules or caches.  Recorded per tree (seconds, the median over the
+rounds of each round's median of its repetitions):
 
 * ``largest_root`` at k in {100, 1000} for (alpha, beta) in {(2, 2), (100, 1)},
   with the recurrence cache cleared before every call, as for a new request;
@@ -45,6 +49,7 @@ MOMENT_CASES = [("H", 2, 2000, 8), ("R", 3, 4000, 4)]
 VERIFY_CASE = ("H", 3, 2000, 8)
 REPS = 5
 MOMENT_REPS = 3
+ROUNDS = 5
 
 
 def _median_time(fn, reps: int) -> float:
@@ -143,17 +148,30 @@ def write_verify_file(directory: str) -> str:
     return path
 
 
-def run_tree(src: str, verify_file: str) -> dict:
+def run_round(src: str, verify_file: str) -> dict:
+    """One round of every timing for one tree: a fresh child, one import, one verify."""
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, __file__, "--child"], env=env, check=True,
                           capture_output=True, text=True)
     timings = json.loads(proc.stdout)
-    timings["import projbound.cli_s"] = statistics.median(_import_time(src) for _ in range(REPS))
+    timings["import projbound.cli_s"] = _import_time(src)
     name, m, n, p = VERIFY_CASE
-    timings[f"cli verify one-shot({name},m={m},n={n},p={p})_s"] = statistics.median(
-        _verify_time(src, verify_file) for _ in range(MOMENT_REPS)
-    )
+    timings[f"cli verify one-shot({name},m={m},n={n},p={p})_s"] = _verify_time(src, verify_file)
     return timings
+
+
+def run_trees(trees: dict, verify_file: str) -> dict:
+    """Per-tree medians over ROUNDS rounds; the tree timed first alternates by round."""
+    rounds = {name: [] for name in trees}
+    order = list(trees)
+    for _ in range(ROUNDS):
+        for name in order:
+            rounds[name].append(run_round(trees[name], verify_file))
+        order.reverse()
+    return {
+        name: {key: statistics.median(r[key] for r in runs) for key in runs[0]}
+        for name, runs in rounds.items()
+    }
 
 
 def machine() -> dict:
@@ -187,16 +205,17 @@ def main() -> int:
         return 0
     if not (args.parent and args.change and args.out):
         parser.error("--parent, --change and --out are required")
+    trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     with tempfile.TemporaryDirectory() as tmp:
-        verify_file = write_verify_file(tmp)
         record = {
             "machine": machine(),
-            "repetitions": {"largest_root": REPS, "gram_matrix": REPS, "moment_test": MOMENT_REPS,
-                            "bessel_first_zero": f"{REPS} x {BESSEL_NUMBER} calls",
-                            "table": 1, "asym": REPS, "import": REPS,
-                            "verify one-shot": MOMENT_REPS},
-            "parent": run_tree(os.path.abspath(args.parent), verify_file),
-            "change": run_tree(os.path.abspath(args.change), verify_file),
+            "rounds": f"{ROUNDS}, alternating which tree is timed first",
+            "repetitions per round": {
+                "largest_root": REPS, "gram_matrix": REPS, "moment_test": MOMENT_REPS,
+                "bessel_first_zero": f"{REPS} x {BESSEL_NUMBER} calls",
+                "table": 1, "asym": REPS, "import": 1, "verify one-shot": 1,
+            },
+            **run_trees(trees, write_verify_file(tmp)),
         }
     with open(args.out, "w") as f:
         json.dump(record, f, indent=2)

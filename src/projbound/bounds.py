@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -104,30 +104,23 @@ class BoundReport:
     epsilon: float
     xi: float
 
+    @property
+    def delta(self) -> int:
+        """Rounded Yudin-type bound minus the LP bound."""
+        return self.yudin_bound - self.lp_bound
+
     def to_dict(self) -> dict:
-        return {
-            "field": self.field.name,
-            "m": self.m,
-            "p": self.p,
-            "lp_bound": self.lp_bound,
-            "yudin_raw": self.yudin_raw,
-            "yudin_bound": self.yudin_bound,
-            "epsilon": self.epsilon,
-            "xi": self.xi,
-        }
+        """Every field by name, in declaration order; the field tag as its name."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["field"] = self.field.name
+        return doc
 
     @classmethod
     def from_dict(cls, d: dict) -> "BoundReport":
-        return cls(
-            field=Field.parse(d["field"]),
-            m=int(d["m"]),
-            p=int(d["p"]),
-            lp_bound=int(d["lp_bound"]),
-            yudin_raw=float(d["yudin_raw"]),
-            yudin_bound=int(d["yudin_bound"]),
-            epsilon=float(d["epsilon"]),
-            xi=float(d["xi"]),
-        )
+        """Inverse of to_dict; keys that name no field (the CLI's delta) are ignored."""
+        values = {f.name: d[f.name] for f in fields(cls)}
+        values["field"] = Field.parse(values["field"])
+        return cls(**values)
 
 
 def _check_even_p(p: int) -> None:
@@ -212,13 +205,12 @@ def delta_C(p: int) -> int:
     lp = lp_bound(Field.C, 2, p // 2)
     if floor_form != lp:
         raise NumericalError(f"complex m=2 LP closed forms disagree at p={p}: {floor_form} != {lp}")
-    return yudin_bound(Field.C, 2, p).yudin_bound - floor_form
+    return yudin_bound(Field.C, 2, p).delta
 
 
 def delta_H(p: int) -> int:
     """Rounded Yudin-type bound minus the LP bound, quaternionic field, m=2."""
-    _check_even_p(p)
-    return yudin_bound(Field.H, 2, p).yudin_bound - lp_bound(Field.H, 2, p // 2)
+    return yudin_bound(Field.H, 2, p).delta
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,7 @@ import functools
 import json
 import sys
 
-from .bounds import (
-    asymptotic_report,
-    lp_bound_h_alt,
-    yudin_bound,
-)
+from .bounds import asymptotic_report, lp_bound_h_alt, yudin_bound
 from .cubature import load_point_set, verify
 from .fields import Field
 from .testfn import build_test_function
@@ -35,8 +31,9 @@ _ASYM_SCHEMA = (
 _TESTFN_SCHEMA = "k,c_h,c_g,c_f"
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+def _fmt(x) -> str:
+    """One output cell: an integer exactly, a float to 12 significant digits."""
+    return str(x) if isinstance(x, int) else f"{x:.12g}"
 
 
 def _write_output(text: str, out_path):
@@ -52,33 +49,22 @@ def _write_output(text: str, out_path):
     return 0
 
 
-def cmd_bound(args) -> int:
+def _write_csv(comment: str, schema: str, rows, out_path) -> int:
+    """The `# projbound <comment> columns=<schema>` line, the schema line, then the rows."""
+    lines = [f"# projbound {comment} columns={schema}", schema]
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    return _write_output("\n".join(lines) + "\n", out_path)
+
+
+def cmd_bound(args, parser) -> int:
     report = yudin_bound(Field.parse(args.field), args.m, args.p)
-    delta = report.yudin_bound - report.lp_bound
     if args.format == "json":
-        doc = report.to_dict()
-        doc["delta"] = delta
-        print(json.dumps(doc))
+        print(json.dumps(report.to_dict() | {"delta": report.delta}))
     else:
         print(f"field {report.field.name}  m {report.m}  p {report.p}")
-        print(f"lp_bound     {report.lp_bound}")
-        print(f"yudin_raw    {_fmt(report.yudin_raw)}")
-        print(f"yudin_bound  {report.yudin_bound}")
-        print(f"delta        {delta}")
-        print(f"xi           {_fmt(report.xi)}")
-        print(f"epsilon      {_fmt(report.epsilon)}")
+        for name in ("lp_bound", "yudin_raw", "yudin_bound", "delta", "xi", "epsilon"):
+            print(f"{name:<13}{_fmt(getattr(report, name))}")
     return 0
-
-
-def _table_row(field: Field, m: int, p: int) -> dict:
-    rep = yudin_bound(field, m, p)
-    return {
-        "p": p,
-        "lp_bound": rep.lp_bound,
-        "yudin_raw": rep.yudin_raw,
-        "yudin_bound": rep.yudin_bound,
-        "delta": rep.yudin_bound - rep.lp_bound,
-    }
 
 
 def cmd_table(args, parser) -> int:
@@ -87,30 +73,26 @@ def cmd_table(args, parser) -> int:
     if args.p_min % 2 or args.p_max % 2 or args.p_min < 2:
         parser.error("p-min and p-max must be even integers >= 2")
     field = Field.parse(args.field)
-    rows = [_table_row(field, args.m, p) for p in range(args.p_min, args.p_max + 1, 2)]
-    verbose_alt = args.verbose and field is Field.H and args.m == 2
-    if verbose_alt:
+    columns = _TABLE_SCHEMA.split(",")
+    rows = []
+    for p in range(args.p_min, args.p_max + 1, 2):
+        report = yudin_bound(field, args.m, p)
+        rows.append({c: getattr(report, c) for c in columns})
+    if args.verbose and field is Field.H and args.m == 2:
+        columns.append("lp_alt")
         for row in rows:
             row["lp_alt"] = lp_bound_h_alt(row["p"])
 
-    schema = _TABLE_SCHEMA + (",lp_alt" if verbose_alt else "")
-    columns = schema.split(",")
     if args.format == "csv":
-        lines = [f"# projbound table v1 field={field.name} m={args.m} columns={schema}"]
-        lines.append(schema)
-        for row in rows:
-            lines.append(
-                ",".join(_fmt(row[c]) if c == "yudin_raw" else str(row[c]) for c in columns)
-            )
-        text = "\n".join(lines) + "\n"
-    elif args.format == "markdown":
+        return _write_csv(
+            f"table v1 field={field.name} m={args.m}",
+            ",".join(columns),
+            (row.values() for row in rows),
+            args.out,
+        )
+    if args.format == "markdown":
         lines = ["| " + " | ".join(columns) + " |", "|" + "---|" * len(columns)]
-        for row in rows:
-            lines.append(
-                "| "
-                + " | ".join(_fmt(row[c]) if c == "yudin_raw" else str(row[c]) for c in columns)
-                + " |"
-            )
+        lines += ["| " + " | ".join(_fmt(v) for v in row.values()) + " |" for row in rows]
         text = "\n".join(lines) + "\n"
     else:
         text = json.dumps({"field": field.name, "m": args.m, "rows": rows}) + "\n"
@@ -146,46 +128,24 @@ def cmd_asym(args, parser) -> int:
     field = Field.parse(args.field)
     if args.m_max < 2:
         parser.error("m-max must be >= 2")
+    columns = _ASYM_SCHEMA.split(",")
     rows = asymptotic_report(field, range(2, args.m_max + 1))
-    lines = [f"# projbound asym v1 field={field.name} columns={_ASYM_SCHEMA}"]
-    lines.append(_ASYM_SCHEMA)
-    for r in rows:
-        lines.append(
-            ",".join(
-                [str(r.m)]
-                + [
-                    _fmt(v)
-                    for v in (
-                        r.nu,
-                        r.bessel_zero,
-                        r.kappa,
-                        r.log_kappa,
-                        r.log_kappa_approx,
-                        r.log_ratio,
-                        r.lp_liminf_log,
-                        r.testfn_liminf_log,
-                        r.gap_factor_log,
-                    )
-                ]
-            )
-        )
-    return _write_output("\n".join(lines) + "\n", args.out)
+    return _write_csv(
+        f"asym v1 field={field.name}",
+        _ASYM_SCHEMA,
+        ([getattr(row, c) for c in columns] for row in rows),
+        args.out,
+    )
 
 
 def cmd_testfn(args, parser) -> int:
-    if args.kmax < args.l + 2:
-        parser.error(f"kmax must be >= l+2 = {args.l + 2}")
     tf = build_test_function(Field.parse(args.field), args.m, args.l, args.kmax)
-    lines = [
-        f"# projbound testfn v1 field={tf.field.name} m={tf.m} l={tf.l} "
-        f"xi={_fmt(tf.xi)} columns={_TESTFN_SCHEMA}"
-    ]
-    lines.append(_TESTFN_SCHEMA)
-    for k in range(tf.k_max + 1):
-        lines.append(
-            f"{k},{_fmt(tf.coeff_h[k])},{_fmt(tf.coeff_g[k])},{_fmt(tf.coeff_f[k])}"
-        )
-    return _write_output("\n".join(lines) + "\n", args.out)
+    return _write_csv(
+        f"testfn v1 field={tf.field.name} m={tf.m} l={tf.l} xi={_fmt(tf.xi)}",
+        _TESTFN_SCHEMA,
+        zip(range(tf.k_max + 1), tf.coeff_h, tf.coeff_g, tf.coeff_f),
+        args.out,
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -203,6 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--m", type=int, required=True, help="number of coordinates, >= 2")
     pb.add_argument("--p", type=int, required=True, help="even cubature index, >= 2")
     pb.add_argument("--format", choices=["text", "json"], default="text")
+    pb.set_defaults(run=cmd_bound)
 
     pt = sub.add_parser("table", help="bound table over a range of even p")
     pt.add_argument("--field", required=True, choices=["R", "C", "H"])
@@ -216,6 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="for field H, m=2: include the variant LP column lp_alt",
     )
+    pt.set_defaults(run=cmd_table)
 
     pv = sub.add_parser("verify", help="moment-test a point-set JSON file")
     pv.add_argument("file", help="point-set JSON file")
@@ -226,6 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="absolute tolerance on |M_k| (default: 1e-10 scaled by node count)",
     )
     pv.add_argument("--verbose", action="store_true", help="print every moment and notes")
+    pv.set_defaults(run=cmd_verify)
 
     pa = sub.add_parser(
         "asym",
@@ -234,6 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--field", required=True, choices=["R", "C", "H"])
     pa.add_argument("--m-max", type=int, required=True)
     pa.add_argument("--out", default=None)
+    pa.set_defaults(run=cmd_asym)
 
     pf = sub.add_parser(
         "testfn",
@@ -244,6 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--l", type=int, required=True, help="degree parameter (p/2)")
     pf.add_argument("--kmax", type=int, default=200)
     pf.add_argument("--out", default=None)
+    pf.set_defaults(run=cmd_testfn)
     return parser
 
 
@@ -257,23 +222,9 @@ def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "bound":
-            if args.p < 2 or args.p % 2:
-                parser.error("p must be a positive even integer")
-            if args.m < 2:
-                parser.error("m must be >= 2")
-            return cmd_bound(args)
-        if args.command == "table":
-            return cmd_table(args, parser)
-        if args.command == "verify":
-            return cmd_verify(args, parser)
-        if args.command == "asym":
-            return cmd_asym(args, parser)
-        if args.command == "testfn":
-            return cmd_testfn(args, parser)
+        return args.run(args, parser)
     except ValueError as exc:
         parser.error(str(exc))
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

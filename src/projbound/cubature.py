@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import lp_bound, yudin_bound
+from .bounds import _check_even_p, lp_bound, yudin_bound
 from .fields import Field, field_params
 from .jacobi import NumericalError, _iter_values, jacobi_value_at_one_all
 
@@ -200,8 +200,7 @@ def moment_test(ps: PointSet, p: int) -> list[float]:
     -1e-10 guard contradicts positive semidefiniteness and raises
     NumericalError.
     """
-    if p < 2 or p % 2 != 0:
-        raise ValueError(f"p must be a positive even integer, got {p}")
+    _check_even_p(p)
     params = field_params(ps.field, ps.m)
     w = ps.weights
     # alpha >= beta >= -1/2 for every field, so |P_k| <= P_k(1) on [-1, 1];
@@ -244,35 +243,17 @@ class VerificationReport:
     duplicates: tuple
     note: str = INTERPRETATION_NOTE
 
-    def to_dict(self) -> dict:
-        return {
-            "field": self.field.name,
-            "m": self.m,
-            "p": self.p,
-            "n": self.n,
-            "moments": list(self.moments),
-            "max_abs_moment": self.max_abs_moment,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "lp_bound": self.lp_bound,
-            "yudin_bound": self.yudin_bound,
-            "tight_lp": self.tight_lp,
-            "tight_yudin": self.tight_yudin,
-            "duplicates": [list(pair) for pair in self.duplicates],
-            "note": self.note,
-        }
-
 
 def verify(ps: PointSet, p: int, tol: Optional[float] = None) -> VerificationReport:
     """Run the moment test and compare the cardinality against both bounds.
 
     tol defaults to 1e-10 * n, matching the accumulation of n^2 unit-scale
-    terms per moment.
+    terms per moment.  An explicit tol must be finite and positive.
     """
     if tol is None:
         tol = 1e-10 * ps.n
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     moments = moment_test(ps, p)
     max_abs = max(abs(m_k) for m_k in moments)
     lp = lp_bound(ps.field, ps.m, p // 2)
@@ -294,14 +275,27 @@ def verify(ps: PointSet, p: int, tol: Optional[float] = None) -> VerificationRep
     )
 
 
+def _json_int(doc: dict, key: str) -> int:
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key!r} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _json_float(value, where: str) -> float:
+    """A JSON number (int or float, not bool, not a string) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where}: expected a JSON number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ValueError(f"{where}: {value} is outside the float range") from None
+
+
 def _embed_scalar(components, delta: int, where: str) -> list[float]:
     if not isinstance(components, (list, tuple)) or len(components) != delta:
         raise ValueError(f"{where}: expected {delta} real components, got {components!r}")
-    try:
-        vals = [float(c) for c in components]
-    except (TypeError, ValueError):
-        raise ValueError(f"{where}: components must be numbers, got {components!r}") from None
-    return vals + [0.0] * (4 - delta)
+    return [_json_float(c, where) for c in components] + [0.0] * (4 - delta)
 
 
 def parse_point_set(doc: dict) -> tuple[PointSet, int]:
@@ -319,8 +313,8 @@ def parse_point_set(doc: dict) -> tuple[PointSet, int]:
         if key not in doc:
             raise ValueError(f"point set document is missing required key {key!r}")
     field = Field.parse(str(doc["field"]))
-    m = int(doc["m"])
-    p = int(doc["p"])
+    m = _json_int(doc, "m")
+    p = _json_int(doc, "p")
     raw_nodes = doc["nodes"]
     if not isinstance(raw_nodes, list) or not raw_nodes:
         raise ValueError("'nodes' must be a nonempty list")
@@ -332,8 +326,11 @@ def parse_point_set(doc: dict) -> tuple[PointSet, int]:
             [_embed_scalar(c, field.delta, f"nodes[{i}][{j}]") for j, c in enumerate(node)]
         )
     weights = doc.get("weights")
-    ps = PointSet(field, m, np.array(nodes), None if weights is None else np.asarray(weights))
-    return ps, p
+    if weights is not None:
+        if not isinstance(weights, list):
+            raise ValueError(f"'weights' must be a list, got {weights!r}")
+        weights = [_json_float(w, f"weights[{i}]") for i, w in enumerate(weights)]
+    return PointSet(field, m, np.array(nodes), weights), p
 
 
 def load_point_set(path) -> tuple[PointSet, int]:
@@ -354,8 +351,7 @@ def circle_design(p: int) -> PointSet:
     The classical tight fixture: a projective (p/2)-design in R^2 meeting
     both lower bounds.
     """
-    if p < 2 or p % 2 != 0:
-        raise ValueError(f"p must be a positive even integer, got {p}")
+    _check_even_p(p)
     n = p // 2 + 1
     nodes = np.zeros((n, 2, 4))
     angles = np.arange(n) * math.pi / n

@@ -355,9 +355,29 @@ def mp_besselj(nu: float, x: float) -> float:
         return float(mpmath.besselj(nu, x))
 
 
+#: order from which mp_bessel_first_zero brackets the zero instead of calling besseljzero
+_MP_BRACKET_FROM_NU = 20.0
+
+
 def mp_bessel_first_zero(nu: float) -> float:
+    """j_{nu,1} at 40 digits.
+
+    Below nu = 20 by mpmath.besseljzero.  From nu = 20 on, besseljzero takes
+    seconds per zero, so the zero is a bracketed findroot on besselj over
+    (sqrt(nu(nu+2)), nu + 3.2446 nu^(1/3)): j_{nu,1} lies above the lower end,
+    and j_{nu,2} above the upper one (Qu & Wong 1999, the second Airy zero
+    over 2^(1/3)).  The sign check makes a bad bracket fail loudly.
+    """
     with mpmath.workdps(40):
-        return float(mpmath.besseljzero(nu, 1))
+        if nu < _MP_BRACKET_FROM_NU:
+            return float(mpmath.besseljzero(nu, 1))
+        order = mpmath.mpf(nu)
+        lo = mpmath.sqrt(order * (order + 2))
+        hi = order + mpmath.mpf("3.2446") * mpmath.cbrt(order)
+        if not mpmath.besselj(order, lo) > 0 > mpmath.besselj(order, hi):
+            raise RuntimeError(f"J_nu does not change sign once over the bracket at nu={nu}")
+        zero = mpmath.findroot(lambda x: mpmath.besselj(order, x), (lo, hi), solver="anderson")
+        return float(zero)
 
 
 def mp_hyp2f1(a: float, b: float, c: float, z: float) -> float:

@@ -108,6 +108,17 @@ class TestYudinBound:
         again = BoundReport.from_dict(json.loads(json.dumps(rep.to_dict())))
         assert again == rep
 
+    def test_dict_keys_and_delta(self):
+        rep = yudin_bound(Field.C, 2, 18)
+        doc = rep.to_dict()
+        assert list(doc) == [
+            "field", "m", "p", "lp_bound", "yudin_raw", "yudin_bound", "epsilon", "xi"
+        ]
+        assert doc["field"] == "C"
+        assert rep.delta == rep.yudin_bound - rep.lp_bound == 1
+        # keys that name no field, such as the CLI's delta, are ignored
+        assert BoundReport.from_dict(doc | {"delta": 7}) == rep
+
     def test_validation(self):
         with pytest.raises(ValueError):
             yudin_bound(Field.R, 2, 3)

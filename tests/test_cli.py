@@ -184,6 +184,23 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert "must be finite" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_tolerance_must_be_finite_and_positive_exit_2(self, capsys, tmp_path, tol):
+        path = write_circle_file(tmp_path / "c.json", 10)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", str(path), f"--tol={tol}"])
+        assert exc.value.code == 2
+        assert "tol must be finite and positive" in capsys.readouterr().err
+
+    def test_float_p_exit_2(self, capsys, tmp_path):
+        path = write_circle_file(tmp_path / "c.json", 10)
+        doc = json.loads(path.read_text())
+        doc["p"] = 10.5
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2 and out == ""
+        assert "'p' must be a JSON integer, got 10.5" in err
+
     def test_verbose_moments_and_note(self, capsys, tmp_path):
         path = write_circle_file(tmp_path / "c.json", 6)
         code, out, _ = run(capsys, "verify", str(path), "--verbose")
@@ -249,7 +266,7 @@ class TestParserReuse:
 
     CALLS = [
         ["bound", "--field", "C", "--m", "3", "--p", "12"],
-        ["bound", "--field", "R", "--m", "2", "--p", "7"],  # error from main: exit 2
+        ["bound", "--field", "R", "--m", "2", "--p", "7"],  # error from the library: exit 2
         ["bound", "--field", "Q", "--m", "2", "--p", "4"],  # error from argparse: exit 2
         ["table", "--help"],
         ["testfn", "--field", "H", "--m", "2", "--l", "1", "--kmax", "4"],

@@ -332,6 +332,12 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify(circle_design(4), 4, tol=0.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        # a NaN tolerance failed every set and an infinite one passed every set
+        with pytest.raises(ValueError, match="finite and positive"):
+            verify(circle_design(4), 4, tol=tol)
+
     def test_icosahedron_diagonals(self):
         phi = (1.0 + math.sqrt(5.0)) / 2.0
         lines = [(0, 1, phi), (0, 1, -phi), (1, phi, 0), (1, -phi, 0), (phi, 0, 1), (-phi, 0, 1)]
@@ -386,6 +392,48 @@ class TestPointSetIO:
         doc = self.circle_doc(4)
         doc["nodes"][0][0] = [1.0, 0.0]  # two components in a real set
         with pytest.raises(ValueError, match=r"nodes\[0\]\[0\]"):
+            parse_point_set(doc)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("m", 2.9), ("m", 2.0), ("m", True), ("m", "2"), ("p", 10.5), ("p", "10"), ("p", False)],
+    )
+    def test_m_and_p_must_be_json_integers(self, key, value):
+        doc = self.circle_doc(10)
+        doc[key] = value
+        with pytest.raises(ValueError, match=f"'{key}' must be a JSON integer"):
+            parse_point_set(doc)
+
+    @pytest.mark.parametrize("value", ["1.0", True, None, [1.0]])
+    def test_components_must_be_json_numbers(self, value):
+        doc = self.circle_doc(4)
+        doc["nodes"][1][0] = [value]
+        with pytest.raises(ValueError, match=r"nodes\[1\]\[0\]: expected a JSON number"):
+            parse_point_set(doc)
+
+    @pytest.mark.parametrize("value", ["0.25", True])
+    def test_weights_must_be_json_numbers(self, value):
+        doc = self.circle_doc(6)
+        doc["weights"][2] = value
+        with pytest.raises(ValueError, match=r"weights\[2\]: expected a JSON number"):
+            parse_point_set(doc)
+
+    def test_weights_must_be_a_list(self):
+        doc = self.circle_doc(6)
+        doc["weights"] = 0.25
+        with pytest.raises(ValueError, match="'weights' must be a list"):
+            parse_point_set(doc)
+
+    def test_integer_components_are_numbers(self):
+        doc = self.circle_doc(2)  # nodes (1, 0) and (0, 1)
+        doc["nodes"] = [[[1], [0]], [[0], [1]]]
+        ps, p = parse_point_set(doc)
+        assert verify(ps, p).passed
+
+    def test_integer_beyond_float_range_is_a_value_error(self):
+        doc = self.circle_doc(2)
+        doc["nodes"][0][0] = [10**400]
+        with pytest.raises(ValueError, match=r"nodes\[0\]\[0\]: .* outside the float range"):
             parse_point_set(doc)
 
     def test_missing_key(self):

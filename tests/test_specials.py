@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -25,8 +26,6 @@ class TestLogGamma:
         assert log_gamma(10.0) == pytest.approx(math.log(362880.0), rel=1e-14)
 
     def test_relative_error_over_domain(self):
-        import mpmath
-
         for x in np.linspace(0.05, 200.0, 173):
             with mpmath.workdps(40):
                 want = float(mpmath.loggamma(x))
@@ -119,11 +118,18 @@ class TestBesselFirstZero:
         assert bessel_first_zero(0.0).value == pytest.approx(2.404825557695773, abs=1e-12)
         assert bessel_first_zero(1.0).value == pytest.approx(3.831705970207512, abs=1e-12)
 
-    @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 2.5, 7.0, 31.5, 99.0, 200.0, 398.0])
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 2.5, 7.0, 31.5, 99.0, 200.0, 398.0, 598.0])
     def test_against_mpmath(self, nu):
         assert bessel_first_zero(nu).value == pytest.approx(
             mp_bessel_first_zero(nu), abs=1e-11
         )
+
+    @pytest.mark.parametrize("nu", [20.0, 99.5])
+    def test_bracketed_oracle_matches_besseljzero(self, nu):
+        # from nu = 20 on the oracle brackets the zero instead of calling besseljzero
+        with mpmath.workdps(40):
+            want = float(mpmath.besseljzero(nu, 1))
+        assert mp_bessel_first_zero(nu) == want
 
     def test_monotone_in_order_with_bracket(self):
         prev = 0.0
