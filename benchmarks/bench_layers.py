@@ -1,29 +1,36 @@
 """In-process timings of two source trees of projbound, written as one JSON record.
 
-    python benchmarks/bench_layers.py --parent OLD/src --change src --out BENCH_8.json
+    python benchmarks/bench_layers.py --parent OLD/src --change src --out BENCH_9.json
 
 The two trees are timed in rounds that alternate between them (parent then
 change, then change then parent, and so on), so a drift of the host's speed
 during the run lands on both trees alike instead of reading as a change.
 Each tree is timed in a fresh interpreter per round, so neither sees the
-other's modules or caches.  Recorded per tree (seconds, the median over the
-rounds of each round's median of its repetitions):
+other's modules or caches.  Recorded per tree, for every entry, the median
+over the rounds of each round's value (itself the median of its
+repetitions) and the quartiles q1 and q3 of those round values, so the
+spread of a tree's own rounds shows next to the difference between trees:
 
 * ``largest_root`` at k in {100, 1000} for (alpha, beta) in {(2, 2), (100, 1)},
   with the recurrence cache cleared before every call, as for a new request;
 * ``gram_matrix`` for a random R, m=4, n=2000 point set;
 * ``moment_test`` for random equal-weight sets: H, m=2, n=2000, p=8 and
-  R, m=3, n=4000, p=4;
+  R, m=3, n=4000, p=4.  Where the point set does not store the Gram matrix,
+  this includes the Gram kernel; a tree whose point set stores it computes
+  it at construction, outside the timing;
 * one-order ``bessel_first_zero`` at nu in {0.5, 10, 147, 598}, per call over
   200 calls: a single zero, as ``kappa`` and ``root_asymptotic_ratio`` ask;
 * ``table --field H --p-min 2 --p-max 1200`` and ``asym --field H --m-max 300``
   through ``cli.main``;
 * ``import projbound.cli`` in a new interpreter;
-* a one-shot ``python -m projbound.cli verify`` of a random H, m=3, p=8,
-  n=2000 point-set file, wall time of the whole process.
+* a one-shot ``python -m projbound.cli verify`` of a random H, m=3, p=8
+  point-set file with n in {2000, 4000, 10000}: wall time of the whole
+  process (seconds) and its maximum resident set size (MiB, from
+  ``os.wait4``).
 
 The record also holds the machine: CPU count and model, Python, numpy and
-scipy versions.  Not part of the test suite; takes a few minutes.
+scipy versions.  Not part of the test suite; takes about ten minutes and,
+for a tree that stores the Gram matrix, over 1 GiB at n=10000.
 """
 
 from __future__ import annotations
@@ -46,7 +53,8 @@ ASYM_ARGV = ["asym", "--field", "H", "--m-max", "300"]
 BESSEL_ORDERS = [0.5, 10.0, 147.0, 598.0]
 BESSEL_NUMBER = 200
 MOMENT_CASES = [("H", 2, 2000, 8), ("R", 3, 4000, 4)]
-VERIFY_CASE = ("H", 3, 2000, 8)
+VERIFY_FIELD, VERIFY_M, VERIFY_P = "H", 3, 8
+VERIFY_SIZES = (2000, 4000, 10_000)
 REPS = 5
 MOMENT_REPS = 3
 ROUNDS = 5
@@ -127,51 +135,60 @@ def _import_time(src: str) -> float:
                                 capture_output=True, text=True).stdout)
 
 
-def _verify_time(src: str, path: str) -> float:
+def _verify_run(src: str, path: str) -> tuple[float, float]:
+    """Wall seconds and maximum RSS (MiB) of one ``verify`` process."""
     env = dict(os.environ, PYTHONPATH=src)
-    start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "projbound.cli", "verify", path], env=env,
-                          capture_output=True, text=True)
-    elapsed = time.perf_counter() - start
-    if proc.returncode not in (0, 1):
-        raise RuntimeError(f"verify exited {proc.returncode}: {proc.stderr}")
-    return elapsed
+    with tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-m", "projbound.cli", "verify", path],
+                                env=env, stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        elapsed = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode not in (0, 1):
+            err.seek(0)
+            raise RuntimeError(f"verify exited {proc.returncode}: {err.read().decode()}")
+    return elapsed, usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
 
 
-def write_verify_file(directory: str) -> str:
-    name, m, n, p = VERIFY_CASE
-    delta = {"R": 1, "C": 2, "H": 4}[name]
-    nodes = random_nodes(delta, m, n, seed=1)[..., :delta]
-    path = os.path.join(directory, "verify.json")
+def write_verify_file(directory: str, n: int) -> str:
+    delta = {"R": 1, "C": 2, "H": 4}[VERIFY_FIELD]
+    nodes = random_nodes(delta, VERIFY_M, n, seed=1)[..., :delta]
+    path = os.path.join(directory, f"verify_{n}.json")
     with open(path, "w") as f:
-        json.dump({"field": name, "m": m, "p": p, "nodes": nodes.tolist()}, f)
+        json.dump({"field": VERIFY_FIELD, "m": VERIFY_M, "p": VERIFY_P,
+                   "nodes": nodes.tolist()}, f)
     return path
 
 
-def run_round(src: str, verify_file: str) -> dict:
-    """One round of every timing for one tree: a fresh child, one import, one verify."""
+def run_round(src: str, verify_files: dict) -> dict:
+    """One round of every timing for one tree: a fresh child, one import, one verify per n."""
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, __file__, "--child"], env=env, check=True,
                           capture_output=True, text=True)
     timings = json.loads(proc.stdout)
     timings["import projbound.cli_s"] = _import_time(src)
-    name, m, n, p = VERIFY_CASE
-    timings[f"cli verify one-shot({name},m={m},n={n},p={p})_s"] = _verify_time(src, verify_file)
+    for n, path in verify_files.items():
+        case = f"cli verify one-shot({VERIFY_FIELD},m={VERIFY_M},n={n},p={VERIFY_P})"
+        timings[f"{case}_s"], timings[f"{case}_max_rss_mb"] = _verify_run(src, path)
     return timings
 
 
-def run_trees(trees: dict, verify_file: str) -> dict:
-    """Per-tree medians over ROUNDS rounds; the tree timed first alternates by round."""
+def run_trees(trees: dict, verify_files: dict) -> dict:
+    """Per-tree median and quartiles over ROUNDS rounds; the tree timed first alternates."""
     rounds = {name: [] for name in trees}
     order = list(trees)
     for _ in range(ROUNDS):
         for name in order:
-            rounds[name].append(run_round(trees[name], verify_file))
+            rounds[name].append(run_round(trees[name], verify_files))
         order.reverse()
-    return {
-        name: {key: statistics.median(r[key] for r in runs) for key in runs[0]}
-        for name, runs in rounds.items()
-    }
+    summary = {}
+    for name, runs in rounds.items():
+        summary[name] = {}
+        for key in runs[0]:
+            q1, median, q3 = statistics.quantiles([r[key] for r in runs], n=4)
+            summary[name][key] = {"median": median, "q1": q1, "q3": q3}
+    return summary
 
 
 def machine() -> dict:
@@ -215,7 +232,7 @@ def main() -> int:
                 "bessel_first_zero": f"{REPS} x {BESSEL_NUMBER} calls",
                 "table": 1, "asym": REPS, "import": 1, "verify one-shot": 1,
             },
-            **run_trees(trees, write_verify_file(tmp)),
+            **run_trees(trees, {n: write_verify_file(tmp, n) for n in VERIFY_SIZES}),
         }
     with open(args.out, "w") as f:
         json.dump(record, f, indent=2)

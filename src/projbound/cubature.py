@@ -11,10 +11,10 @@ Nodes are stored as quaternion coordinate quadruples for all three fields
 (real and complex scalars are embedded with vanishing imaginary parts), so a
 single inner-product kernel serves R, C and H.  The kernel splits each
 quaternion q = z + w j into the complex pair z = q0 + i q1, w = q2 + i q3 and
-works in C^{2m}; the Gram matrix is computed once, in row blocks, when the
-point set is built.  The moment sums stream over row blocks of it and are
-correctly rounded by exact extraction, so a moment does not depend on the
-node order.
+works in C^{2m}.  The Gram matrix is never stored: one pass per moment test
+computes it a row block at a time, and each block feeds the duplicate scan
+and the moment sums.  The sums are correctly rounded by exact extraction, so
+a moment does not depend on the node order.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ _UNIT_NORM_TOL = 1e-12
 _DUPLICATE_TOL = 1e-12
 _MOMENT_NEGATIVE_GUARD = -1e-10
 
-#: Gram entries per row block of gram_matrix and the moment sums (512 KiB of doubles)
-_BLOCK_ELEMENTS = 1 << 16
+#: Gram entries per row block of the Gram pass (256 KiB of doubles)
+_BLOCK_ELEMENTS = 1 << 15
 
 #: reading of the vanishing-moment condition used by this verifier
 INTERPRETATION_NOTE = (
@@ -53,12 +53,9 @@ class PointSet:
     to 1.  Every coordinate and weight must be finite.  Coordinates must
     respect the field (imaginary parts beyond the scalar dimension vanish),
     each node must have unit norm, and nodes are expected to be projectively
-    distinct (violations are reported as duplicates, not errors: the moment
-    test stays meaningful).
-
-    The set keeps read-only copies of nodes and weights, because ``cos``,
-    the (n, n) Gram matrix of projective cosines, is derived from them once,
-    here, and read by the duplicate scan and by moment_test.
+    distinct (verify reports coincident pairs and the moment test warns of
+    them, but they are not errors: the moment test stays meaningful).  The
+    set keeps read-only copies of nodes and weights.
     """
 
     def __init__(self, field: Field, m: int, nodes, weights=None):
@@ -101,19 +98,10 @@ class PointSet:
         self.nodes = nodes
         self.weights = weights
         self.n = n
-        self.cos = gram_matrix(self)
-        self.cos.setflags(write=False)
-        i, j = np.nonzero(np.triu(self.cos >= 1.0 - _DUPLICATE_TOL, 1))
-        self.duplicates = list(zip(i.tolist(), j.tolist()))
-        if self.duplicates:
-            warnings.warn(
-                f"point set has projectively coincident node pairs: {self.duplicates}",
-                stacklevel=2,
-            )
 
 
-def gram_matrix(ps: PointSet) -> np.ndarray:
-    """All pairwise projective cosines, shape (n, n).
+def _gram_blocks(ps: PointSet):
+    """Yield (r0, cos[r0:r1]): the projective cosines of rows r0..r1-1 with every node.
 
     Each node x, with quaternion coordinates q = z + w j, maps to
     u = (z, conj(w)) in C^{2m}.  Then (x, y) = u_x^H u_y + (u_x^T J u_y) j
@@ -125,10 +113,9 @@ def gram_matrix(ps: PointSet) -> np.ndarray:
     vanishes, so u = z (real over R), G1 has m terms and G2 = 0; leaving
     out these exact zeros changes no bit of the result.
 
-    The entries are computed one row block at a time into the result, so the
-    result is the only (n, n) array made: each entry gets the same operations
-    in the same order whatever the block, and the process's peak memory does
-    not depend on how earlier (n, n) temporaries were laid out in the heap.
+    A block holds about _BLOCK_ELEMENTS entries and each entry gets the same
+    operations in the same order whatever the block, so no (n, n) array is made
+    and peak memory does not depend on how earlier temporaries sat in the heap.
     """
     q = ps.nodes
     u = q[..., 0] if ps.field is Field.R else q[..., 0] + 1j * q[..., 1]
@@ -137,7 +124,6 @@ def gram_matrix(ps: PointSet) -> np.ndarray:
     terms = [(u.conj(), u)]
     if ps.field is Field.H:
         terms.append((u, np.concatenate([u[:, ps.m :], -u[:, : ps.m]], axis=1)))
-    cos = np.empty((ps.n, ps.n))
     rows = max(1, _BLOCK_ELEMENTS // ps.n)
     for r0 in range(0, ps.n, rows):
         sq = np.zeros((min(rows, ps.n - r0), ps.n))
@@ -147,7 +133,14 @@ def gram_matrix(ps: PointSet) -> np.ndarray:
                 g += np.multiply.outer(a, b)
             sq += g.real**2
             sq += g.imag**2
-        cos[r0 : r0 + rows] = 2.0 * sq - 1.0
+        yield r0, 2.0 * sq - 1.0
+
+
+def gram_matrix(ps: PointSet) -> np.ndarray:
+    """All pairwise projective cosines, shape (n, n); the result is the only (n, n) array made."""
+    cos = np.empty((ps.n, ps.n))
+    for r0, block in _gram_blocks(ps):
+        cos[r0 : r0 + len(block)] = block
     return cos
 
 
@@ -190,15 +183,13 @@ class _ExactSum:
         return math.fsum(self.levels.values())
 
 
-def moment_test(ps: PointSet, p: int) -> list[float]:
-    """Jacobi moments M_1 .. M_{p/2}; all vanish iff the set has cubature index p.
+def _gram_pass(ps: PointSet, p: int) -> tuple[list[float], list[tuple[int, int]]]:
+    """(M_1 .. M_{p/2}, coincident pairs i < j) from one pass over the Gram row blocks.
 
-    Each moment is the correctly rounded sum of the n^2 weighted kernel
-    values w_i w_j P_k(cos_ij), by exact extraction (`_ExactSum`) fed one row
-    block of the Gram matrix at a time, so no (n, n) temporary is made and
-    the result does not depend on the node order.  A moment below the
-    -1e-10 guard contradicts positive semidefiniteness and raises
-    NumericalError.
+    Each moment is the correctly rounded sum of the n^2 weighted kernel values
+    w_i w_j P_k(cos_ij) by exact extraction (`_ExactSum`), whatever the node order.
+    Pairs with cos_ij >= 1 - 1e-12 raise a UserWarning; a moment below the -1e-10
+    guard contradicts positive semidefiniteness and raises NumericalError.
     """
     _check_even_p(p)
     params = field_params(ps.field, ps.m)
@@ -207,23 +198,30 @@ def moment_test(ps: PointSet, p: int) -> list[float]:
     # the factor 2 covers a cosine rounded past 1
     bounds = 2.0 * w.max() ** 2 * jacobi_value_at_one_all(params, p // 2)[1:]
     sums = [_ExactSum(bound, ps.n * ps.n) for bound in bounds]
-    rows = max(1, _BLOCK_ELEMENTS // ps.n)
-    for r0 in range(0, ps.n, rows):
-        pair_w = w[r0 : r0 + rows, None] * w[None, :]
-        values = _iter_values(params, p // 2, ps.cos[r0 : r0 + rows])
+    duplicates = []
+    for r0, cos in _gram_blocks(ps):
+        i, j = np.nonzero(np.triu(cos >= 1.0 - _DUPLICATE_TOL, r0 + 1))  # j > r0 + i
+        duplicates += zip((i + r0).tolist(), j.tolist())
+        pair_w = w[r0 : r0 + len(cos), None] * w[None, :]
+        values = _iter_values(params, p // 2, cos)
         next(values)  # P_0
         for acc, p_k in zip(sums, values):
             acc.add(pair_w * p_k)
-
-    moments = []
-    for k, acc in enumerate(sums, start=1):
-        m_k = acc.total()
+    if duplicates:
+        warnings.warn(f"point set has projectively coincident node pairs: {duplicates}",
+                      stacklevel=3)
+    moments = [acc.total() for acc in sums]
+    for k, m_k in enumerate(moments, start=1):
         if m_k < _MOMENT_NEGATIVE_GUARD:
             raise NumericalError(
                 f"moment M_{k} = {m_k!r} violates nonnegativity; numerical failure"
             )
-        moments.append(m_k)
-    return moments
+    return moments, duplicates
+
+
+def moment_test(ps: PointSet, p: int) -> list[float]:
+    """Jacobi moments M_1 .. M_{p/2}, by `_gram_pass`; all vanish iff the set has index p."""
+    return _gram_pass(ps, p)[0]
 
 
 @dataclass(frozen=True)
@@ -254,7 +252,7 @@ def verify(ps: PointSet, p: int, tol: Optional[float] = None) -> VerificationRep
         tol = 1e-10 * ps.n
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    moments = moment_test(ps, p)
+    moments, duplicates = _gram_pass(ps, p)
     max_abs = max(abs(m_k) for m_k in moments)
     lp = lp_bound(ps.field, ps.m, p // 2)
     yud = yudin_bound(ps.field, ps.m, p).yudin_bound
@@ -271,7 +269,7 @@ def verify(ps: PointSet, p: int, tol: Optional[float] = None) -> VerificationRep
         yudin_bound=yud,
         tight_lp=ps.n == lp,
         tight_yudin=ps.n == yud,
-        duplicates=tuple(ps.duplicates),
+        duplicates=tuple(duplicates),
     )
 
 
@@ -315,6 +313,7 @@ def parse_point_set(doc: dict) -> tuple[PointSet, int]:
     field = Field.parse(str(doc["field"]))
     m = _json_int(doc, "m")
     p = _json_int(doc, "p")
+    _check_even_p(p)
     raw_nodes = doc["nodes"]
     if not isinstance(raw_nodes, list) or not raw_nodes:
         raise ValueError("'nodes' must be a nonempty list")

@@ -201,6 +201,16 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert "'p' must be a JSON integer, got 10.5" in err
 
+    @pytest.mark.parametrize("p", [7, 0])
+    def test_bad_p_is_a_file_error_exit_2(self, capsys, tmp_path, p):
+        path = write_circle_file(tmp_path / "c.json", 10)
+        doc = json.loads(path.read_text())
+        doc["p"] = p
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(path))  # no usage line, no SystemExit
+        assert code == 2 and out == ""
+        assert err == f"error: p must be a positive even integer, got {p}\n"
+
     def test_verbose_moments_and_note(self, capsys, tmp_path):
         path = write_circle_file(tmp_path / "c.json", 6)
         code, out, _ = run(capsys, "verify", str(path), "--verbose")

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -137,9 +138,13 @@ class TestPointSetValidation:
         nodes = np.zeros((2, 2, 4))
         nodes[0, 0, 0] = 1.0
         nodes[1, 0, 0] = -1.0  # projectively the same line
-        with pytest.warns(UserWarning, match="coincident"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # building the set runs no duplicate scan
             ps = PointSet(Field.R, 2, nodes)
-        assert ps.duplicates == [(0, 1)]
+        with pytest.warns(UserWarning, match=r"coincident node pairs: \[\(0, 1\)\]"):
+            moment_test(ps, 2)
+        with pytest.warns(UserWarning, match="coincident"):
+            assert verify(ps, 2).duplicates == ((0, 1),)
 
     def test_keeps_read_only_copies(self):
         nodes = np.zeros((2, 2, 4))
@@ -148,21 +153,29 @@ class TestPointSetValidation:
         ps = PointSet(Field.R, 2, nodes, weights)
         nodes[1] = nodes[0]  # the caller's arrays stay the caller's
         weights[:] = 0.0
-        assert ps.duplicates == [] and ps.weights.tolist() == [0.5, 0.5]
-        assert ps.nodes[1, 1, 0] == 1.0 and ps.cos[0, 1] == -1.0
-        for derived in (ps.nodes, ps.weights, ps.cos):
+        assert verify(ps, 2).duplicates == () and ps.weights.tolist() == [0.5, 0.5]
+        assert ps.nodes[1, 1, 0] == 1.0
+        for derived in (ps.nodes, ps.weights):
             with pytest.raises(ValueError, match="read-only"):
                 derived[0] = 0.0
 
-    @pytest.mark.parametrize("field", list(Field), ids=lambda f: f.name)
-    def test_duplicate_pairs_match_pairwise_scan(self, field):
+    # with 3 rows per block (30 Gram entries for n = 10) most pairs span two blocks
+    @pytest.mark.parametrize(
+        "field, block_rows",
+        [(f, None) for f in Field] + [(f, 3) for f in Field],
+        ids=[f.name for f in Field] + [f"{f.name}-3-rows" for f in Field],
+    )
+    def test_duplicate_pairs_match_pairwise_scan(self, field, block_rows, monkeypatch):
         rng = np.random.default_rng(53)
         base = random_point_set(rng, field, 3, 6)
         a = random_unit_scalar(rng, field)
         moved = np.array([(Quaternion(*coord) * a).as_array() for coord in base.nodes[4]])
         nodes = np.concatenate([base.nodes, base.nodes[[1, 1]], moved[None], base.nodes[:1]])
+        ps = PointSet(field, 3, nodes)
+        if block_rows is not None:
+            monkeypatch.setattr(projbound.cubature, "_BLOCK_ELEMENTS", block_rows * ps.n)
         with pytest.warns(UserWarning, match="coincident"):
-            ps = PointSet(field, 3, nodes)
+            duplicates = verify(ps, 2).duplicates
         want = [
             (i, j)
             for i in range(ps.n)
@@ -170,8 +183,8 @@ class TestPointSetValidation:
             if projective_cos(nodes[i], nodes[j]) >= 1.0 - 1e-12
         ]
         assert want == [(0, 9), (1, 6), (1, 7), (4, 8), (6, 7)]
-        assert ps.duplicates == want
-        assert all(type(k) is int for pair in ps.duplicates for k in pair)
+        assert duplicates == tuple(want)
+        assert all(type(k) is int for pair in duplicates for k in pair)
 
 
 class TestMomentTest:
@@ -240,10 +253,10 @@ class TestMomentTest:
             shuffled = PointSet(Field.H, 2, ps.nodes[perm], ps.weights[perm])
             # exact extraction makes each moment the correctly rounded sum, so
             # reordering the nodes, which moves kernel values between row
-            # blocks (700 rows make 8 blocks), changes nothing, bit for bit
+            # blocks (700 rows make 16 blocks), changes nothing, bit for bit
             assert moment_test(shuffled, 10) == moment_test(ps, 10)
 
-    # 512 rows split into 4 blocks of 128 exactly; 511 leaves the last one a row short
+    # 512 rows split into 8 blocks of 64 exactly; 511 leaves the last one a row short
     @pytest.mark.parametrize(
         "field, n, equal_weights",
         [(f, n, eq) for f in Field for n in (1, 511, 512) for eq in (True, False)]
@@ -251,7 +264,7 @@ class TestMomentTest:
         ids=lambda v: v.name if isinstance(v, Field) else str(v),
     )
     def test_matches_full_matrix_fsum_bit_for_bit(self, field, n, equal_weights):
-        assert _BLOCK_ELEMENTS // 511 == _BLOCK_ELEMENTS // 512 == 128
+        assert _BLOCK_ELEMENTS // 511 == _BLOCK_ELEMENTS // 512 == 64
         rng = np.random.default_rng(59)
         ps = random_point_set(rng, field, 3, n, equal_weights)
         p = 8 if n > 1000 else 16
@@ -338,6 +351,19 @@ class TestVerify:
         with pytest.raises(ValueError, match="finite and positive"):
             verify(circle_design(4), 4, tol=tol)
 
+    def test_point_set_and_verify_make_no_n_by_n_array(self):
+        rng = np.random.default_rng(83)
+        nodes = np.zeros((2000, 2, 4))
+        nodes[...] = rng.standard_normal(nodes.shape)
+        nodes /= np.sqrt((nodes**2).sum(axis=(1, 2)))[:, None, None]
+        tracemalloc.start()
+        try:
+            verify(PointSet(Field.H, 2, nodes), 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20  # one (2000, 2000) float array is 30.5 MiB
+
     def test_icosahedron_diagonals(self):
         phi = (1.0 + math.sqrt(5.0)) / 2.0
         lines = [(0, 1, phi), (0, 1, -phi), (1, phi, 0), (1, -phi, 0), (phi, 0, 1), (-phi, 0, 1)]
@@ -418,6 +444,13 @@ class TestPointSetIO:
         with pytest.raises(ValueError, match=r"weights\[2\]: expected a JSON number"):
             parse_point_set(doc)
 
+    @pytest.mark.parametrize("p", [7, 0, -2])
+    def test_p_must_be_positive_and_even(self, p):
+        doc = self.circle_doc(6)
+        doc["p"] = p
+        with pytest.raises(ValueError, match=f"p must be a positive even integer, got {p}"):
+            parse_point_set(doc)
+
     def test_weights_must_be_a_list(self):
         doc = self.circle_doc(6)
         doc["weights"] = 0.25
@@ -468,7 +501,7 @@ class TestGramMatrix:
                 )
         assert np.allclose(np.diag(g), 1.0, atol=1e-12)
 
-    # 700 rows make 8 blocks of 93 rows, the last one 49 rows
+    # 700 rows make 16 blocks of 46 rows, the last one 10 rows
     @pytest.mark.parametrize("field", list(Field), ids=lambda f: f.name)
     def test_row_blocks_match_one_block_bit_for_bit(self, field, monkeypatch):
         rng = np.random.default_rng(73)
@@ -489,14 +522,15 @@ class TestGramMatrix:
         assert peak < 36 * 2**20  # the (2000, 2000) float result is 30.5 MiB
 
     def test_computed_once_per_verify(self, monkeypatch):
-        calls = []
-        original = projbound.cubature.gram_matrix
+        passes = []
+        original = projbound.cubature._gram_blocks
 
         def counting(ps):
-            calls.append(ps.n)
+            passes.append(ps.n)
             return original(ps)
 
-        monkeypatch.setattr(projbound.cubature, "gram_matrix", counting)
+        monkeypatch.setattr(projbound.cubature, "_gram_blocks", counting)
         ps, p = load_point_set(BASIS_H_M2)
+        assert passes == []
         assert verify(ps, p).passed
-        assert calls == [ps.n]
+        assert passes == [ps.n]
