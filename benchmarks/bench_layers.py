@@ -1,6 +1,6 @@
 """In-process timings of two source trees of projbound, written as one JSON record.
 
-    python benchmarks/bench_layers.py --parent OLD/src --change src --out BENCH_9.json
+    python benchmarks/bench_layers.py --parent OLD/src --change src --out BENCH_10.json
 
 The two trees are timed in rounds that alternate between them (parent then
 change, then change then parent, and so on), so a drift of the host's speed
@@ -12,7 +12,8 @@ repetitions) and the quartiles q1 and q3 of those round values, so the
 spread of a tree's own rounds shows next to the difference between trees:
 
 * ``largest_root`` at k in {100, 1000} for (alpha, beta) in {(2, 2), (100, 1)},
-  with the recurrence cache cleared before every call, as for a new request;
+  as for a new request: a tree that caches its recurrence table has that
+  cache cleared before every call;
 * ``gram_matrix`` for a random R, m=4, n=2000 point set;
 * ``moment_test`` for random equal-weight sets: H, m=2, n=2000, p=8 and
   R, m=3, n=4000, p=4.  Where the point set does not store the Gram matrix,
@@ -85,11 +86,13 @@ def measure() -> dict:
     from projbound import cli, cubature, jacobi, specials
 
     out = {}
+    cached = getattr(jacobi, "_recurrence", None)  # only in trees that cache the table
     for alpha, beta, k in ROOT_CASES:
         params = jacobi.JacobiParams(alpha, beta)
 
         def root():
-            jacobi._recurrence.cache_clear()
+            if cached is not None:
+                cached.cache_clear()
             jacobi.largest_root(params, k)
 
         root()  # lazy imports

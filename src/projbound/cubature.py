@@ -27,9 +27,9 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import _check_even_p, lp_bound, yudin_bound
+from .bounds import _check_even_p, yudin_bound
 from .fields import Field, field_params
-from .jacobi import NumericalError, _iter_values, jacobi_value_at_one_all
+from .jacobi import NumericalError, _coefficients, _iter_values, jacobi_value_at_one_all
 
 _UNIT_NORM_TOL = 1e-12
 _DUPLICATE_TOL = 1e-12
@@ -188,7 +188,7 @@ def _gram_pass(ps: PointSet, p: int) -> tuple[list[float], list[tuple[int, int]]
 
     Each moment is the correctly rounded sum of the n^2 weighted kernel values
     w_i w_j P_k(cos_ij) by exact extraction (`_ExactSum`), whatever the node order.
-    Pairs with cos_ij >= 1 - 1e-12 raise a UserWarning; a moment below the -1e-10
+    Pairs with cos_ij >= 1 - 1e-12 count as coincident; a moment below the -1e-10
     guard contradicts positive semidefiniteness and raises NumericalError.
     """
     _check_even_p(p)
@@ -198,18 +198,16 @@ def _gram_pass(ps: PointSet, p: int) -> tuple[list[float], list[tuple[int, int]]
     # the factor 2 covers a cosine rounded past 1
     bounds = 2.0 * w.max() ** 2 * jacobi_value_at_one_all(params, p // 2)[1:]
     sums = [_ExactSum(bound, ps.n * ps.n) for bound in bounds]
+    coeffs = _coefficients(params, p // 2)
     duplicates = []
     for r0, cos in _gram_blocks(ps):
         i, j = np.nonzero(np.triu(cos >= 1.0 - _DUPLICATE_TOL, r0 + 1))  # j > r0 + i
         duplicates += zip((i + r0).tolist(), j.tolist())
         pair_w = w[r0 : r0 + len(cos), None] * w[None, :]
-        values = _iter_values(params, p // 2, cos)
+        values = _iter_values(coeffs, cos)
         next(values)  # P_0
         for acc, p_k in zip(sums, values):
             acc.add(pair_w * p_k)
-    if duplicates:
-        warnings.warn(f"point set has projectively coincident node pairs: {duplicates}",
-                      stacklevel=3)
     moments = [acc.total() for acc in sums]
     for k, m_k in enumerate(moments, start=1):
         if m_k < _MOMENT_NEGATIVE_GUARD:
@@ -220,8 +218,15 @@ def _gram_pass(ps: PointSet, p: int) -> tuple[list[float], list[tuple[int, int]]
 
 
 def moment_test(ps: PointSet, p: int) -> list[float]:
-    """Jacobi moments M_1 .. M_{p/2}, by `_gram_pass`; all vanish iff the set has index p."""
-    return _gram_pass(ps, p)[0]
+    """Jacobi moments M_1 .. M_{p/2}, by `_gram_pass`; all vanish iff the set has index p.
+
+    Coincident node pairs, which the moments cannot show, raise a UserWarning.
+    """
+    moments, duplicates = _gram_pass(ps, p)
+    if duplicates:
+        warnings.warn(f"point set has projectively coincident node pairs: {duplicates}",
+                      stacklevel=2)
+    return moments
 
 
 @dataclass(frozen=True)
@@ -245,6 +250,7 @@ class VerificationReport:
 def verify(ps: PointSet, p: int, tol: Optional[float] = None) -> VerificationReport:
     """Run the moment test and compare the cardinality against both bounds.
 
+    Coincident node pairs are reported in `duplicates`, without a warning.
     tol defaults to 1e-10 * n, matching the accumulation of n^2 unit-scale
     terms per moment.  An explicit tol must be finite and positive.
     """
@@ -254,8 +260,7 @@ def verify(ps: PointSet, p: int, tol: Optional[float] = None) -> VerificationRep
         raise ValueError(f"tol must be finite and positive, got {tol}")
     moments, duplicates = _gram_pass(ps, p)
     max_abs = max(abs(m_k) for m_k in moments)
-    lp = lp_bound(ps.field, ps.m, p // 2)
-    yud = yudin_bound(ps.field, ps.m, p).yudin_bound
+    report = yudin_bound(ps.field, ps.m, p)
     return VerificationReport(
         field=ps.field,
         m=ps.m,
@@ -265,10 +270,10 @@ def verify(ps: PointSet, p: int, tol: Optional[float] = None) -> VerificationRep
         max_abs_moment=max_abs,
         tolerance=tol,
         passed=max_abs <= tol,
-        lp_bound=lp,
-        yudin_bound=yud,
-        tight_lp=ps.n == lp,
-        tight_yudin=ps.n == yud,
+        lp_bound=report.lp_bound,
+        yudin_bound=report.yudin_bound,
+        tight_lp=ps.n == report.lp_bound,
+        tight_yudin=ps.n == report.yudin_bound,
         duplicates=tuple(duplicates),
     )
 

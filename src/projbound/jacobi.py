@@ -56,35 +56,29 @@ class JacobiParams:
         return (1.0 - t) ** self.alpha * (1.0 + t) ** self.beta
 
 
-@lru_cache(maxsize=8)
-def _recurrence(alpha: float, beta: float, k: int) -> tuple:
-    """Coefficients (c1, c2, c3, c4) of c1 P_n = (c2 + c3 t) P_{n-1} - c4 P_{n-2}, n = 2..k.
+def _coefficients(params: JacobiParams, k: int) -> list:
+    """Coefficients (c1, c2, c3, c4) of c1 P_n = (c2 + c3 t) P_{n-1} - c4 P_{n-2}, n = 1..k.
 
-    Cached: largest_root reads one table twice (Jacobi matrix, Newton polish),
-    and the verifier and the test-function tables reuse theirs across calls.
+    Row n = 1 gives P_1 from P_0 = 1 and P_{-1} = 0.
     """
-    a, b = alpha, beta
-    coeffs = []
+    a, b = params.alpha, params.beta
+    coeffs = [(2.0, a - b, a + b + 2.0, 0.0)][:k]  # no rows at k = 0
     for n in range(2, k + 1):
         c1 = 2.0 * n * (n + a + b) * (2.0 * n + a + b - 2.0)
         c2 = (2.0 * n + a + b - 1.0) * (a * a - b * b)
         c3 = (2.0 * n + a + b - 2.0) * (2.0 * n + a + b - 1.0) * (2.0 * n + a + b)
         c4 = 2.0 * (n + a - 1.0) * (n + b - 1.0) * (2.0 * n + a + b)
         coeffs.append((c1, c2, c3, c4))
-    return tuple(coeffs)
+    return coeffs
 
 
-def _iter_values(params: JacobiParams, k: int, t: np.ndarray):
-    """Yield P_0(t), ..., P_k(t) by the forward three-term recurrence."""
-    a, b = params.alpha, params.beta
-    p_prev = np.ones_like(t)
-    yield p_prev
-    if k >= 1:
-        pk = 0.5 * ((a + b + 2.0) * t + (a - b))
+def _iter_values(coeffs: list, t: np.ndarray):
+    """Yield P_0(t), ..., P_k(t) by the forward recurrence over a k-row `_coefficients` table."""
+    p_prev, pk = 0.0, np.ones_like(t)
+    yield pk
+    for c1, c2, c3, c4 in coeffs:
+        pk, p_prev = ((c2 + c3 * t) * pk - c4 * p_prev) / c1, pk
         yield pk
-        for c1, c2, c3, c4 in _recurrence(a, b, k):
-            pk, p_prev = ((c2 + c3 * t) * pk - c4 * p_prev) / c1, pk
-            yield pk
 
 
 def jacobi_eval(params: JacobiParams, k: int, t):
@@ -95,7 +89,7 @@ def jacobi_eval(params: JacobiParams, k: int, t):
     if k < 0:
         raise ValueError(f"degree must be >= 0, got {k}")
     scalar = np.isscalar(t)
-    for pk in _iter_values(params, k, np.asarray(t, dtype=float)):
+    for pk in _iter_values(_coefficients(params, k), np.asarray(t, dtype=float)):
         pass
     return float(pk) if scalar else pk
 
@@ -107,7 +101,7 @@ def jacobi_eval_all(params: JacobiParams, k_max: int, t) -> np.ndarray:
     """
     t = np.asarray(t, dtype=float)
     out = np.empty((k_max + 1,) + t.shape, dtype=float)
-    for n, pn in enumerate(_iter_values(params, k_max, t)):
+    for n, pn in enumerate(_iter_values(_coefficients(params, k_max), t)):
         out[n] = pn
     return out
 
@@ -159,28 +153,27 @@ def largest_root(params: JacobiParams, k: int) -> float:
     """Largest root of P_k, located in (-1, 1).
 
     The roots of P_k are the eigenvalues of the k x k Jacobi matrix of the
-    recurrence (Golub & Welsch 1969).  Written as
-    t P_{n-1} = A P_n + B P_{n-1} + C P_{n-2}, it is symmetric with diagonal
-    B_0..B_{k-1} and off-diagonal sqrt(A_j C_{j+1}).  LAPACK bisection gives
+    recurrence (Golub & Welsch 1969).  Row n of the coefficient table gives
+    t P_{n-1} = A_n P_n + B_n P_{n-1} + C_n P_{n-2} with A = c1/c3,
+    B = -c2/c3 and C = c4/c3, so the matrix is symmetric with diagonal
+    B_1..B_k and off-diagonal sqrt(A_n C_{n+1}).  LAPACK bisection gives
     its top eigenvalue to a few ulps; two Newton steps on P_k / P_k', run
-    over the same coefficients and rescaled together so that neither
-    overflows, polish it to near machine precision.
+    over the same table and rescaled together so that neither overflows,
+    polish it to near machine precision.
     """
     if k < 1:
         raise ValueError(f"degree must be >= 1, got {k}")
     from scipy.linalg import eigh_tridiagonal  # scipy.linalg costs import time
 
-    a, b = params.alpha, params.beta
-    coeffs = _recurrence(a, b, k)
-    c1, c2, c3, c4 = np.array(coeffs, dtype=float).reshape(-1, 4).T
-    diag = np.concatenate([[(b - a) / (a + b + 2.0)], -c2 / c3])
-    upper = np.concatenate([[2.0 / (a + b + 2.0)], c1 / c3])
-    off = np.sqrt(upper[:-1] * c4 / c3)
+    coeffs = _coefficients(params, k)
+    c1, c2, c3, c4 = np.array(coeffs).T
+    # 0.0 - c2, not -c2: a zero diagonal (alpha = beta) stays +0.0, and so does xi at k = 1
+    diag = (0.0 - c2) / c3
+    off = np.sqrt(c1[:-1] / c3[:-1] * c4[1:] / c3[1:])
     top = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(k - 1, k - 1))
     x = float(top[0])
     for _ in range(2):
-        p_prev, p = 1.0, 0.5 * ((a + b + 2.0) * x + (a - b))
-        d_prev, d = 0.0, 0.5 * (a + b + 2.0)
+        p_prev, p, d_prev, d = 0.0, 1.0, 0.0, 0.0
         for c1_n, c2_n, c3_n, c4_n in coeffs:
             s = c2_n + c3_n * x
             d, d_prev = (s * d + c3_n * p - c4_n * d_prev) / c1_n, d

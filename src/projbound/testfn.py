@@ -84,12 +84,13 @@ def build_test_function(field: Field, m: int, l: int, k_max: int = 200) -> Yudin
     coeff_h[0] = incomplete_weight_integral(params, xi)
     coeff_h[1:] = w_raised * raised_at_xi / (2.0 * k[1:])
 
-    p_r_at_xi = jacobi_eval(params, r, xi)
+    # the tail nodes of g's direct quadrature at k = r (below), and xi last
+    t_q, w_q = tail_rule(params, xi, order=64 + 2 * r)
+    p_r = jacobi_eval(params, r, np.append(t_q, xi))
+    p_r_q, p_r_at_xi = p_r[:-1], float(p_r[-1])
     with np.errstate(divide="ignore", invalid="ignore"):
         coeff_g = r * (r + lam) * p_r_at_xi / ((k - r) * (k + r + lam)) * coeff_h
     # the closed form excludes k = r; there c_r[h] = 0 and g needs direct quadrature
-    t_q, w_q = tail_rule(params, xi, order=64 + 2 * r)
-    p_r_q = jacobi_eval(params, r, t_q)
     coeff_g[r] = float(np.dot(w_q, (p_r_q - p_r_at_xi) * p_r_q))
 
     p_at_one = jacobi_value_at_one_all(params, k_max)

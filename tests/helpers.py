@@ -24,7 +24,7 @@ from scipy.special import eval_jacobi, jv, roots_jacobi
 
 from projbound.cubature import gram_matrix
 from projbound.fields import field_params
-from projbound.jacobi import _iter_values
+from projbound.jacobi import _coefficients, _iter_values
 
 
 def field_alpha_beta(delta: int, m: int) -> tuple[float, float]:
@@ -84,7 +84,7 @@ def fsum_moments(ps, p: int) -> list[float]:
     full-matrix route it replaced; both sums are correctly rounded, so they
     agree bit for bit.
     """
-    values = _iter_values(field_params(ps.field, ps.m), p // 2, gram_matrix(ps))
+    values = _iter_values(_coefficients(field_params(ps.field, ps.m), p // 2), gram_matrix(ps))
     next(values)  # P_0
     pair_w = np.outer(ps.weights, ps.weights)
     return [math.fsum((pair_w * p_k).ravel()) for p_k in values]

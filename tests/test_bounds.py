@@ -53,8 +53,9 @@ class TestLpBound:
         assert lp_bound(Field.H, 2, 2) == 6
 
     def test_quaternion_values_are_exact_integers(self):
-        for m in (2, 3, 5):
-            for q in range(1, 40):
+        # a remainder of the division by 2m-1 raises NumericalError
+        for m in (2, 3, 5, 30, 200, 300):
+            for q in [*range(1, 40), *range(40, 2001, 97)]:
                 val = lp_bound(Field.H, m, q)
                 assert isinstance(val, int) and val >= 1
 
@@ -96,6 +97,11 @@ class TestYudinBound:
         assert rep.yudin_raw == pytest.approx(4.0 / ((2.0 + xi) * (1.0 - xi) ** 2), rel=1e-12)
         assert rep.yudin_bound == 5
         assert rep.lp_bound == 6
+
+    @pytest.mark.parametrize("field", list(Field), ids=[f.name for f in Field])
+    def test_xi_at_p2_is_positive_zero(self, field):
+        # at m = 2 alpha = beta, so P_1 has its root at t = 0: xi is +0.0, not -0.0
+        assert math.copysign(1.0, yudin_bound(field, 2, 2).xi) == 1.0
 
     def test_report_invariants(self):
         rep = yudin_bound(Field.C, 3, 12)

@@ -55,6 +55,12 @@ class TestBoundCommand:
         doc = json.loads(out)
         assert (doc["lp_bound"], doc["yudin_bound"]) == (6, 5)
 
+    @pytest.mark.parametrize("field", ["R", "C", "H"])
+    def test_xi_at_p2_prints_positive_zero(self, capsys, field):
+        code, out, _ = run(capsys, "bound", "--field", field, "--m", "2", "--p", "2", "--format", "json")
+        assert code == 0
+        assert '"xi": 0.0' in out and '"xi": -0.0' not in out
+
     def test_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "bound", "--field", "C", "--m", "3", "--p", "12", "--format", "json")
         report = BoundReport.from_dict(json.loads(out))
@@ -210,6 +216,20 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", str(path))  # no usage line, no SystemExit
         assert code == 2 and out == ""
         assert err == f"error: p must be a positive even integer, got {p}\n"
+
+    def test_coincident_pair_reported_once(self, tmp_path):
+        path = tmp_path / "dup.json"
+        nodes = [[[1.0], [0.0]], [[-1.0], [0.0]], [[0.0], [1.0]]]  # nodes 0 and 1: one line
+        path.write_text(json.dumps({"field": "R", "m": 2, "p": 2, "nodes": nodes}))
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "projbound.cli", "verify", str(path)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        assert proc.stdout.count("(0, 1)") == 1
+        assert "warning: projectively coincident node pairs: [(0, 1)]\n" in proc.stdout
 
     def test_verbose_moments_and_note(self, capsys, tmp_path):
         path = write_circle_file(tmp_path / "c.json", 6)
