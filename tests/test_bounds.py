@@ -29,6 +29,8 @@ from projbound import (
 )
 from projbound.bounds import lp_bound_h_alt
 
+from helpers import lambda_factorial, mp_real_yudin
+
 
 class TestCeilSnap:
     def test_plain_ceiling(self):
@@ -48,6 +50,11 @@ class TestLpBound:
 
     def test_complex_m2_q8(self):
         assert lp_bound(Field.C, 2, 8) == 25
+
+    def test_complex_m2_floor_form(self):
+        # with q = p/2 the bound is (floor(q/2)+1)(ceil(q/2)+1) = floor((q+2)^2/4) for every q
+        for p in range(2, 4001, 2):
+            assert lp_bound(Field.C, 2, p // 2) == (p + 4) ** 2 // 16
 
     def test_quaternion_m2_q2(self):
         assert lp_bound(Field.H, 2, 2) == 6
@@ -148,6 +155,14 @@ class TestFormEquivalence:
                     yudin_bound(Field.R, m, p).yudin_raw, rel=1e-10
                 )
 
+    @pytest.mark.parametrize("m,p", [(200, 2000), (170, 4000)])
+    def test_real_large_m_forms_match_mpmath(self, m, p):
+        # (0.5 (1-eta))^(a+1), a = (m-3)/2, is subnormal or 0.0 as a float at these inputs
+        rep = yudin_bound(Field.R, m, p)
+        want = mp_real_yudin(m, rep.xi)
+        assert rep.yudin_raw == pytest.approx(want, rel=1e-12)
+        assert real_integral_ratio(m, p) == pytest.approx(want, rel=1e-12)
+
     def test_gegenbauer_root_relation(self):
         # the substitution root eta (largest root of the symmetric family at
         # degree p+1) must satisfy eta^2 = (1+xi)/2
@@ -192,12 +207,11 @@ class TestAsymptoticConstants:
         assert lambda_asym(Field.H, 2).value == pytest.approx(3072.0, rel=1e-12)
 
     def test_lambda_case_table_consistency_runs(self):
-        # the unified Gamma form is checked internally against the factorial
-        # table for every m <= 20
+        # the unified Gamma form against the exact factorial case table
         for field in Field:
             for m in range(2, 21):
-                lam = lambda_asym(field, m)
-                assert math.isfinite(lam.log_value)
+                exact = math.log(lambda_factorial(field.delta, m))
+                assert abs(lambda_asym(field, m).log_value - exact) <= 1e-10
 
     def test_lambda_overflow_returns_log(self):
         lam = lambda_asym(Field.H, 200)
@@ -210,6 +224,12 @@ class TestAsymptoticConstants:
     def test_kappa_below_one_elsewhere(self):
         assert kappa(Field.R, 3).value < 1.0
         assert kappa(Field.C, 2).value < 1.0
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_kappa_validation(self, m):
+        for field in Field:
+            with pytest.raises(ValueError, match="m must be >= 2"):
+                kappa(field, m)
 
     def test_kappa_complex_m2_value(self):
         from projbound import bessel_first_zero

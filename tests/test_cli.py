@@ -122,6 +122,13 @@ class TestTableCommand:
             main(["table", "--field", "R", "--p-min", "10", "--p-max", "4"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("p_min,p_max", [("3", "8"), ("2", "7")])
+    def test_odd_p_bound_exit_2(self, capsys, p_min, p_max):
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--field", "R", "--p-min", p_min, "--p-max", p_max])
+        assert exc.value.code == 2
+        assert "p-min and p-max must be even integers >= 2" in capsys.readouterr().err
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "table.csv"
         code, out, _ = run(
