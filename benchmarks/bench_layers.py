@@ -1,6 +1,6 @@
 """In-process timings of two source trees of projbound, written as one JSON record.
 
-    python benchmarks/bench_layers.py --parent OLD/src --change src --out BENCH_10.json
+    python benchmarks/bench_layers.py --parent OLD/src --change src --out BENCH_12.json
 
 The two trees are timed in rounds that alternate between them (parent then
 change, then change then parent, and so on), so a drift of the host's speed
@@ -11,7 +11,11 @@ over the rounds of each round's value (itself the median of its
 repetitions) and the quartiles q1 and q3 of those round values, so the
 spread of a tree's own rounds shows next to the difference between trees:
 
-* ``largest_root`` at k in {100, 1000} for (alpha, beta) in {(2, 2), (100, 1)};
+* ``largest_root`` at k in {100, 1000} for (alpha, beta) in {(2, 2), (100, 1)},
+  and at k in {2, 32} for (2, 2), per call over ``max(1, 2000 // k)`` calls:
+  at small k the cost is call overhead, not the recurrence;
+* ``hypergeom_F`` and exact-integer ``lp_bound``, per call over 200 calls, at
+  arguments like those a ``bound`` request over H passes;
 * ``gram_matrix`` for a random R, m=4, n=2000 point set;
 * ``moment_test`` for random equal-weight sets: H, m=2, n=2000, p=8 and
   R, m=3, n=4000, p=4, Gram kernel included;
@@ -43,11 +47,17 @@ import sys
 import tempfile
 import time
 
-ROOT_CASES = [(2.0, 2.0, 100), (2.0, 2.0, 1000), (100.0, 1.0, 100), (100.0, 1.0, 1000)]
+ROOT_CASES = [(2.0, 2.0, 2), (2.0, 2.0, 32), (2.0, 2.0, 100), (2.0, 2.0, 1000),
+              (100.0, 1.0, 100), (100.0, 1.0, 1000)]
+ROOT_CALLS = 2000
+#: (beta, alpha, eps) of F(-beta, alpha+1; alpha+2; eps)
+HYPERGEOM_CASES = [(1.0, 5.0, 0.02), (1.0, 597.0, 0.3)]
+LP_CASES = [("C", 4, 500), ("H", 200, 1000)]
 TABLE_ARGV = ["table", "--field", "H", "--p-min", "2", "--p-max", "1200"]
 ASYM_ARGV = ["asym", "--field", "H", "--m-max", "300"]
 BESSEL_ORDERS = [0.5, 10.0, 147.0, 598.0]
 BESSEL_NUMBER = 200
+SCALAR_NUMBER = 200
 MOMENT_CASES = [("H", 2, 2000, 8), ("R", 3, 4000, 4)]
 VERIFY_FIELD, VERIFY_M, VERIFY_P = "H", 3, 8
 VERIFY_SIZES = (2000, 4000, 10_000)
@@ -78,17 +88,41 @@ def random_nodes(delta: int, m: int, n: int, seed: int = 0):
 
 def measure() -> dict:
     """Timings of the projbound importable in this interpreter."""
-    from projbound import cli, cubature, jacobi, specials
+    from projbound import bounds, cli, cubature, jacobi, specials
 
     out = {}
     for alpha, beta, k in ROOT_CASES:
         params = jacobi.JacobiParams(alpha, beta)
+        calls = max(1, ROOT_CALLS // k)
 
-        def root():
-            jacobi.largest_root(params, k)
+        def roots():
+            for _ in range(calls):
+                jacobi.largest_root(params, k)
 
-        root()  # lazy imports
-        out[f"largest_root(alpha={alpha:g},beta={beta:g},k={k})_s"] = _median_time(root, REPS)
+        roots()  # lazy imports
+        out[f"largest_root(alpha={alpha:g},beta={beta:g},k={k})_s"] = (
+            _median_time(roots, REPS) / calls
+        )
+
+    for beta, alpha, eps in HYPERGEOM_CASES:
+
+        def hypergeoms():
+            for _ in range(SCALAR_NUMBER):
+                specials.hypergeom_F(beta, alpha, eps)
+
+        hypergeoms()  # fills the Gauss-Jacobi rule cache, as any earlier call would
+        out[f"hypergeom_F(beta={beta:g},alpha={alpha:g},eps={eps:g})_s"] = (
+            _median_time(hypergeoms, REPS) / SCALAR_NUMBER
+        )
+
+    for name, m, q in LP_CASES:
+        field = cubature.Field.parse(name)
+
+        def lps():
+            for _ in range(SCALAR_NUMBER):
+                bounds.lp_bound(field, m, q)
+
+        out[f"lp_bound({name},m={m},q={q})_s"] = _median_time(lps, REPS) / SCALAR_NUMBER
 
     ps = cubature.PointSet(cubature.Field.R, 4, random_nodes(1, 4, 2000))
     out["gram_matrix(R,m=4,n=2000)_s"] = _median_time(lambda: cubature.gram_matrix(ps), REPS)
@@ -223,7 +257,10 @@ def main() -> int:
             "machine": machine(),
             "rounds": f"{ROUNDS}, alternating which tree is timed first",
             "repetitions per round": {
-                "largest_root": REPS, "gram_matrix": REPS, "moment_test": MOMENT_REPS,
+                "largest_root": f"{REPS} x max(1, {ROOT_CALLS} // k) calls",
+                "hypergeom_F": f"{REPS} x {SCALAR_NUMBER} calls",
+                "lp_bound": f"{REPS} x {SCALAR_NUMBER} calls",
+                "gram_matrix": REPS, "moment_test": MOMENT_REPS,
                 "bessel_first_zero": f"{REPS} x {BESSEL_NUMBER} calls",
                 "table": 1, "asym": REPS, "import": 1, "verify one-shot": 1,
             },

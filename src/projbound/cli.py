@@ -143,7 +143,7 @@ def cmd_testfn(args, parser) -> int:
     return _write_csv(
         f"testfn v1 field={tf.field.name} m={tf.m} l={tf.l} xi={_fmt(tf.xi)}",
         _TESTFN_SCHEMA,
-        zip(range(tf.k_max + 1), tf.coeff_h, tf.coeff_g, tf.coeff_f),
+        zip(range(tf.k_max + 1), tf.coeff_h.tolist(), tf.coeff_g.tolist(), tf.coeff_f.tolist()),
         args.out,
     )
 

@@ -2,10 +2,10 @@
 
 Everything downstream (test functions, closed-form bounds, the design
 verifier) is built on this family, normalized so that P_k(1) = C(alpha+k, k),
-and every value of it comes from one forward three-term recurrence
-(Szego, Orthogonal Polynomials, 4.5).  The same recurrence coefficients give
-the largest root, as the top eigenvalue of the symmetric tridiagonal Jacobi
-matrix (Golub & Welsch 1969) polished by Newton steps.  Gauss-Jacobi nodes
+and every value of it comes from one forward three-term recurrence (Szego,
+Orthogonal Polynomials, 4.5) over one array of coefficients.  The same array
+gives the largest root: LAPACK bisection finds the top eigenvalue of the Jacobi
+matrix (Golub & Welsch 1969), and Newton steps polish it.  Gauss-Jacobi nodes
 serve only the integrals over a tail [xi, 1] of the weight.
 """
 
@@ -56,27 +56,35 @@ class JacobiParams:
         return (1.0 - t) ** self.alpha * (1.0 + t) ** self.beta
 
 
-def _coefficients(params: JacobiParams, k: int) -> list:
+def _coefficients(params: JacobiParams, k: int) -> np.ndarray:
     """Coefficients (c1, c2, c3, c4) of c1 P_n = (c2 + c3 t) P_{n-1} - c4 P_{n-2}, n = 1..k.
 
-    Row n = 1 gives P_1 from P_0 = 1 and P_{-1} = 0.
+    One (4, k) array, column n-1 for row n; row n = 1 gives P_1 from P_0 = 1 and
+    P_{-1} = 0.  Rows 2..k come from whole-array passes over n that take every sum
+    and product left to right, so each entry is the double a per-row loop gives.
     """
     a, b = params.alpha, params.beta
-    coeffs = [(2.0, a - b, a + b + 2.0, 0.0)][:k]  # no rows at k = 0
-    for n in range(2, k + 1):
-        c1 = 2.0 * n * (n + a + b) * (2.0 * n + a + b - 2.0)
-        c2 = (2.0 * n + a + b - 1.0) * (a * a - b * b)
-        c3 = (2.0 * n + a + b - 2.0) * (2.0 * n + a + b - 1.0) * (2.0 * n + a + b)
-        c4 = 2.0 * (n + a - 1.0) * (n + b - 1.0) * (2.0 * n + a + b)
-        coeffs.append((c1, c2, c3, c4))
+    coeffs = np.empty((4, k))
+    if k >= 1:
+        coeffs[:, 0] = (2.0, a - b, a + b + 2.0, 0.0)
+        n = np.arange(2.0, k + 1.0)
+        two_n, n_a = 2.0 * n, n + a
+        s = two_n + a + b
+        s_1, s_2 = s - 1.0, s - 2.0
+        coeffs[0, 1:] = two_n * (n_a + b) * s_2
+        coeffs[1, 1:] = s_1 * (a * a - b * b)
+        coeffs[2, 1:] = s_2 * s_1 * s
+        coeffs[3, 1:] = 2.0 * (n_a - 1.0) * (n + b - 1.0) * s
     return coeffs
 
 
-def _iter_values(coeffs: list, t: np.ndarray):
-    """Yield P_0(t), ..., P_k(t) by the forward recurrence over a k-row `_coefficients` table."""
-    p_prev, pk = 0.0, np.ones_like(t)
+def _iter_values(coeffs: np.ndarray, t: np.ndarray):
+    """Yield P_0(t), ..., P_k(t) by the forward recurrence over a (4, k) `_coefficients` table."""
+    # a 0-d t runs on Python floats: the same rounding as numpy float64, at far less cost per step
+    t, pk = (float(t), 1.0) if t.ndim == 0 else (t, np.ones_like(t))
+    p_prev = 0.0
     yield pk
-    for c1, c2, c3, c4 in coeffs:
+    for c1, c2, c3, c4 in zip(*coeffs.tolist()):
         pk, p_prev = ((c2 + c3 * t) * pk - c4 * p_prev) / c1, pk
         yield pk
 
@@ -156,30 +164,36 @@ def largest_root(params: JacobiParams, k: int) -> float:
     recurrence (Golub & Welsch 1969).  Row n of the coefficient table gives
     t P_{n-1} = A_n P_n + B_n P_{n-1} + C_n P_{n-2} with A = c1/c3,
     B = -c2/c3 and C = c4/c3, so the matrix is symmetric with diagonal
-    B_1..B_k and off-diagonal sqrt(A_n C_{n+1}).  LAPACK bisection gives
-    its top eigenvalue to a few ulps; two Newton steps on P_k / P_k', run
-    over the same table and rescaled together so that neither overflows,
-    polish it to near machine precision.
+    B_1..B_k and off-diagonal sqrt(A_n C_{n+1}).  LAPACK bisection (dstebz,
+    absolute tolerance 0) gives its top eigenvalue to a few ulps; two Newton
+    steps on P_k / P_k', over the same table as Python floats and rescaled
+    together so that neither overflows, polish it to near machine precision.
     """
     if k < 1:
         raise ValueError(f"degree must be >= 1, got {k}")
-    from scipy.linalg import eigh_tridiagonal  # scipy.linalg costs import time
-
     coeffs = _coefficients(params, k)
-    c1, c2, c3, c4 = np.array(coeffs).T
+    c1, c2, c3, c4 = coeffs
     # 0.0 - c2, not -c2: a zero diagonal (alpha = beta) stays +0.0, and so does xi at k = 1
     diag = (0.0 - c2) / c3
-    off = np.sqrt(c1[:-1] / c3[:-1] * c4[1:] / c3[1:])
-    top = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(k - 1, k - 1))
-    x = float(top[0])
+    if k == 1:
+        x = float(diag[0])
+    else:
+        from scipy.linalg.lapack import dstebz  # scipy.linalg costs import time
+
+        off = np.sqrt(c1[:-1] / c3[:-1] * c4[1:] / c3[1:])
+        _, w, _, _, info = dstebz(diag, off, 2, 0.0, 1.0, k, k, 0.0, "E")
+        if info != 0:
+            raise NumericalError(f"dstebz failed with info={info} for k={k}, {params}")
+        x = float(w[0])
+    rows, big, small = list(zip(*coeffs.tolist())), _RESCALE, -_RESCALE
     for _ in range(2):
         p_prev, p, d_prev, d = 0.0, 1.0, 0.0, 0.0
-        for c1_n, c2_n, c3_n, c4_n in coeffs:
+        for c1_n, c2_n, c3_n, c4_n in rows:
             s = c2_n + c3_n * x
             d, d_prev = (s * d + c3_n * p - c4_n * d_prev) / c1_n, d
             p, p_prev = (s * p - c4_n * p_prev) / c1_n, p
-            if abs(p) > _RESCALE or abs(d) > _RESCALE:
-                p, p_prev, d, d_prev = (v / _RESCALE for v in (p, p_prev, d, d_prev))
+            if p > big or p < small or d > big or d < small:
+                p, p_prev, d, d_prev = (v / big for v in (p, p_prev, d, d_prev))
         x -= p / d
     return x
 

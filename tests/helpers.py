@@ -6,11 +6,14 @@ geometric quadrature over the sphere, special-function references from
 mpmath, Gauss-Jacobi rules from scipy's Golub-Welsch nodes, projective
 cosines from scalar quaternion products, largest Jacobi roots from a sign
 scan over scipy's eval_jacobi.  Agreement between these and the package is
-the point of the tests.  Two exceptions share the package's route on
+the point of the tests.  Some exceptions share the package's route on
 purpose and pin one step of it bit for bit: fsum_moments takes the
-package's kernel values and checks the moment summation alone, and
+package's Gram cosines and checks the recurrence and moment summation;
 bessel_first_zero_scan runs the package's Bessel-zero algorithm one order
-and one scalar jv call at a time and checks the array-valued solver's path.
+and one scalar jv call at a time and checks the array-valued solver's path;
+loop_coefficients and largest_root_eigh are the per-row Jacobi coefficient
+loop and the eigh_tridiagonal root that the package's array-built table and
+direct LAPACK call replaced, and pin both to the same doubles.
 """
 
 from __future__ import annotations
@@ -20,11 +23,10 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import eval_jacobi, jv, roots_jacobi
 
 from projbound.cubature import gram_matrix
-from projbound.fields import field_params
-from projbound.jacobi import _coefficients, _iter_values
 
 
 def field_alpha_beta(delta: int, m: int) -> tuple[float, float]:
@@ -77,17 +79,65 @@ def projective_cos(x, y) -> float:
     return 2.0 * float(np.dot(inner, inner)) - 1.0
 
 
+def loop_coefficients(alpha: float, beta: float, k: int) -> list[tuple]:
+    """Rows (c1, c2, c3, c4) of c1 P_n = (c2 + c3 t) P_{n-1} - c4 P_{n-2}, n = 1..k, one at a time.
+
+    The per-row loop the package's array-built `_coefficients` replaced;
+    the two must give the same doubles.
+    """
+    a, b = alpha, beta
+    coeffs = [(2.0, a - b, a + b + 2.0, 0.0)][:k]  # no rows at k = 0
+    for n in range(2, k + 1):
+        c1 = 2.0 * n * (n + a + b) * (2.0 * n + a + b - 2.0)
+        c2 = (2.0 * n + a + b - 1.0) * (a * a - b * b)
+        c3 = (2.0 * n + a + b - 2.0) * (2.0 * n + a + b - 1.0) * (2.0 * n + a + b)
+        c4 = 2.0 * (n + a - 1.0) * (n + b - 1.0) * (2.0 * n + a + b)
+        coeffs.append((c1, c2, c3, c4))
+    return coeffs
+
+
+def largest_root_eigh(alpha: float, beta: float, k: int) -> float:
+    """Largest root of P_k by eigh_tridiagonal on the Jacobi matrix of `loop_coefficients`.
+
+    The route the package's direct LAPACK dstebz call replaced: the same
+    matrix, scipy's wrapper around the same bisection, and the same two
+    rescaled Newton steps; the two must give the same double.
+    """
+    coeffs = loop_coefficients(alpha, beta, k)
+    c1, c2, c3, c4 = np.array(coeffs).T
+    diag = (0.0 - c2) / c3
+    off = np.sqrt(c1[:-1] / c3[:-1] * c4[1:] / c3[1:])
+    top = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(k - 1, k - 1))
+    x = float(top[0])
+    for _ in range(2):
+        p_prev, p, d_prev, d = 0.0, 1.0, 0.0, 0.0
+        for c1_n, c2_n, c3_n, c4_n in coeffs:
+            s = c2_n + c3_n * x
+            d, d_prev = (s * d + c3_n * p - c4_n * d_prev) / c1_n, d
+            p, p_prev = (s * p - c4_n * p_prev) / c1_n, p
+            if abs(p) > 1e100 or abs(d) > 1e100:
+                p, p_prev, d, d_prev = (v / 1e100 for v in (p, p_prev, d, d_prev))
+        x -= p / d
+    return x
+
+
 def fsum_moments(ps, p: int) -> list[float]:
     """M_1 .. M_{p/2} of a PointSet by math.fsum over the whole (n, n) weighted matrix.
 
-    The same kernel values w_i w_j P_k(cos_ij) as moment_test, summed by the
-    full-matrix route it replaced; both sums are correctly rounded, so they
-    agree bit for bit.
+    The kernel values w_i w_j P_k(cos_ij) come from the package's Gram
+    cosines, `loop_coefficients` and a recurrence loop of this function's
+    own, and are summed by the full-matrix route moment_test replaced; both
+    sums are correctly rounded, so they agree bit for bit.
     """
-    values = _iter_values(_coefficients(field_params(ps.field, ps.m), p // 2), gram_matrix(ps))
-    next(values)  # P_0
+    alpha, beta = field_alpha_beta(ps.field.delta, ps.m)
+    cos = gram_matrix(ps)
     pair_w = np.outer(ps.weights, ps.weights)
-    return [math.fsum((pair_w * p_k).ravel()) for p_k in values]
+    p_prev, p_k = 0.0, np.ones_like(cos)
+    moments = []
+    for c1, c2, c3, c4 in loop_coefficients(alpha, beta, p // 2):
+        p_k, p_prev = ((c2 + c3 * cos) * p_k - c4 * p_prev) / c1, p_k
+        moments.append(math.fsum((pair_w * p_k).ravel()))
+    return moments
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,30 @@ from projbound import (
     largest_root,
     tau,
 )
-from projbound.jacobi import jacobi_norm_nu_all, jacobi_value_at_one_all
+from projbound.jacobi import _coefficients, jacobi_norm_nu_all, jacobi_value_at_one_all
 
-from helpers import gauss_jacobi, largest_root_scan, monomial_moment, mp_jacobi
+from helpers import (
+    gauss_jacobi,
+    largest_root_eigh,
+    largest_root_scan,
+    loop_coefficients,
+    monomial_moment,
+    mp_jacobi,
+)
 
 FIELD_PARAMS = [field_params(f, m) for f in Field for m in range(2, 7)]
+
+#: parameter sets on which the table, the root and scalar values are pinned to the per-row
+#: loop; the field tables are exact small integers whatever the order of operations, so
+#: the last two, not dyadic, are the ones that catch a reordered product
+PINNED_PARAMS = [field_params(f, m) for f in Field for m in (2, 3, 4, 16, 58, 200, 300)] + [
+    JacobiParams(-0.5, -0.5),
+    JacobiParams(100.0, 1.0),
+    JacobiParams(399.0, 2.0),
+    JacobiParams(0.37, -0.21),
+    JacobiParams(123.456, 7.89),
+]
+PINNED_DEGREES = [0, 1, 2, 3, 7, 64, 600, 1000, 2000]
 
 
 def binom_general(a: float, k: int) -> float:
@@ -60,6 +79,25 @@ class TestEval:
         table = jacobi_eval_all(params, 12, t)
         for k in range(13):
             assert np.allclose(table[k], jacobi_eval(params, k, t), rtol=1e-14)
+
+    @pytest.mark.parametrize("params", PINNED_PARAMS, ids=str)
+    def test_scalar_route_matches_array_route_bit_for_bit(self, params):
+        # a scalar t runs on Python floats, an array t on numpy: same doubles,
+        # and the same inf or NaN where P_k overflows (alpha = 399, k = 2000)
+        for k in PINNED_DEGREES:
+            for t in (-0.83, 0.0, 0.41, 0.999, 1.0):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want = jacobi_eval(params, k, np.array([t]))
+                got = [jacobi_eval(params, k, t), jacobi_eval_all(params, k, t)[k]]
+                assert np.array_equal(got, [want[0]] * 2, equal_nan=True)
+
+    @pytest.mark.parametrize("params", PINNED_PARAMS, ids=str)
+    def test_coefficient_table_matches_row_loop_bit_for_bit(self, params):
+        for k in PINNED_DEGREES:
+            table = _coefficients(params, k)
+            want = np.array(loop_coefficients(params.alpha, params.beta, k), dtype=float)
+            assert table.shape == (4, k)
+            assert np.array_equal(table, want.reshape(k, 4).T)
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
@@ -194,6 +232,23 @@ class TestLargestRoot:
     def test_rejects_degree_zero(self):
         with pytest.raises(ValueError):
             largest_root(JacobiParams(0, 0), 0)
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        import scipy.linalg.lapack
+
+        def failed(d, e, *args):
+            return 0, np.zeros_like(d), None, None, 1
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dstebz", failed)
+        with pytest.raises(NumericalError, match="info=1"):
+            largest_root(JacobiParams(2.0, 0.5), 5)
+
+    @pytest.mark.parametrize("params", PINNED_PARAMS, ids=str)
+    def test_matches_eigh_tridiagonal_route_bit_for_bit(self, params):
+        for k in PINNED_DEGREES[1:]:
+            want = largest_root_eigh(params.alpha, params.beta, k)
+            got = largest_root(params, k)
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
     @pytest.mark.parametrize(
         "alpha,beta", [(-0.5, -0.5), (0.5, -0.5), (2, 2), (1.5, 0.5), (100, 1)]
