@@ -1,6 +1,6 @@
 """In-process timings of two source trees of projbound, written as one JSON record.
 
-    python benchmarks/bench_layers.py --parent OLD/src --change src --out BENCH_12.json
+    python benchmarks/bench_layers.py --parent OLD/src --change src --out BENCH_13.json
 
 The two trees are timed in rounds that alternate between them (parent then
 change, then change then parent, and so on), so a drift of the host's speed
@@ -22,12 +22,18 @@ spread of a tree's own rounds shows next to the difference between trees:
 * one-order ``bessel_first_zero`` at nu in {0.5, 10, 147, 598}, per call over
   200 calls: a single zero, as ``kappa`` and ``root_asymptotic_ratio`` ask;
 * ``table --field H --p-min 2 --p-max 1200`` and ``asym --field H --m-max 300``
-  through ``cli.main``;
+  through ``cli.main``, and ``asym`` again with its zeros already solved;
 * ``import projbound.cli`` in a new interpreter;
-* a one-shot ``python -m projbound.cli verify`` of a random H, m=3, p=8
+* a one-shot ``python -m projbound.cli asym --field H --m-max 300``, and a
+  one-shot ``python -m projbound.cli verify`` of a random H, m=3, p=8
   point-set file with n in {2000, 4000, 10000}: wall time of the whole
   process (seconds) and its maximum resident set size (MiB, from
   ``os.wait4``).
+
+The package keeps each solved Bessel zero in a per-process memo
+(``specials._ZERO_CACHE``).  Every ``bessel_first_zero`` and ``asym`` entry
+but the one named as warm empties it before each timed call, so it times
+the solver, not a lookup; a tree without the memo is timed as it is.
 
 The record also holds the machine: CPU count and model, Python, numpy and
 scipy versions.  Not part of the test suite; takes about ten minutes.
@@ -136,10 +142,12 @@ def measure() -> dict:
         )
         del ps
 
+    zero_memo = getattr(specials, "_ZERO_CACHE", {})
     for nu in BESSEL_ORDERS:
 
         def zeros():
             for _ in range(BESSEL_NUMBER):
+                zero_memo.clear()
                 specials.bessel_first_zero(nu)
 
         out[f"bessel_first_zero(nu={nu:g})_s"] = _median_time(zeros, REPS) / BESSEL_NUMBER
@@ -148,9 +156,14 @@ def measure() -> dict:
         with contextlib.redirect_stdout(io.StringIO()):
             cli.main(argv)
 
+    def run_asym_cold():
+        zero_memo.clear()
+        run_cli(ASYM_ARGV)
+
     out["cli " + " ".join(TABLE_ARGV) + "_s"] = _median_time(lambda: run_cli(TABLE_ARGV), 1)
-    run_cli(ASYM_ARGV)  # warm-up, not timed
-    out["cli " + " ".join(ASYM_ARGV) + "_s"] = _median_time(lambda: run_cli(ASYM_ARGV), REPS)
+    run_asym_cold()  # warm-up, not timed
+    out["cli " + " ".join(ASYM_ARGV) + "_s"] = _median_time(run_asym_cold, REPS)
+    out["cli " + " ".join(ASYM_ARGV) + " warm_s"] = _median_time(lambda: run_cli(ASYM_ARGV), REPS)
     return out
 
 
@@ -164,19 +177,19 @@ def _import_time(src: str) -> float:
                                 capture_output=True, text=True).stdout)
 
 
-def _verify_run(src: str, path: str) -> tuple[float, float]:
-    """Wall seconds and maximum RSS (MiB) of one ``verify`` process."""
+def _one_shot(src: str, argv: list) -> tuple[float, float]:
+    """Wall seconds and maximum RSS (MiB) of one ``python -m projbound.cli`` process."""
     env = dict(os.environ, PYTHONPATH=src)
     with tempfile.TemporaryFile() as err:
         start = time.perf_counter()
-        proc = subprocess.Popen([sys.executable, "-m", "projbound.cli", "verify", path],
+        proc = subprocess.Popen([sys.executable, "-m", "projbound.cli", *argv],
                                 env=env, stdout=subprocess.DEVNULL, stderr=err)
         _, status, usage = os.wait4(proc.pid, 0)
         elapsed = time.perf_counter() - start
         proc.returncode = os.waitstatus_to_exitcode(status)
-        if proc.returncode not in (0, 1):
+        if proc.returncode not in (0, 1):  # verify exits 1 on a failed design
             err.seek(0)
-            raise RuntimeError(f"verify exited {proc.returncode}: {err.read().decode()}")
+            raise RuntimeError(f"{argv[0]} exited {proc.returncode}: {err.read().decode()}")
     return elapsed, usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
 
 
@@ -191,15 +204,17 @@ def write_verify_file(directory: str, n: int) -> str:
 
 
 def run_round(src: str, verify_files: dict) -> dict:
-    """One round of every timing for one tree: a fresh child, one import, one verify per n."""
+    """One round of every timing for one tree: a fresh child, one import, the one-shot CLI runs."""
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, __file__, "--child"], env=env, check=True,
                           capture_output=True, text=True)
     timings = json.loads(proc.stdout)
     timings["import projbound.cli_s"] = _import_time(src)
+    case = "cli " + " ".join(ASYM_ARGV) + " one-shot"
+    timings[f"{case}_s"], timings[f"{case}_max_rss_mb"] = _one_shot(src, ASYM_ARGV)
     for n, path in verify_files.items():
         case = f"cli verify one-shot({VERIFY_FIELD},m={VERIFY_M},n={n},p={VERIFY_P})"
-        timings[f"{case}_s"], timings[f"{case}_max_rss_mb"] = _verify_run(src, path)
+        timings[f"{case}_s"], timings[f"{case}_max_rss_mb"] = _one_shot(src, ["verify", path])
     return timings
 
 
@@ -262,7 +277,8 @@ def main() -> int:
                 "lp_bound": f"{REPS} x {SCALAR_NUMBER} calls",
                 "gram_matrix": REPS, "moment_test": MOMENT_REPS,
                 "bessel_first_zero": f"{REPS} x {BESSEL_NUMBER} calls",
-                "table": 1, "asym": REPS, "import": 1, "verify one-shot": 1,
+                "table": 1, "asym": REPS, "asym warm": REPS, "import": 1,
+                "asym one-shot": 1, "verify one-shot": 1,
             },
             **run_trees(trees, {n: write_verify_file(tmp, n) for n in VERIFY_SIZES}),
         }

@@ -1,9 +1,9 @@
 """Special functions: log-Gamma, a Gauss 2F1 value, Bessel J and its first zero.
 
 Only the narrow slices needed by the bound formulas are exposed: the
-hypergeometric value F(-beta, alpha+1; alpha+2; eps) that appears in the
-closed-form bound, and the first positive zero j_{nu,1} that governs its
-large-p behavior, for one order or for an array of orders at once.
+hypergeometric value F(-beta, alpha+1; alpha+2; eps) of the closed-form
+bound, and the first positive zero j_{nu,1} behind its large-p behavior,
+for an array of orders at once, each solved once while a bounded memo keeps it.
 """
 
 from __future__ import annotations
@@ -23,6 +23,9 @@ _SCAN_STEP = 1.5
 
 #: Gauss-Jacobi order of the Euler integral behind hypergeom_F
 _HYPERGEOM_ORDER = 64
+
+_ZERO_CACHE: dict[float, tuple[float, float]] = {}  # bessel_first_zeros: nu -> (zero, residual)
+_ZERO_CACHE_SIZE = 1 << 14  # most orders _ZERO_CACHE holds, about 2-3 MB
 
 
 def log_gamma(x: float) -> float:
@@ -82,13 +85,26 @@ def bessel_first_zeros(nus) -> list[BesselZero]:
     scipy.special.jv call on the orders still running, and an order drops
     out of the arrays once it is bracketed or converged.  Every operation is
     elementwise, so each zero and residual is the same double that solving
-    its order alone gives.
+    its order alone gives.  A memo keyed by the order's float value keeps the
+    zeros of every batch that passed all its checks, so each order is solved
+    once per process; an insert past _ZERO_CACHE_SIZE orders empties it first.
     """
     nu = np.asarray(nus, dtype=float)
     if nu.ndim != 1:
         raise ValueError(f"bessel_first_zeros takes a 1-D sequence of orders, got shape {nu.shape}")
     if not np.all(nu >= 0.0):
-        raise ValueError(f"bessel_first_zero requires nu >= 0, got {nu[~(nu >= 0.0)][0]}")
+        raise ValueError(f"bessel_first_zeros requires nu >= 0, got {nu[~(nu >= 0.0)][0]}")
+    orders = nu.tolist()
+    found = {n: z for n in orders if (z := _ZERO_CACHE.get(n))}  # one get, atomic against clear()
+    if missing := [n for n in dict.fromkeys(orders) if n not in found]:
+        found.update(zip(missing, zip(*_solve_first_zeros(np.array(missing)))))
+        if len(_ZERO_CACHE) + len(missing) > _ZERO_CACHE_SIZE:
+            _ZERO_CACHE.clear()
+        _ZERO_CACHE.update((n, found[n]) for n in missing[:_ZERO_CACHE_SIZE])
+    return [BesselZero(n, *found[n]) for n in orders]  # the requested nu: -0.0 stays -0.0
+
+
+def _solve_first_zeros(nu: np.ndarray) -> tuple[list[float], list[float]]:
     lower = np.sqrt(nu * (nu + 2.0))
     upper = np.sqrt(2.0 * (nu + 1.0) * (nu + 3.0))
 
@@ -100,7 +116,7 @@ def bessel_first_zeros(nus) -> list[BesselZero]:
     while run.size:
         stuck = ~(x < up + _SCAN_STEP)
         if np.count_nonzero(stuck):
-            raise NumericalError(f"bessel_first_zero: bracketing failed for nu={n_run[stuck][0]}")
+            raise NumericalError(f"bessel_first_zeros: bracketing failed for nu={n_run[stuck][0]}")
         x_next = x + _SCAN_STEP
         f_next = _besselj(n_run, x_next)
         neg = f_next < 0.0
@@ -113,7 +129,7 @@ def bessel_first_zeros(nus) -> list[BesselZero]:
             )
         x, f = x_next, f_next
     if np.count_nonzero(f_lo <= 0.0):
-        raise NumericalError(f"bessel_first_zero: bracketing failed for nu={nu[f_lo <= 0.0][0]}")
+        raise NumericalError(f"bessel_first_zeros: bracketing failed for nu={nu[f_lo <= 0.0][0]}")
 
     # Newton from the midpoint; invariant: J_nu(lo) > 0 > J_nu(hi).  One jv
     # call gives J_nu(x) and J_{nu-1}(x), one row of `orders` each.
@@ -137,23 +153,22 @@ def bessel_first_zeros(nus) -> list[BesselZero]:
                 keep = ~done
                 run, orders, x, lo, hi = run[keep], orders[:, keep], x[keep], lo[keep], hi[keep]
     if run.size:
-        raise NumericalError(f"bessel_first_zero: no convergence for nu={orders[0, 0]}")
+        raise NumericalError(f"bessel_first_zeros: no convergence for nu={orders[0, 0]}")
 
     residual = np.abs(_besselj(nu, value))
     escaped = ~((lower < value) & (value < upper))
     if escaped.any():
         i = int(np.argmax(escaped))
-        raise NumericalError(f"bessel_first_zero: {value[i]} escaped bracket for nu={nu[i]}")
+        raise NumericalError(f"bessel_first_zeros: {value[i]} escaped bracket for nu={nu[i]}")
     large = residual > 1e-12
     if large.any():
         i = int(np.argmax(large))
-        raise NumericalError(f"bessel_first_zero: residual {residual[i]} too large for nu={nu[i]}")
-    return [
-        BesselZero(nu=n, value=v, residual=r)
-        for n, v, r in zip(nu.tolist(), value.tolist(), residual.tolist())
-    ]
+        raise NumericalError(f"bessel_first_zeros: residual {residual[i]} too large for nu={nu[i]}")
+    return value.tolist(), residual.tolist()
 
 
 def bessel_first_zero(nu: float) -> BesselZero:
     """First positive zero j_{nu,1}: the one-order case of bessel_first_zeros."""
+    if not nu >= 0.0:
+        raise ValueError(f"bessel_first_zero requires nu >= 0, got {nu}")
     return bessel_first_zeros([nu])[0]

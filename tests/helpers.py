@@ -14,6 +14,8 @@ and one scalar jv call at a time and checks the array-valued solver's path;
 loop_coefficients and largest_root_eigh are the per-row Jacobi coefficient
 loop and the eigh_tridiagonal root that the package's array-built table and
 direct LAPACK call replaced, and pin both to the same doubles.
+clear_bessel_zero_memo empties the package's per-order memo of first zeros,
+so a test that needs a cold solve gets one.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import eval_jacobi, jv, roots_jacobi
 
+from projbound import specials
 from projbound.cubature import gram_matrix
 
 
@@ -254,6 +257,11 @@ def bessel_first_zero_scan(nu: float) -> tuple[float, float]:
             return x_new, abs(float(jv(nu, x_new)))
         x = x_new
     raise RuntimeError(f"bessel_first_zero_scan: no convergence for nu={nu}")
+
+
+def clear_bessel_zero_memo() -> None:
+    """Empty the memo of bessel_first_zeros, so its next call solves every order it gets."""
+    specials._ZERO_CACHE.clear()
 
 
 def mp_jacobi(alpha: float, beta: float, k: int, x: float, dps: int = 60):

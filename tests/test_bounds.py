@@ -29,7 +29,7 @@ from projbound import (
 )
 from projbound.bounds import lp_bound_h_alt
 
-from helpers import lambda_factorial, mp_real_yudin
+from helpers import clear_bessel_zero_memo, lambda_factorial, mp_real_yudin
 
 
 class TestCeilSnap:
@@ -266,10 +266,15 @@ class TestAsymptoticConstants:
             calls.append(nu)
             return original(nu, x)
 
+        clear_bessel_zero_memo()
         monkeypatch.setattr(projbound.specials, "_besselj", counting)
         rows = asymptotic_report(Field.H, range(2, 301))
         assert len(rows) == 299
         assert len(calls) <= 80
+        # a second report over the same orders reads every zero from the memo
+        calls.clear()
+        assert asymptotic_report(Field.H, range(2, 301)) == rows
+        assert calls == []
 
     def test_rows_carry_the_bessel_residual(self):
         for field in Field:
