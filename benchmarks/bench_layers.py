@@ -1,6 +1,6 @@
 """In-process timings of two source trees of projbound, written as one JSON record.
 
-    python benchmarks/bench_layers.py --parent OLD/src --change src --out BENCH_13.json
+    python benchmarks/bench_layers.py --parent OLD/src --change src --out BENCH_14.json
 
 The two trees are timed in rounds that alternate between them (parent then
 change, then change then parent, and so on), so a drift of the host's speed
@@ -23,6 +23,9 @@ spread of a tree's own rounds shows next to the difference between trees:
   200 calls: a single zero, as ``kappa`` and ``root_asymptotic_ratio`` ask;
 * ``table --field H --p-min 2 --p-max 1200`` and ``asym --field H --m-max 300``
   through ``cli.main``, and ``asym`` again with its zeros already solved;
+* the rows alone, without the CLI's CSV writer: ``asymptotic_report`` over H,
+  m = 2..300, with its zeros already solved, per call over 20 calls, and
+  ``oscillation_report(200)``;
 * ``import projbound.cli`` in a new interpreter;
 * a one-shot ``python -m projbound.cli asym --field H --m-max 300``, and a
   one-shot ``python -m projbound.cli verify`` of a random H, m=3, p=8
@@ -61,6 +64,8 @@ HYPERGEOM_CASES = [(1.0, 5.0, 0.02), (1.0, 597.0, 0.3)]
 LP_CASES = [("C", 4, 500), ("H", 200, 1000)]
 TABLE_ARGV = ["table", "--field", "H", "--p-min", "2", "--p-max", "1200"]
 ASYM_ARGV = ["asym", "--field", "H", "--m-max", "300"]
+ASYM_ROWS_NUMBER = 20
+OSCILLATION_P_MAX = 200
 BESSEL_ORDERS = [0.5, 10.0, 147.0, 598.0]
 BESSEL_NUMBER = 200
 SCALAR_NUMBER = 200
@@ -164,6 +169,16 @@ def measure() -> dict:
     run_asym_cold()  # warm-up, not timed
     out["cli " + " ".join(ASYM_ARGV) + "_s"] = _median_time(run_asym_cold, REPS)
     out["cli " + " ".join(ASYM_ARGV) + " warm_s"] = _median_time(lambda: run_cli(ASYM_ARGV), REPS)
+
+    def asym_rows():
+        for _ in range(ASYM_ROWS_NUMBER):
+            bounds.asymptotic_report(bounds.Field.H, range(2, 301))
+
+    asym_rows()  # solves the zeros, so the timed calls build rows only
+    out["asymptotic_report(H,m=2..300) warm_s"] = _median_time(asym_rows, REPS) / ASYM_ROWS_NUMBER
+    out[f"oscillation_report({OSCILLATION_P_MAX})_s"] = _median_time(
+        lambda: bounds.oscillation_report(OSCILLATION_P_MAX), REPS
+    )
     return out
 
 
@@ -277,7 +292,9 @@ def main() -> int:
                 "lp_bound": f"{REPS} x {SCALAR_NUMBER} calls",
                 "gram_matrix": REPS, "moment_test": MOMENT_REPS,
                 "bessel_first_zero": f"{REPS} x {BESSEL_NUMBER} calls",
-                "table": 1, "asym": REPS, "asym warm": REPS, "import": 1,
+                "table": 1, "asym": REPS, "asym warm": REPS,
+                "asymptotic_report warm": f"{REPS} x {ASYM_ROWS_NUMBER} calls",
+                "oscillation_report": REPS, "import": 1,
                 "asym one-shot": 1, "verify one-shot": 1,
             },
             **run_trees(trees, {n: write_verify_file(tmp, n) for n in VERIFY_SIZES}),

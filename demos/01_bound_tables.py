@@ -6,26 +6,20 @@ script prints the full difference tables and the oscillation pattern of
 their discrete derivatives.
 """
 
-from projbound import Field, delta_C, delta_H, oscillation_report, yudin_bound
+from projbound import Field, oscillation_report, yudin_bound
 
 print("Complex line, delta_C(p) = rounded convolution bound - LP bound")
 print(f"{'p':>4} {'lp':>6} {'raw':>14} {'rounded':>8} {'delta':>6}")
 for p in range(2, 91, 2):
     rep = yudin_bound(Field.C, 2, p)
-    print(
-        f"{p:>4} {rep.lp_bound:>6} {rep.yudin_raw:>14.6f} "
-        f"{rep.yudin_bound:>8} {delta_C(p):>6}"
-    )
+    print(f"{p:>4} {rep.lp_bound:>6} {rep.yudin_raw:>14.6f} {rep.yudin_bound:>8} {rep.delta:>6}")
 
 print()
 print("Quaternionic line, delta_H(p)")
 print(f"{'p':>4} {'lp':>6} {'raw':>14} {'rounded':>8} {'delta':>6}")
 for p in range(2, 51, 2):
     rep = yudin_bound(Field.H, 2, p)
-    print(
-        f"{p:>4} {rep.lp_bound:>6} {rep.yudin_raw:>14.6f} "
-        f"{rep.yudin_bound:>8} {delta_H(p):>6}"
-    )
+    print(f"{p:>4} {rep.lp_bound:>6} {rep.yudin_raw:>14.6f} {rep.yudin_bound:>8} {rep.delta:>6}")
 
 print()
 print("Second differences of delta_H alternate in sign; first differences")

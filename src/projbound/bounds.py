@@ -273,15 +273,14 @@ def asymptotic_report(field: Field, m_list) -> list[AsymptoticRow]:
     m_list = list(m_list)
     zeros = bessel_first_zeros([d * (m - 1) / 2.0 for m in m_list])
     for m, zero in zip(m_list, zeros):
-        params = field_params(field, m)
-        a, b = params.alpha, params.beta
-        nu, j1 = zero.nu, zero.value
-        log_kap = 2.0 * nu * math.log(j1) - 2.0 * log_gamma(nu + 1.0) - nu * math.log(16.0)
         lam = lambda_asym(field, m)
+        nu, j1 = zero.nu, zero.value
+        lg_nu = log_gamma(nu + 1.0)
+        log_kap = 2.0 * nu * math.log(j1) - 2.0 * lg_nu - nu * math.log(16.0)
         log_approx = -math.log(math.pi * d * m) + d * (m - 1) * (1.0 - math.log(4.0))
+        # the Jacobi parameters' a+2, b+1, a+b+2 are exactly nu+1, d/2, d*m/2
         testfn_log = (
-            log_gamma(a + 2.0) + log_gamma(b + 1.0) - log_gamma(a + b + 2.0)
-            - d * (m - 1) * math.log(j1)
+            lg_nu + log_gamma(d / 2.0) - log_gamma(d * m / 2.0) - d * (m - 1) * math.log(j1)
         )
         rows.append(
             AsymptoticRow(
@@ -327,6 +326,11 @@ class OscillationReport:
     c_rows: list
 
 
+def _differences(values: list) -> list:
+    """[None, v1 - v0, v2 - v1, ...]; a difference with a None operand is None."""
+    return [None] + [None if u is None or v is None else v - u for u, v in zip(values, values[1:])]
+
+
 def oscillation_report(p_max: int) -> OscillationReport:
     """First/second differences of delta_H and delta_C up to p_max (even, >= 8).
 
@@ -337,40 +341,34 @@ def oscillation_report(p_max: int) -> OscillationReport:
     if p_max < 8 or p_max % 2 != 0:
         raise ValueError(f"p_max must be an even integer >= 8, got {p_max}")
     ps = list(range(2, p_max + 1, 2))
-    dh = {p: delta_H(p) for p in ps}
-    dc = {p: delta_C(p) for p in ps}
+    dh, dc = [delta_H(p) for p in ps], [delta_C(p) for p in ps]
+    d1h, d1c = _differences(dh), _differences(dc)
+    d2h = _differences(d1h)
 
     h_rows = []
-    d1h = {p: dh[p] - dh[p - 2] for p in ps if p >= 4}
-    d2h = {p: d1h[p] - d1h[p - 2] for p in ps if p >= 6}
-    for p in ps:
-        d2 = d2h.get(p)
+    for p, delta, d1, d2 in zip(ps, dh, d1h, d2h):
         expected = 1 if (p // 2 + 1) % 2 == 0 else -1
         match = None if d2 is None else (d2 > 0) == (expected > 0) and d2 != 0
         h_rows.append(
             OscillationRow(
                 p=p,
-                delta=dh[p],
-                d1=d1h.get(p),
+                delta=delta,
+                d1=d1,
                 d2=d2,
                 d2_sign_expected=expected if d2 is not None else None,
                 d2_sign_match=match,
             )
         )
 
-    c_rows = []
-    d1c = {p: dc[p] - dc[p - 2] for p in ps if p >= 4}
-    for p in ps:
-        d1 = d1c.get(p)
-        prev = d1c.get(p - 2)
-        c_rows.append(
-            MonotonicityRow(
-                p=p,
-                delta=dc[p],
-                d1=d1,
-                d1_nondecreasing=None if (d1 is None or prev is None) else d1 >= prev,
-            )
+    c_rows = [
+        MonotonicityRow(
+            p=p,
+            delta=delta,
+            d1=d1,
+            d1_nondecreasing=None if (d1 is None or prev is None) else d1 >= prev,
         )
+        for p, delta, d1, prev in zip(ps, dc, d1c, [None] + d1c)
+    ]
     return OscillationReport(h_rows=h_rows, c_rows=c_rows)
 
 

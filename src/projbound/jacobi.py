@@ -63,6 +63,8 @@ def _coefficients(params: JacobiParams, k: int) -> np.ndarray:
     P_{-1} = 0.  Rows 2..k come from whole-array passes over n that take every sum
     and product left to right, so each entry is the double a per-row loop gives.
     """
+    if k < 0:
+        raise ValueError(f"degree must be >= 0, got {k}")
     a, b = params.alpha, params.beta
     coeffs = np.empty((4, k))
     if k >= 1:
@@ -94,8 +96,6 @@ def jacobi_eval(params: JacobiParams, k: int, t):
 
     Degree-k polynomial with P_k(1) = C(alpha+k, k); t may lie outside [-1, 1].
     """
-    if k < 0:
-        raise ValueError(f"degree must be >= 0, got {k}")
     scalar = np.isscalar(t)
     for pk in _iter_values(_coefficients(params, k), np.asarray(t, dtype=float)):
         pass
@@ -107,9 +107,9 @@ def jacobi_eval_all(params: JacobiParams, k_max: int, t) -> np.ndarray:
 
     Returns an array of shape (k_max+1,) + shape(t).
     """
-    t = np.asarray(t, dtype=float)
+    coeffs, t = _coefficients(params, k_max), np.asarray(t, dtype=float)  # rejects k_max < 0 first
     out = np.empty((k_max + 1,) + t.shape, dtype=float)
-    for n, pn in enumerate(_iter_values(_coefficients(params, k_max), t)):
+    for n, pn in enumerate(_iter_values(coeffs, t)):
         out[n] = pn
     return out
 

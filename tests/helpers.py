@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import mpmath
 import numpy as np
@@ -326,9 +327,18 @@ def monomial_moment(alpha: float, beta: float, j: int) -> float:
         return float(mpmath.mpf(2) ** (alpha + beta + 1) * total)
 
 
+@lru_cache(maxsize=None)
+def _tail_rule(order: int, alpha: float):
+    """scipy's Gauss-Jacobi rule for (1-u)^alpha on (-1, 1), built once per (order, alpha)."""
+    u, w = roots_jacobi(order, alpha, 0.0)
+    u.setflags(write=False)
+    w.setflags(write=False)
+    return u, w
+
+
 def quad_tail(alpha: float, beta: float, xi: float, f, order: int = 96) -> float:
     """integral of f(t) (1-t)^alpha (1+t)^beta over [xi, 1] by mapped Gauss-Jacobi."""
-    u, w = roots_jacobi(order, alpha, 0.0)
+    u, w = _tail_rule(order, alpha)
     t = 0.5 * ((1.0 + xi) + (1.0 - xi) * u)
     scale = (0.5 * (1.0 - xi)) ** (alpha + 1.0)
     return scale * float(np.dot(w * (1.0 + t) ** beta, f(t)))

@@ -257,6 +257,25 @@ class TestAsymptoticConstants:
                 row.nu * 2.0 * math.log(2.0) + row.log_kappa, rel=1e-12
             )
 
+    def test_testfn_constant_matches_jacobi_parameter_form(self):
+        # the test-function constant Gamma(a+2) Gamma(b+1) / Gamma(a+b+2) / j^{d(m-1)},
+        # built here from the field's Jacobi parameters
+        for field in Field:
+            d = field.delta
+            for row in asymptotic_report(field, range(2, 301)):
+                params = field_params(field, row.m)
+                a, b = params.alpha, params.beta
+                want = (
+                    log_gamma(a + 2.0) + log_gamma(b + 1.0) - log_gamma(a + b + 2.0)
+                    - d * (row.m - 1) * math.log(row.bessel_zero)
+                )
+                assert row.testfn_liminf_log == want
+
+    def test_report_validation(self):
+        for field in Field:
+            with pytest.raises(ValueError, match="m must be >= 2"):
+                asymptotic_report(field, [2, 1])
+
     def test_one_zero_solve_per_report(self, monkeypatch):
         # the per-order solves made about 13,000 jv calls for this report
         calls = []
@@ -325,6 +344,29 @@ class TestOscillationReport:
         middle = window_mean(42, 66)
         late = window_mean(68, 90)
         assert early < middle < late
+
+    @pytest.mark.parametrize("p_max", [8, 90])
+    def test_rows_match_recomputed_differences(self, p_max):
+        ps = range(2, p_max + 1, 2)
+        dh = {p: delta_H(p) for p in ps}
+        dc = {p: delta_C(p) for p in ps}
+        rep = oscillation_report(p_max)
+        assert [row.p for row in rep.h_rows] == [row.p for row in rep.c_rows] == list(ps)
+        for row in rep.h_rows:
+            p = row.p
+            d1 = dh[p] - dh[p - 2] if p >= 4 else None
+            d2 = d1 - (dh[p - 2] - dh[p - 4]) if p >= 6 else None
+            expected = (-1) ** (p // 2 + 1) if d2 is not None else None
+            match = None if d2 is None else d2 != 0 and (d2 > 0) == (expected > 0)
+            assert (row.delta, row.d1, row.d2) == (dh[p], d1, d2)
+            assert row.d2_sign_expected == expected
+            assert row.d2_sign_match is match
+        for row in rep.c_rows:
+            p = row.p
+            d1 = dc[p] - dc[p - 2] if p >= 4 else None
+            prev = dc[p - 2] - dc[p - 4] if p >= 6 else None
+            assert (row.delta, row.d1) == (dc[p], d1)
+            assert row.d1_nondecreasing is (None if prev is None else d1 >= prev)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -107,6 +107,12 @@ class TestEval:
         with pytest.raises(ValueError):
             jacobi_eval(JacobiParams(0, 0), -1, 0.0)
 
+    @pytest.mark.parametrize("k", [-1, -2])
+    @pytest.mark.parametrize("evaluate", [jacobi_eval, jacobi_eval_all])
+    def test_negative_degree_rejected(self, evaluate, k):
+        with pytest.raises(ValueError, match=f"degree must be >= 0, got {k}"):
+            evaluate(JacobiParams(1.0, 0.5), k, 0.3)
+
 
 class TestDeriv:
     def test_linear(self):
