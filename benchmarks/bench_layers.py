@@ -1,6 +1,6 @@
 """In-process timings of two source trees of projbound, written as one JSON record.
 
-    python benchmarks/bench_layers.py --parent OLD/src --change src --out BENCH_14.json
+    python benchmarks/bench_layers.py --parent OLD/src --change src --out BENCH_15.json
 
 The two trees are timed in rounds that alternate between them (parent then
 change, then change then parent, and so on), so a drift of the host's speed
@@ -39,7 +39,7 @@ but the one named as warm empties it before each timed call, so it times
 the solver, not a lookup; a tree without the memo is timed as it is.
 
 The record also holds the machine: CPU count and model, Python, numpy and
-scipy versions.  Not part of the test suite; takes about ten minutes.
+scipy versions.  Not part of the test suite; takes about twenty minutes.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ VERIFY_FIELD, VERIFY_M, VERIFY_P = "H", 3, 8
 VERIFY_SIZES = (2000, 4000, 10_000)
 REPS = 5
 MOMENT_REPS = 3
-ROUNDS = 5
+ROUNDS = 10
 
 
 def _median_time(fn, reps: int) -> float:

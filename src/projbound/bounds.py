@@ -219,17 +219,10 @@ def _exp_safe(x: float) -> float:
 def lambda_asym(field: Field, m: int) -> LogScaled:
     """Constant lambda(m) in the large-p growth of the LP bound, p^{d(m-1)} / lambda.
 
-    Unified Gamma form, evaluated in the log domain.
+    lambda = Gamma(dm/2) Gamma(nu+1) 4^{d(m-1)} / Gamma(d/2), nu = d(m-1)/2, in
+    the log domain.  The one-m case of asymptotic_report.
     """
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
-    d = field.delta
-    log_val = (
-        log_gamma(d * m / 2.0)
-        + log_gamma(d * (m - 1) / 2.0 + 1.0)
-        - log_gamma(d / 2.0)
-        + 2.0 * d * (m - 1) * math.log(2.0)
-    )
+    log_val = -asymptotic_report(field, [m])[0].lp_liminf_log
     return LogScaled(value=_exp_safe(log_val), log_value=log_val)
 
 
@@ -240,8 +233,6 @@ def kappa(field: Field, m: int) -> LogScaled:
     below 1 except in the real m=2 case, and exponentially small in m.  The
     one-m case of asymptotic_report.
     """
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
     row = asymptotic_report(field, [m])[0]
     return LogScaled(value=row.kappa, log_value=row.log_kappa)
 
@@ -271,17 +262,15 @@ def asymptotic_report(field: Field, m_list) -> list[AsymptoticRow]:
     rows = []
     d = field.delta
     m_list = list(m_list)
+    for m in m_list:
+        if m < 2:
+            raise ValueError(f"m must be >= 2, got {m}")
     zeros = bessel_first_zeros([d * (m - 1) / 2.0 for m in m_list])
     for m, zero in zip(m_list, zeros):
-        lam = lambda_asym(field, m)
         nu, j1 = zero.nu, zero.value
-        lg_nu = log_gamma(nu + 1.0)
+        lg_nu, lg_d, lg_dm = log_gamma(nu + 1.0), log_gamma(d / 2.0), log_gamma(d * m / 2.0)
         log_kap = 2.0 * nu * math.log(j1) - 2.0 * lg_nu - nu * math.log(16.0)
         log_approx = -math.log(math.pi * d * m) + d * (m - 1) * (1.0 - math.log(4.0))
-        # the Jacobi parameters' a+2, b+1, a+b+2 are exactly nu+1, d/2, d*m/2
-        testfn_log = (
-            lg_nu + log_gamma(d / 2.0) - log_gamma(d * m / 2.0) - d * (m - 1) * math.log(j1)
-        )
         rows.append(
             AsymptoticRow(
                 m=m,
@@ -292,8 +281,10 @@ def asymptotic_report(field: Field, m_list) -> list[AsymptoticRow]:
                 log_kappa=log_kap,
                 log_kappa_approx=log_approx,
                 log_ratio=log_kap - log_approx,
-                lp_liminf_log=-lam.log_value,
-                testfn_liminf_log=testfn_log,
+                # 1/lambda and Gamma(a+2) Gamma(b+1) / Gamma(a+b+2) / j^{d(m-1)}, whose
+                # a+2, b+1, a+b+2 are exactly nu+1, d/2, d*m/2
+                lp_liminf_log=-(lg_dm + lg_nu - lg_d + 2.0 * d * (m - 1) * math.log(2.0)),
+                testfn_liminf_log=lg_nu + lg_d - lg_dm - d * (m - 1) * math.log(j1),
                 gap_factor_log=d * (m - 1) * math.log(2.0) + log_kap,
             )
         )

@@ -29,7 +29,7 @@ import numpy as np
 
 from .bounds import _check_even_p, yudin_bound
 from .fields import Field, field_params
-from .jacobi import NumericalError, _coefficients, _iter_values, jacobi_value_at_one_all
+from .jacobi import NumericalError, _coefficients, _iter_values
 
 _UNIT_NORM_TOL = 1e-12
 _DUPLICATE_TOL = 1e-12
@@ -153,15 +153,15 @@ class _ExactSum:
     For |x| <= 2^e_j, q = (sigma_j + x) - sigma_j is a multiple of
     2^-53 sigma_j, x - q is exact and at most 2^e_{j+1}, and every sum of up
     to `count` such q is exact.  So each level's running sum is exact, and
-    fsum of the few level sums rounds the exact total once.  The a-priori
-    `bound` anchors e_0; a value above it lands on a level j < 0, which is
-    exact all the same.
+    fsum of the few level sums rounds the exact total once.  The largest
+    magnitude of the first nonzero chunk anchors e_0; a later value above it
+    lands on a level j < 0, which is exact all the same.
     """
 
-    def __init__(self, bound: float, count: int):
+    def __init__(self, count: int):
         self.shift = (count + 1).bit_length()
         self.step = 52 - self.shift
-        self.top = math.frexp(bound)[1]
+        self.top: Optional[int] = None
         self.levels: dict[int, float] = {}
 
     def add(self, x: np.ndarray) -> None:
@@ -171,6 +171,8 @@ class _ExactSum:
             largest = max(x.max(), -x.min())
             if largest == 0.0:
                 return
+            if self.top is None:
+                self.top = math.frexp(largest)[1]
             # the first level j with 2^e_j >= largest, as largest < 2^E for frexp's E
             j = (self.top - math.frexp(largest)[1]) // self.step
             sigma = math.ldexp(1.0, self.top - j * self.step + self.shift)
@@ -192,13 +194,9 @@ def _gram_pass(ps: PointSet, p: int) -> tuple[list[float], list[tuple[int, int]]
     guard contradicts positive semidefiniteness and raises NumericalError.
     """
     _check_even_p(p)
-    params = field_params(ps.field, ps.m)
     w = ps.weights
-    # alpha >= beta >= -1/2 for every field, so |P_k| <= P_k(1) on [-1, 1];
-    # the factor 2 covers a cosine rounded past 1
-    bounds = 2.0 * w.max() ** 2 * jacobi_value_at_one_all(params, p // 2)[1:]
-    sums = [_ExactSum(bound, ps.n * ps.n) for bound in bounds]
-    coeffs = _coefficients(params, p // 2)
+    sums = [_ExactSum(ps.n * ps.n) for _ in range(p // 2)]
+    coeffs = _coefficients(field_params(ps.field, ps.m), p // 2)
     duplicates = []
     for r0, cos in _gram_blocks(ps):
         i, j = np.nonzero(np.triu(cos >= 1.0 - _DUPLICATE_TOL, r0 + 1))  # j > r0 + i

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import projbound.bounds
 import projbound.specials
 from projbound import (
     BoundReport,
@@ -230,6 +231,8 @@ class TestAsymptoticConstants:
         for field in Field:
             with pytest.raises(ValueError, match="m must be >= 2"):
                 kappa(field, m)
+            with pytest.raises(ValueError, match="m must be >= 2"):
+                lambda_asym(field, m)
 
     def test_kappa_complex_m2_value(self):
         from projbound import bessel_first_zero
@@ -271,10 +274,45 @@ class TestAsymptoticConstants:
                 )
                 assert row.testfn_liminf_log == want
 
+    def test_lp_constant_matches_jacobi_parameter_form(self):
+        # 1/lambda = Gamma(b+1) / (Gamma(a+b+2) Gamma(a+2) 4^{d(m-1)}), built here from
+        # the field's Jacobi parameters
+        for field in Field:
+            d = field.delta
+            for row in asymptotic_report(field, range(2, 301)):
+                params = field_params(field, row.m)
+                a, b = params.alpha, params.beta
+                want = -(
+                    log_gamma(a + b + 2.0) + log_gamma(a + 2.0) - log_gamma(b + 1.0)
+                    + 2.0 * d * (row.m - 1) * math.log(2.0)
+                )
+                assert row.lp_liminf_log == want
+
+    def test_three_log_gammas_per_row(self, monkeypatch):
+        calls = []
+        original = projbound.bounds.log_gamma
+
+        def counting(x):
+            calls.append(x)
+            return original(x)
+
+        rows = asymptotic_report(Field.H, range(2, 301))  # the zeros are solved
+        monkeypatch.setattr(projbound.bounds, "log_gamma", counting)
+        assert asymptotic_report(Field.H, range(2, 301)) == rows
+        assert len(calls) <= 3 * len(rows)
+
     def test_report_validation(self):
         for field in Field:
             with pytest.raises(ValueError, match="m must be >= 2"):
                 asymptotic_report(field, [2, 1])
+            # checked before any zero is solved
+            for m_list in ([0], [2, 0]):
+                with pytest.raises(ValueError, match="m must be >= 2, got 0"):
+                    asymptotic_report(field, m_list)
+            clear_bessel_zero_memo()
+            with pytest.raises(ValueError, match="m must be >= 2, got 1"):
+                asymptotic_report(field, [1])
+            assert projbound.specials._ZERO_CACHE == {}
 
     def test_one_zero_solve_per_report(self, monkeypatch):
         # the per-order solves made about 13,000 jv calls for this report

@@ -311,9 +311,11 @@ class TestExactSum:
     @pytest.mark.parametrize("anchor", [1.0, 1e-20, 1e20])
     def test_matches_fsum_in_any_chunks(self, case, anchor):
         x = self.adversarial(case)
-        bound = anchor * (float(np.abs(x).max()) or 1.0)  # a misplaced anchor stays exact
+        # a first chunk [b, -b] anchors the ladder at b; a misplaced anchor stays exact
+        b = anchor * (float(np.abs(x).max()) or 1.0)
         for pieces in (1, 7):
-            acc = _ExactSum(bound, x.size)
+            acc = _ExactSum(x.size + 2)
+            acc.add(np.array([b, -b]))
             for chunk in np.array_split(x, min(pieces, x.size)):
                 acc.add(chunk.copy())
             assert acc.total() == math.fsum(x)
