@@ -1,6 +1,6 @@
 """In-process timings of two source trees of projbound, written as one JSON record.
 
-    python benchmarks/bench_layers.py --parent OLD/src --change src --out BENCH_15.json
+    python benchmarks/bench_layers.py --parent OLD/src --change src --out BENCH_16.json
 
 The two trees are timed in rounds that alternate between them (parent then
 change, then change then parent, and so on), so a drift of the host's speed
@@ -27,8 +27,9 @@ spread of a tree's own rounds shows next to the difference between trees:
   m = 2..300, with its zeros already solved, per call over 20 calls, and
   ``oscillation_report(200)``;
 * ``import projbound.cli`` in a new interpreter;
-* a one-shot ``python -m projbound.cli asym --field H --m-max 300``, and a
-  one-shot ``python -m projbound.cli verify`` of a random H, m=3, p=8
+* one-shot ``python -m projbound.cli`` runs of ``bound --field C --m 3 --p 40``,
+  ``table --field H --p-min 2 --p-max 1200`` and ``asym --field H --m-max 300``,
+  where import is much of the time, and of ``verify`` on a random H, m=3, p=8
   point-set file with n in {2000, 4000, 10000}: wall time of the whole
   process (seconds) and its maximum resident set size (MiB, from
   ``os.wait4``).
@@ -62,6 +63,7 @@ ROOT_CALLS = 2000
 #: (beta, alpha, eps) of F(-beta, alpha+1; alpha+2; eps)
 HYPERGEOM_CASES = [(1.0, 5.0, 0.02), (1.0, 597.0, 0.3)]
 LP_CASES = [("C", 4, 500), ("H", 200, 1000)]
+BOUND_ARGV = ["bound", "--field", "C", "--m", "3", "--p", "40"]
 TABLE_ARGV = ["table", "--field", "H", "--p-min", "2", "--p-max", "1200"]
 ASYM_ARGV = ["asym", "--field", "H", "--m-max", "300"]
 ASYM_ROWS_NUMBER = 20
@@ -225,8 +227,9 @@ def run_round(src: str, verify_files: dict) -> dict:
                           capture_output=True, text=True)
     timings = json.loads(proc.stdout)
     timings["import projbound.cli_s"] = _import_time(src)
-    case = "cli " + " ".join(ASYM_ARGV) + " one-shot"
-    timings[f"{case}_s"], timings[f"{case}_max_rss_mb"] = _one_shot(src, ASYM_ARGV)
+    for argv in (BOUND_ARGV, TABLE_ARGV, ASYM_ARGV):
+        case = "cli " + " ".join(argv) + " one-shot"
+        timings[f"{case}_s"], timings[f"{case}_max_rss_mb"] = _one_shot(src, argv)
     for n, path in verify_files.items():
         case = f"cli verify one-shot({VERIFY_FIELD},m={VERIFY_M},n={n},p={VERIFY_P})"
         timings[f"{case}_s"], timings[f"{case}_max_rss_mb"] = _one_shot(src, ["verify", path])
@@ -295,7 +298,8 @@ def main() -> int:
                 "table": 1, "asym": REPS, "asym warm": REPS,
                 "asymptotic_report warm": f"{REPS} x {ASYM_ROWS_NUMBER} calls",
                 "oscillation_report": REPS, "import": 1,
-                "asym one-shot": 1, "verify one-shot": 1,
+                "bound one-shot": 1, "table one-shot": 1, "asym one-shot": 1,
+                "verify one-shot": 1,
             },
             **run_trees(trees, {n: write_verify_file(tmp, n) for n in VERIFY_SIZES}),
         }

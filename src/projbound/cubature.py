@@ -8,17 +8,18 @@ weighted set; a strictly negative value therefore flags a numerical problem,
 not a failed design.
 
 Nodes are stored as quaternion coordinate quadruples for all three fields
-(real and complex scalars are embedded with vanishing imaginary parts), so a
-single inner-product kernel serves R, C and H.  The kernel splits each
-quaternion q = z + w j into the complex pair z = q0 + i q1, w = q2 + i q3 and
-works in C^{2m}.  The Gram matrix is never stored: one pass per moment test
-computes it a row block at a time, and each block feeds the duplicate scan
-and the moment sums.  The sums are correctly rounded by exact extraction, so
-a moment does not depend on the node order.
+(real and complex scalars are embedded with vanishing imaginary parts).  The
+kernel |(x, y)|^2 is a sum of real products in a fixed order, without BLAS, so
+cos_ij and cos_ji are the same double and the pass forms each pair i <= j once,
+with pair weight w_i^2 or 2 w_i w_j.  The Gram matrix is never stored: the
+pairs come a row block at a time, each feeding the duplicate scan and the
+moment sums.  Those are correctly rounded by exact extraction and doubling is
+exact, so a moment is the rounded sum over all n^2 ordered pairs in any order.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import warnings
@@ -100,47 +101,53 @@ class PointSet:
         self.n = n
 
 
-def _gram_blocks(ps: PointSet):
-    """Yield (r0, cos[r0:r1]): the projective cosines of rows r0..r1-1 with every node.
+def _features(ps: PointSet) -> tuple[np.ndarray, np.ndarray]:
+    """(left, right), each (D, n): real node features with |(x, y)|^2 = sum_f left_f right_f.
 
-    Each node x, with quaternion coordinates q = z + w j, maps to
-    u = (z, conj(w)) in C^{2m}.  Then (x, y) = u_x^H u_y + (u_x^T J u_y) j
-    with J u = (u[m:], -u[:m]), so |(x, y)|^2 = |G1|^2 + |G2|^2 for
-    G1 = conj(U) U^T and G2 = U (J U)^T.  Both are accumulated as
-    elementwise outer products instead of a BLAS product: BLAS rounds an
-    entry by its position in a tile, so a permuted point set would not get
-    the permuted Gram matrix bit for bit.  Over R and C the w half of u
-    vanishes, so u = z (real over R), G1 has m terms and G2 = 0; leaving
-    out these exact zeros changes no bit of the result.
-
-    A block holds about _BLOCK_ELEMENTS entries and each entry gets the same
-    operations in the same order whatever the block, so no (n, n) array is made
-    and peak memory does not depend on how earlier temporaries sat in the heap.
+    Over R: the coordinates, and the sum is (x, y), to be squared.  Over C and H:
+    |x_a|^2, then the delta components of X_ab = x_a conj(x_b), a < b, doubled on
+    the left, as |(x, y)|^2 = sum_a |x_a|^2 |y_a|^2 + 2 sum_{a<b} <X_ab, Y_ab>.
     """
-    q = ps.nodes
-    u = q[..., 0] if ps.field is Field.R else q[..., 0] + 1j * q[..., 1]
-    if ps.field is Field.H:
-        u = np.concatenate([u, q[..., 2] - 1j * q[..., 3]], axis=1)
-    terms = [(u.conj(), u)]
-    if ps.field is Field.H:
-        terms.append((u, np.concatenate([u[:, ps.m :], -u[:, : ps.m]], axis=1)))
-    rows = max(1, _BLOCK_ELEMENTS // ps.n)
-    for r0 in range(0, ps.n, rows):
-        sq = np.zeros((min(rows, ps.n - r0), ps.n))
-        for left, right in terms:
-            g = np.zeros(sq.shape, dtype=u.dtype)
-            for a, b in zip(left[r0 : r0 + rows].T, right.T):
-                g += np.multiply.outer(a, b)
-            sq += g.real**2
-            sq += g.imag**2
-        yield r0, 2.0 * sq - 1.0
+    q = np.moveaxis(ps.nodes, -1, 0)  # (4, n, m)
+    if ps.field is Field.R:
+        return q[0].T, q[0].T
+    a, b = np.triu_indices(ps.m, 1)
+    z, w = q[0] + 1j * q[1], q[2] + 1j * q[3]
+    x = z[:, a] * z[:, b].conj() + w[:, a] * w[:, b].conj()
+    y = w[:, a] * z[:, b] - z[:, a] * w[:, b]
+    off = np.concatenate([x.real, x.imag, y.real, y.imag][: ps.field.delta], axis=1).T
+    diag = (q * q).sum(axis=0).T
+    return np.concatenate([diag, 2.0 * off]), np.concatenate([diag, off])
+
+
+def _gram_pairs(ps: PointSet):
+    """Yield (r0, keep, cos): the projective cosines of the pairs i <= j in rows r0.. .
+
+    keep masks j >= i over the block's rows and columns r0..n-1, and cos holds
+    those pairs row by row, about _BLOCK_ELEMENTS of them.  The products of
+    `_features` are added one feature at a time as elementwise outer products;
+    BLAS would round an entry by its place in a tile, so cos_ij != cos_ji.
+    """
+    left, right = _features(ps)
+    r0 = 0
+    while r0 < ps.n:
+        width = ps.n - r0
+        rows = min(width, max(1, _BLOCK_ELEMENTS // width))
+        g = np.multiply.outer(left[0, r0 : r0 + rows], right[0, r0:])
+        for a, b in zip(left[1:, r0 : r0 + rows], right[1:, r0:]):
+            g += np.multiply.outer(a, b)
+        keep = np.arange(width) >= np.arange(rows)[:, None]
+        g = g[keep]
+        yield r0, keep, 2.0 * (g * g if ps.field is Field.R else g) - 1.0
+        r0 += rows
 
 
 def gram_matrix(ps: PointSet) -> np.ndarray:
     """All pairwise projective cosines, shape (n, n); the result is the only (n, n) array made."""
     cos = np.empty((ps.n, ps.n))
-    for r0, block in _gram_blocks(ps):
-        cos[r0 : r0 + len(block)] = block
+    for r0, keep, block in _gram_pairs(ps):
+        cos[r0 : r0 + len(keep), r0:][keep] = block
+        cos[r0:, r0 : r0 + len(keep)].T[keep] = block
     return cos
 
 
@@ -186,22 +193,28 @@ class _ExactSum:
 
 
 def _gram_pass(ps: PointSet, p: int) -> tuple[list[float], list[tuple[int, int]]]:
-    """(M_1 .. M_{p/2}, coincident pairs i < j) from one pass over the Gram row blocks.
+    """(M_1 .. M_{p/2}, coincident pairs i < j) from one pass over the pairs i <= j.
 
-    Each moment is the correctly rounded sum of the n^2 weighted kernel values
-    w_i w_j P_k(cos_ij) by exact extraction (`_ExactSum`), whatever the node order.
+    Each moment is the correctly rounded sum of the n^2 values w_i w_j P_k(cos_ij), whatever
+    the node order: a pair i < j counts twice, exactly, and `_ExactSum` rounds once.
     Pairs with cos_ij >= 1 - 1e-12 count as coincident; a moment below the -1e-10
     guard contradicts positive semidefiniteness and raises NumericalError.
     """
     _check_even_p(p)
     w = ps.weights
-    sums = [_ExactSum(ps.n * ps.n) for _ in range(p // 2)]
+    sums = [_ExactSum(ps.n * (ps.n + 1) // 2) for _ in range(p // 2)]
     coeffs = _coefficients(field_params(ps.field, ps.m), p // 2)
     duplicates = []
-    for r0, cos in _gram_blocks(ps):
-        i, j = np.nonzero(np.triu(cos >= 1.0 - _DUPLICATE_TOL, r0 + 1))  # j > r0 + i
-        duplicates += zip((i + r0).tolist(), j.tolist())
-        pair_w = w[r0 : r0 + len(cos), None] * w[None, :]
+    for r0, keep, cos in _gram_pairs(ps):
+        hits = np.flatnonzero(cos >= 1.0 - _DUPLICATE_TOL)
+        a = np.arange(len(keep))
+        starts = a * keep.shape[1] - a * (a - 1) // 2  # row a holds n - r0 - a pairs
+        i = np.searchsorted(starts, hits, side="right") - 1
+        j = hits - starts[i] + i
+        duplicates += zip((r0 + i[i < j]).tolist(), (r0 + j[i < j]).tolist())
+        pair_w = 2.0 * w[r0 : r0 + len(keep), None] * w[r0:]  # 2 (w_i w_j) exactly
+        np.fill_diagonal(pair_w, w[r0 : r0 + len(keep)] ** 2)
+        pair_w = pair_w[keep]
         values = _iter_values(coeffs, cos)
         next(values)  # P_0
         for acc, p_k in zip(sums, values):
@@ -293,10 +306,13 @@ def _json_float(value, where: str) -> float:
         raise ValueError(f"{where}: {value} is outside the float range") from None
 
 
-def _embed_scalar(components, delta: int, where: str) -> list[float]:
-    if not isinstance(components, (list, tuple)) or len(components) != delta:
-        raise ValueError(f"{where}: expected {delta} real components, got {components!r}")
-    return [_json_float(c, where) for c in components] + [0.0] * (4 - delta)
+def _json_floats(raw: list, shape: tuple) -> Optional[np.ndarray]:
+    """Nested lists of JSON numbers as a float array of `shape`, in array passes; else None."""
+    values = np.array(raw, dtype=object)  # may nest deeper than numpy iterates, so shape first
+    if values.shape == shape and all(t is not bool and issubclass(t, (int, float))
+                                     for t in set(map(type, values.flat))):
+        with contextlib.suppress(OverflowError):  # an integer beyond the float range
+            return values.astype(float)  # float(v) for each v
 
 
 def parse_point_set(doc: dict) -> tuple[PointSet, int]:
@@ -306,7 +322,7 @@ def parse_point_set(doc: dict) -> tuple[PointSet, int]:
              "nodes": [[[scalar components] x m] x n], "weights": [n reals]?}
     with delta components per scalar (1 real / 2 complex / 4 quaternion).
     Omitted weights default to 1/n, i.e. the set is tested as a projective
-    (p/2)-design.
+    (p/2)-design.  A list the array pass rejects is walked to name its first bad entry.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"point set document must be an object, got {type(doc).__name__}")
@@ -320,19 +336,28 @@ def parse_point_set(doc: dict) -> tuple[PointSet, int]:
     raw_nodes = doc["nodes"]
     if not isinstance(raw_nodes, list) or not raw_nodes:
         raise ValueError("'nodes' must be a nonempty list")
-    nodes = []
-    for i, node in enumerate(raw_nodes):
+    scalars = _json_floats(raw_nodes, (len(raw_nodes), m, field.delta))
+    for i, node in enumerate(raw_nodes if scalars is None else ()):  # raises on a bad entry
         if not isinstance(node, list) or len(node) != m:
             raise ValueError(f"nodes[{i}]: expected {m} coordinates, got {node!r}")
-        nodes.append(
-            [_embed_scalar(c, field.delta, f"nodes[{i}][{j}]") for j, c in enumerate(node)]
-        )
+        for j, c in enumerate(node):
+            where = f"nodes[{i}][{j}]"
+            if not isinstance(c, (list, tuple)) or len(c) != field.delta:
+                raise ValueError(f"{where}: expected {field.delta} real components, got {c!r}")
+            for value in c:
+                _json_float(value, where)
+    nodes = np.zeros((len(raw_nodes), m, 4))
+    if scalars is not None:  # None here only for m = 0, which PointSet rejects
+        nodes[..., : field.delta] = scalars
     weights = doc.get("weights")
     if weights is not None:
         if not isinstance(weights, list):
             raise ValueError(f"'weights' must be a list, got {weights!r}")
-        weights = [_json_float(w, f"weights[{i}]") for i, w in enumerate(weights)]
-    return PointSet(field, m, np.array(nodes), weights), p
+        values = _json_floats(weights, (len(weights),))
+        if values is None:
+            values = [_json_float(w, f"weights[{i}]") for i, w in enumerate(weights)]
+        weights = values
+    return PointSet(field, m, nodes, weights), p
 
 
 def load_point_set(path) -> tuple[PointSet, int]:

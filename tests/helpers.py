@@ -9,6 +9,8 @@ scan over scipy's eval_jacobi.  Agreement between these and the package is
 the point of the tests.  Some exceptions share the package's route on
 purpose and pin one step of it bit for bit: fsum_moments takes the
 package's Gram cosines and checks the recurrence and moment summation;
+frozen_gram_pass is the full-square complex-pair pass the package's half
+pass over node pairs replaced, and pins the real moments to the same doubles;
 bessel_first_zero_scan runs the package's Bessel-zero algorithm one order
 and one scalar jv call at a time and checks the array-valued solver's path;
 loop_coefficients and largest_root_eigh are the per-row Jacobi coefficient
@@ -125,16 +127,17 @@ def largest_root_eigh(alpha: float, beta: float, k: int) -> float:
     return x
 
 
-def fsum_moments(ps, p: int) -> list[float]:
+def fsum_moments(ps, p: int, cos=None) -> list[float]:
     """M_1 .. M_{p/2} of a PointSet by math.fsum over the whole (n, n) weighted matrix.
 
     The kernel values w_i w_j P_k(cos_ij) come from the package's Gram
-    cosines, `loop_coefficients` and a recurrence loop of this function's
-    own, and are summed by the full-matrix route moment_test replaced; both
-    sums are correctly rounded, so they agree bit for bit.
+    cosines (or the given (n, n) cos), `loop_coefficients` and a recurrence
+    loop of this function's own, and are summed by the full-matrix route
+    moment_test replaced; both sums are correctly rounded, so they agree bit
+    for bit.
     """
     alpha, beta = field_alpha_beta(ps.field.delta, ps.m)
-    cos = gram_matrix(ps)
+    cos = gram_matrix(ps) if cos is None else cos
     pair_w = np.outer(ps.weights, ps.weights)
     p_prev, p_k = 0.0, np.ones_like(cos)
     moments = []
@@ -142,6 +145,37 @@ def fsum_moments(ps, p: int) -> list[float]:
         p_k, p_prev = ((c2 + c3 * cos) * p_k - c4 * p_prev) / c1, p_k
         moments.append(math.fsum((pair_w * p_k).ravel()))
     return moments
+
+
+def frozen_gram_pass(ps, p: int) -> tuple[list[float], list[tuple[int, int]]]:
+    """(M_1 .. M_{p/2}, coincident pairs i < j) by the replaced full-square pass.
+
+    The complex-pair kernel over every ordered pair: each node q = z + w j
+    maps to u = (z, conj(w)) in C^{2m}, and |(x, y)|^2 = |G1|^2 + |G2|^2 with
+    G1 = conj(U) U^T and G2 = U (J U)^T, J u = (u[m:], -u[:m]), accumulated as
+    elementwise outer products (G2 over H only, u real over R).  Coincident
+    pairs are the j > i with cos_ij >= 1 - 1e-12, row by row, and the moments
+    are `fsum_moments` of these cosines.  Over R the kernel rounds as the
+    package's does, so the moments agree bit for bit; over C and H the
+    cosines may differ in the last bits.
+    """
+    q, m = ps.nodes, ps.m
+    u = q[..., 0] if ps.field.delta == 1 else q[..., 0] + 1j * q[..., 1]
+    if ps.field.delta == 4:
+        u = np.concatenate([u, q[..., 2] - 1j * q[..., 3]], axis=1)
+    terms = [(u.conj(), u)]
+    if ps.field.delta == 4:
+        terms.append((u, np.concatenate([u[:, m:], -u[:, :m]], axis=1)))
+    sq = np.zeros((ps.n, ps.n))
+    for left, right in terms:
+        g = np.zeros(sq.shape, dtype=u.dtype)
+        for a, b in zip(left.T, right.T):
+            g += np.multiply.outer(a, b)
+        sq += g.real**2
+        sq += g.imag**2
+    cos = 2.0 * sq - 1.0
+    i, j = np.nonzero(np.triu(cos >= 1.0 - 1e-12, 1))
+    return fsum_moments(ps, p, cos), list(zip(i.tolist(), j.tolist()))
 
 
 @dataclass(frozen=True)

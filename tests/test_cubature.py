@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import eval_jacobi
 
 import projbound.cubature
 from projbound import (
@@ -22,7 +23,13 @@ from projbound import (
 
 from projbound.cubature import _BLOCK_ELEMENTS, _ExactSum
 
-from helpers import Quaternion, fsum_moments, projective_cos
+from helpers import (
+    Quaternion,
+    field_alpha_beta,
+    frozen_gram_pass,
+    fsum_moments,
+    projective_cos,
+)
 
 BASIS_H_M2 = Path(__file__).resolve().parent.parent / "demos" / "data" / "basis_h_m2.json"
 
@@ -186,6 +193,22 @@ class TestPointSetValidation:
         assert duplicates == tuple(want)
         assert all(type(k) is int for pair in duplicates for k in pair)
 
+    # 700 rows make blocks of 46, 50, 54, ... rows, so pairs straddle block edges
+    @pytest.mark.parametrize("field", list(Field), ids=lambda f: f.name)
+    def test_planted_duplicates_in_the_full_square_order(self, field):
+        rng = np.random.default_rng(89)
+        base = random_point_set(rng, field, 3, 700)
+        nodes = base.nodes.copy()
+        planted = [(5, 6), (5, 400), (45, 46), (45, 47), (300, 699), (520, 521), (690, 3)]
+        for i, j in planted:  # node j becomes node i times a unit scalar
+            a = random_unit_scalar(rng, field)
+            nodes[j] = [(Quaternion(*coord) * a).as_array() for coord in nodes[i]]
+        ps = PointSet(field, 3, nodes, base.weights)
+        want = [(3, 690), (5, 6), (5, 400), (6, 400), (45, 46), (45, 47), (46, 47),
+                (300, 699), (520, 521)]
+        assert frozen_gram_pass(ps, 2)[1] == want
+        assert verify(ps, 2).duplicates == tuple(want)
+
 
 class TestMomentTest:
     @pytest.mark.parametrize("field", list(Field), ids=lambda f: f.name)
@@ -245,18 +268,40 @@ class TestMomentTest:
         for got, want in zip(moment_test(moved, 8), base):
             assert got == pytest.approx(want, abs=1e-12)
 
-    def test_permutation_invariance_is_exact(self):
+    @pytest.mark.parametrize("field", list(Field), ids=lambda f: f.name)
+    def test_permutation_invariance_is_exact(self, field):
         rng = np.random.default_rng(43)
         for n in (6, 700):
-            ps = random_point_set(rng, Field.H, 2, n)
+            ps = random_point_set(rng, field, 2, n)
             perm = rng.permutation(n)
-            shuffled = PointSet(Field.H, 2, ps.nodes[perm], ps.weights[perm])
-            # exact extraction makes each moment the correctly rounded sum, so
-            # reordering the nodes, which moves kernel values between row
-            # blocks (700 rows make 16 blocks), changes nothing, bit for bit
+            shuffled = PointSet(field, 2, ps.nodes[perm], ps.weights[perm])
+            # exact extraction makes each moment the correctly rounded sum, and
+            # the kernel gives cos_ij and cos_ji the same double, so reordering
+            # the nodes, which moves pairs between blocks and swaps i and j in
+            # about half of them, changes nothing, bit for bit
             assert moment_test(shuffled, 10) == moment_test(ps, 10)
 
-    # 512 rows split into 8 blocks of 64 exactly; 511 leaves the last one a row short
+    @pytest.mark.parametrize("field", list(Field), ids=lambda f: f.name)
+    @pytest.mark.parametrize("n, equal_weights", [(1, True), (5, False), (200, True), (700, False)])
+    def test_against_the_full_square_pass(self, field, n, equal_weights):
+        rng = np.random.default_rng(97)
+        ps = random_point_set(rng, field, 3, n, equal_weights)
+        p = 12
+        moments = moment_test(ps, p)
+        frozen = frozen_gram_pass(ps, p)[0]
+        if field is Field.R:
+            assert moments == frozen  # the same kernel, summed once per unordered pair
+            return
+        # The cosines move by a few ulps (at most 1.8e-15, 8 eps, seen) and the pair
+        # weights sum to 1, so M_k moves by at most max|P_k'| max|d cos| <= 8 eps P_k'(1),
+        # plus the rounding of P_k at the moved cosines: allow 16 eps P_k'(1) (0.1 seen).
+        alpha, beta = field_alpha_beta(field.delta, 3)
+        for k, (got, want) in enumerate(zip(moments, frozen), start=1):
+            slope = (k + alpha + beta + 1) / 2 * eval_jacobi(k - 1, alpha + 1, beta + 1, 1.0)
+            assert abs(got - want) <= 16 * np.finfo(float).eps * slope
+
+    # the first block of 512 rows is 64 rows against 512 columns, of 511 rows 64 against 511;
+    # later blocks take more rows as their columns r0..n-1 shrink
     @pytest.mark.parametrize(
         "field, n, equal_weights",
         [(f, n, eq) for f in Field for n in (1, 511, 512) for eq in (True, False)]
@@ -279,7 +324,7 @@ class TestMomentTest:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20  # one (2000, 2000) float array is 30.5 MiB
+        assert peak < 4 * 2**20  # one (2000, 2000) float array is 30.5 MiB
 
     def test_validation(self):
         ps = circle_design(4)
@@ -364,7 +409,8 @@ class TestVerify:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20  # one (2000, 2000) float array is 30.5 MiB
+        # one (2000, 2000) float array is 30.5 MiB, a block of 2^15 pairs 256 KiB
+        assert peak < 4 * 2**20
 
     def test_icosahedron_diagonals(self):
         phi = (1.0 + math.sqrt(5.0)) / 2.0
@@ -432,19 +478,28 @@ class TestPointSetIO:
         with pytest.raises(ValueError, match=f"'{key}' must be a JSON integer"):
             parse_point_set(doc)
 
+    @pytest.mark.parametrize("m, nodes", [(0, [[]]), (1, [[[1.0]]])])
+    def test_small_m_is_the_point_sets_error(self, m, nodes):
+        with pytest.raises(ValueError, match=f"m must be >= 2, got {m}"):
+            parse_point_set({"field": "R", "m": m, "p": 2, "nodes": nodes})
+
     @pytest.mark.parametrize("value", ["1.0", True, None, [1.0]])
     def test_components_must_be_json_numbers(self, value):
         doc = self.circle_doc(4)
         doc["nodes"][1][0] = [value]
-        with pytest.raises(ValueError, match=r"nodes\[1\]\[0\]: expected a JSON number"):
+        doc["nodes"][2][1] = ["later"]  # only the first bad entry is named
+        with pytest.raises(ValueError) as info:
             parse_point_set(doc)
+        assert str(info.value) == f"nodes[1][0]: expected a JSON number, got {value!r}"
 
-    @pytest.mark.parametrize("value", ["0.25", True])
+    @pytest.mark.parametrize("value", ["0.25", True, None, [0.25]])
     def test_weights_must_be_json_numbers(self, value):
         doc = self.circle_doc(6)
         doc["weights"][2] = value
-        with pytest.raises(ValueError, match=r"weights\[2\]: expected a JSON number"):
+        doc["weights"][3] = "later"
+        with pytest.raises(ValueError) as info:
             parse_point_set(doc)
+        assert str(info.value) == f"weights[2]: expected a JSON number, got {value!r}"
 
     @pytest.mark.parametrize("p", [7, 0, -2])
     def test_p_must_be_positive_and_even(self, p):
@@ -470,6 +525,59 @@ class TestPointSetIO:
         doc["nodes"][0][0] = [10**400]
         with pytest.raises(ValueError, match=r"nodes\[0\]\[0\]: .* outside the float range"):
             parse_point_set(doc)
+        doc = self.circle_doc(2)
+        doc["weights"][1] = 10**400
+        with pytest.raises(ValueError, match=r"weights\[1\]: .* outside the float range"):
+            parse_point_set(doc)
+
+    # each goes through the array pass first, which rejects the document
+    @pytest.mark.parametrize(
+        "where, value, message",
+        [
+            ((2, 1), [0.5, 0.5], "nodes[2][1]: expected 1 real components, got [0.5, 0.5]"),
+            ((2, 1), 0.5, "nodes[2][1]: expected 1 real components, got 0.5"),
+            ((3, None), [[1.0]], "nodes[3]: expected 2 coordinates, got [[1.0]]"),
+            ((3, None), [[1.0], [0.0], [0.0]],
+             "nodes[3]: expected 2 coordinates, got [[1.0], [0.0], [0.0]]"),
+        ],
+    )
+    def test_node_shape_errors_name_the_first_bad_entry(self, where, value, message):
+        doc = self.circle_doc(10)
+        i, j = where
+        if j is None:
+            doc["nodes"][i] = value
+        else:
+            doc["nodes"][i][j] = value
+        doc["nodes"][4][0] = ["later"]  # only the first bad entry is named
+        with pytest.raises(ValueError) as info:
+            parse_point_set(doc)
+        assert str(info.value) == message
+
+    def test_deep_nesting_is_a_value_error(self):
+        deep = [1.0]
+        for _ in range(100):  # numpy makes a 64-dimensional object array of it
+            deep = [deep]
+        doc = {"field": "R", "m": 2, "p": 2, "nodes": deep}
+        with pytest.raises(ValueError, match=r"nodes\[0\]: expected 2 coordinates"):
+            parse_point_set(doc)
+        doc = self.circle_doc(2)
+        doc["weights"] = deep
+        with pytest.raises(ValueError, match=r"weights\[0\]: expected a JSON number"):
+            parse_point_set(doc)
+
+    def test_integers_read_as_float_does(self, monkeypatch):
+        big = [2**60, 2**60 + 1, 2**60 + 128, 2**60 + 129, -(2**60 + 384), 2**53 + 1, 3, -7]
+        doc = {"field": "C", "m": 2, "p": 2, "nodes": [[[a, b], [0, 0]] for a, b in
+                                                       zip(big[::2], big[1::2])]}
+        doc["weights"] = [1, 0, 0, 0]
+        seen = {}
+        monkeypatch.setattr(projbound.cubature, "PointSet",
+                            lambda field, m, nodes, weights: seen.update(nodes=nodes, w=weights))
+        parse_point_set(doc)
+        want = np.zeros((4, 2, 4))
+        want[:, 0, :2] = np.reshape([float(v) for v in big], (4, 2))
+        assert seen["nodes"].tobytes() == want.tobytes()
+        assert [float(v) for v in seen["w"]] == [1.0, 0.0, 0.0, 0.0]
 
     def test_missing_key(self):
         with pytest.raises(ValueError, match="missing required key"):
@@ -512,6 +620,16 @@ class TestGramMatrix:
         monkeypatch.setattr(projbound.cubature, "_BLOCK_ELEMENTS", ps.n * ps.n)
         assert blocked.tobytes() == gram_matrix(ps).tobytes()
 
+    # 700 rows make several blocks; the reversed set forms each pair (i, j) as (j, i)
+    @pytest.mark.parametrize("field", list(Field), ids=lambda f: f.name)
+    def test_bitwise_symmetric(self, field):
+        rng = np.random.default_rng(101)
+        ps = random_point_set(rng, field, 3, 700)
+        g = gram_matrix(ps)
+        assert g.tobytes() == g.T.tobytes(order="C")
+        reversed_set = PointSet(field, 3, ps.nodes[::-1], ps.weights[::-1])
+        assert gram_matrix(reversed_set)[::-1, ::-1].tobytes() == g.tobytes()
+
     def test_result_is_its_only_n_by_n_array(self):
         rng = np.random.default_rng(79)
         ps = random_point_set(rng, Field.H, 2, 2000, equal_weights=True)
@@ -525,13 +643,13 @@ class TestGramMatrix:
 
     def test_computed_once_per_verify(self, monkeypatch):
         passes = []
-        original = projbound.cubature._gram_blocks
+        original = projbound.cubature._gram_pairs
 
         def counting(ps):
             passes.append(ps.n)
             return original(ps)
 
-        monkeypatch.setattr(projbound.cubature, "_gram_blocks", counting)
+        monkeypatch.setattr(projbound.cubature, "_gram_pairs", counting)
         ps, p = load_point_set(BASIS_H_M2)
         assert passes == []
         assert verify(ps, p).passed
