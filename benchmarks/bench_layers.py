@@ -23,6 +23,9 @@ spread of a tree's own rounds shows next to the difference between trees:
   200 calls: a single zero, as ``kappa`` and ``root_asymptotic_ratio`` ask;
 * ``table --field H --p-min 2 --p-max 1200`` and ``asym --field H --m-max 300``
   through ``cli.main``, and ``asym`` again with its zeros already solved;
+* ``testfn --field H --m 2 --l 4`` through ``cli.main``, per call over 20
+  calls: one test function and its 201-row CSV, the one kind of request
+  in the bound-sweep workload that prints CSV;
 * the rows alone, without the CLI's CSV writer: ``asymptotic_report`` over H,
   m = 2..300, with its zeros already solved, per call over 20 calls, and
   ``oscillation_report(200)``;
@@ -66,6 +69,8 @@ LP_CASES = [("C", 4, 500), ("H", 200, 1000)]
 BOUND_ARGV = ["bound", "--field", "C", "--m", "3", "--p", "40"]
 TABLE_ARGV = ["table", "--field", "H", "--p-min", "2", "--p-max", "1200"]
 ASYM_ARGV = ["asym", "--field", "H", "--m-max", "300"]
+TESTFN_ARGV = ["testfn", "--field", "H", "--m", "2", "--l", "4"]
+TESTFN_NUMBER = 20
 ASYM_ROWS_NUMBER = 20
 OSCILLATION_P_MAX = 200
 BESSEL_ORDERS = [0.5, 10.0, 147.0, 598.0]
@@ -171,6 +176,13 @@ def measure() -> dict:
     run_asym_cold()  # warm-up, not timed
     out["cli " + " ".join(ASYM_ARGV) + "_s"] = _median_time(run_asym_cold, REPS)
     out["cli " + " ".join(ASYM_ARGV) + " warm_s"] = _median_time(lambda: run_cli(ASYM_ARGV), REPS)
+
+    def testfns():
+        for _ in range(TESTFN_NUMBER):
+            run_cli(TESTFN_ARGV)
+
+    testfns()  # fills the quadrature caches, as any earlier request would
+    out["cli " + " ".join(TESTFN_ARGV) + "_s"] = _median_time(testfns, REPS) / TESTFN_NUMBER
 
     def asym_rows():
         for _ in range(ASYM_ROWS_NUMBER):
@@ -296,6 +308,7 @@ def main() -> int:
                 "gram_matrix": REPS, "moment_test": MOMENT_REPS,
                 "bessel_first_zero": f"{REPS} x {BESSEL_NUMBER} calls",
                 "table": 1, "asym": REPS, "asym warm": REPS,
+                "testfn": f"{REPS} x {TESTFN_NUMBER} calls",
                 "asymptotic_report warm": f"{REPS} x {ASYM_ROWS_NUMBER} calls",
                 "oscillation_report": REPS, "import": 1,
                 "bound one-shot": 1, "table one-shot": 1, "asym one-shot": 1,

@@ -21,6 +21,9 @@ import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
+import numpy as np
+from scipy.special import gammaln
+
 from .fields import Field, field_params
 from .jacobi import NumericalError, largest_root
 from .specials import bessel_first_zero, bessel_first_zeros, hypergeom_F, log_gamma
@@ -258,37 +261,38 @@ def asymptotic_report(field: Field, m_list) -> list[AsymptoticRow]:
     """Rows comparing the two liminf constants and their quotient for each m.
 
     The Bessel zeros j_{nu,1} of all rows come from one bessel_first_zeros call.
+    Each column is one float64 pass over the m list, with the operands of every
+    + - * in the per-row formula's order; log and exp stay scalar libm calls, so
+    each row is the double the per-row formula gives.
     """
-    rows = []
     d = field.delta
     m_list = list(m_list)
     for m in m_list:
         if m < 2:
             raise ValueError(f"m must be >= 2, got {m}")
-    zeros = bessel_first_zeros([d * (m - 1) / 2.0 for m in m_list])
-    for m, zero in zip(m_list, zeros):
-        nu, j1 = zero.nu, zero.value
-        lg_nu, lg_d, lg_dm = log_gamma(nu + 1.0), log_gamma(d / 2.0), log_gamma(d * m / 2.0)
-        log_kap = 2.0 * nu * math.log(j1) - 2.0 * lg_nu - nu * math.log(16.0)
-        log_approx = -math.log(math.pi * d * m) + d * (m - 1) * (1.0 - math.log(4.0))
-        rows.append(
-            AsymptoticRow(
-                m=m,
-                nu=nu,
-                bessel_zero=j1,
-                bessel_residual=zero.residual,
-                kappa=_exp_safe(log_kap),
-                log_kappa=log_kap,
-                log_kappa_approx=log_approx,
-                log_ratio=log_kap - log_approx,
-                # 1/lambda and Gamma(a+2) Gamma(b+1) / Gamma(a+b+2) / j^{d(m-1)}, whose
-                # a+2, b+1, a+b+2 are exactly nu+1, d/2, d*m/2
-                lp_liminf_log=-(lg_dm + lg_nu - lg_d + 2.0 * d * (m - 1) * math.log(2.0)),
-                testfn_liminf_log=lg_nu + lg_d - lg_dm - d * (m - 1) * math.log(j1),
-                gap_factor_log=d * (m - 1) * math.log(2.0) + log_kap,
-            )
-        )
-    return rows
+    nus = [d * (m - 1) / 2.0 for m in m_list]
+    zeros = bessel_first_zeros(nus)
+    nu, m_float = np.array(nus), np.array(m_list, dtype=float)
+    dm1 = 2.0 * nu  # d*(m-1) as a float, exactly
+    log_j1 = np.array(list(map(math.log, [z.value for z in zeros])))
+    lg_nu, lg_d, lg_dm = gammaln(nu + 1.0), log_gamma(d / 2.0), gammaln(d * m_float / 2.0)
+    log_kap = 2.0 * nu * log_j1 - 2.0 * lg_nu - nu * math.log(16.0)
+    log_pidm = np.array(list(map(math.log, (math.pi * d * m_float).tolist())))
+    log_approx = -log_pidm + dm1 * (1.0 - math.log(4.0))
+    columns = (  # AsymptoticRow's fields from log_kappa on
+        log_kap,
+        log_approx,
+        log_kap - log_approx,
+        # 1/lambda and Gamma(a+2) Gamma(b+1) / Gamma(a+b+2) / j^{d(m-1)}, whose
+        # a+2, b+1, a+b+2 are exactly nu+1, d/2, d*m/2
+        -(lg_dm + lg_nu - lg_d + 2.0 * dm1 * math.log(2.0)),
+        lg_nu + lg_d - lg_dm - dm1 * log_j1,
+        dm1 * math.log(2.0) + log_kap,
+    )
+    return [
+        AsymptoticRow(m, z.nu, z.value, z.residual, _exp_safe(lk), lk, *rest)
+        for m, z, lk, *rest in zip(m_list, zeros, *(c.tolist() for c in columns))
+    ]
 
 
 @dataclass(frozen=True)

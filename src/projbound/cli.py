@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import operator
 import sys
 
 from .bounds import asymptotic_report, lp_bound_h_alt, yudin_bound
@@ -50,9 +51,18 @@ def _write_output(text: str, out_path):
 
 
 def _write_csv(comment: str, schema: str, rows, out_path) -> int:
-    """The `# projbound <comment> columns=<schema>` line, the schema line, then the rows."""
+    """The `# projbound <comment> columns=<schema>` line, the schema line, then the rows.
+
+    Each row is a tuple, printed with one % format per distinct tuple of cell
+    types; the format keeps _fmt's rule cell by cell.
+    """
     lines = [f"# projbound {comment} columns={schema}", schema]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    formats = {}
+    for row in rows:
+        types = tuple(map(type, row))
+        if (fmt := formats.get(types)) is None:
+            fmt = formats[types] = ",".join("%s" if issubclass(t, int) else "%.12g" for t in types)
+        lines.append(fmt % row)
     return _write_output("\n".join(lines) + "\n", out_path)
 
 
@@ -87,7 +97,7 @@ def cmd_table(args, parser) -> int:
         return _write_csv(
             f"table v1 field={field.name} m={args.m}",
             ",".join(columns),
-            (row.values() for row in rows),
+            (tuple(row.values()) for row in rows),
             args.out,
         )
     if args.format == "markdown":
@@ -128,12 +138,11 @@ def cmd_asym(args, parser) -> int:
     field = Field.parse(args.field)
     if args.m_max < 2:
         parser.error("m-max must be >= 2")
-    columns = _ASYM_SCHEMA.split(",")
     rows = asymptotic_report(field, range(2, args.m_max + 1))
     return _write_csv(
         f"asym v1 field={field.name}",
         _ASYM_SCHEMA,
-        ([getattr(row, c) for c in columns] for row in rows),
+        map(operator.attrgetter(*_ASYM_SCHEMA.split(",")), rows),
         args.out,
     )
 

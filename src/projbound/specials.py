@@ -24,8 +24,8 @@ _SCAN_STEP = 1.5
 #: Gauss-Jacobi order of the Euler integral behind hypergeom_F
 _HYPERGEOM_ORDER = 64
 
-_ZERO_CACHE: dict[float, tuple[float, float]] = {}  # bessel_first_zeros: nu -> (zero, residual)
-_ZERO_CACHE_SIZE = 1 << 14  # most orders _ZERO_CACHE holds, about 2-3 MB
+_ZERO_CACHE: dict[float, BesselZero] = {}  # bessel_first_zeros: nu -> its BesselZero
+_ZERO_CACHE_SIZE = 1 << 14  # most orders _ZERO_CACHE holds, about 3 MB
 
 
 def log_gamma(x: float) -> float:
@@ -97,11 +97,13 @@ def bessel_first_zeros(nus) -> list[BesselZero]:
     orders = nu.tolist()
     found = {n: z for n in orders if (z := _ZERO_CACHE.get(n))}  # one get, atomic against clear()
     if missing := [n for n in dict.fromkeys(orders) if n not in found]:
-        found.update(zip(missing, zip(*_solve_first_zeros(np.array(missing)))))
+        solved = zip(missing, *_solve_first_zeros(np.array(missing)))
+        found.update((n, BesselZero(n, value, residual)) for n, value, residual in solved)
         if len(_ZERO_CACHE) + len(missing) > _ZERO_CACHE_SIZE:
             _ZERO_CACHE.clear()
         _ZERO_CACHE.update((n, found[n]) for n in missing[:_ZERO_CACHE_SIZE])
-    return [BesselZero(n, *found[n]) for n in orders]  # the requested nu: -0.0 stays -0.0
+    # 0.0 and -0.0 share one key; a requested zero order keeps its own sign
+    return [found[n] if n else BesselZero(n, found[n].value, found[n].residual) for n in orders]
 
 
 def _solve_first_zeros(nu: np.ndarray) -> tuple[list[float], list[float]]:

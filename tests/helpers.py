@@ -15,7 +15,10 @@ bessel_first_zero_scan runs the package's Bessel-zero algorithm one order
 and one scalar jv call at a time and checks the array-valued solver's path;
 loop_coefficients and largest_root_eigh are the per-row Jacobi coefficient
 loop and the eigh_tridiagonal root that the package's array-built table and
-direct LAPACK call replaced, and pin both to the same doubles.
+direct LAPACK call replaced, and pin both to the same doubles;
+asymptotic_rows_loop is the per-row scalar loop that the package's column
+passes over the asymptotic rows replaced, and pins every row field to the
+same double.
 clear_bessel_zero_memo empties the package's per-order memo of first zeros,
 so a test that needs a cold solve gets one.
 """
@@ -32,6 +35,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import eval_jacobi, jv, roots_jacobi
 
 from projbound import specials
+from projbound.bounds import AsymptoticRow
 from projbound.cubature import gram_matrix
 
 
@@ -336,6 +340,48 @@ def hypergeom_series(beta: float, alpha: float, eps: float, tol: float = 1e-17) 
         if term == 0.0:
             break
     return total
+
+
+def asymptotic_rows_loop(field, m_list) -> list:
+    """asymptotic_report's rows, one m at a time in scalar arithmetic.
+
+    The zeros come from the package's bessel_first_zeros; each row's log
+    Gamma values, logs, sums and products are scalar Python floats, in the
+    order of the formula the package's column passes must reproduce.
+    """
+    def exp_safe(x):
+        try:
+            return math.exp(x)
+        except OverflowError:
+            return math.inf
+
+    d = field.delta
+    m_list = list(m_list)
+    zeros = specials.bessel_first_zeros([d * (m - 1) / 2.0 for m in m_list])
+    rows = []
+    for m, zero in zip(m_list, zeros):
+        nu, j1 = zero.nu, zero.value
+        lg_nu = specials.log_gamma(nu + 1.0)
+        lg_d = specials.log_gamma(d / 2.0)
+        lg_dm = specials.log_gamma(d * m / 2.0)
+        log_kap = 2.0 * nu * math.log(j1) - 2.0 * lg_nu - nu * math.log(16.0)
+        log_approx = -math.log(math.pi * d * m) + d * (m - 1) * (1.0 - math.log(4.0))
+        rows.append(
+            AsymptoticRow(
+                m=m,
+                nu=nu,
+                bessel_zero=j1,
+                bessel_residual=zero.residual,
+                kappa=exp_safe(log_kap),
+                log_kappa=log_kap,
+                log_kappa_approx=log_approx,
+                log_ratio=log_kap - log_approx,
+                lp_liminf_log=-(lg_dm + lg_nu - lg_d + 2.0 * d * (m - 1) * math.log(2.0)),
+                testfn_liminf_log=lg_nu + lg_d - lg_dm - d * (m - 1) * math.log(j1),
+                gap_factor_log=d * (m - 1) * math.log(2.0) + log_kap,
+            )
+        )
+    return rows
 
 
 def lambda_factorial(delta: int, m: int) -> int:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -30,7 +31,12 @@ from projbound import (
 )
 from projbound.bounds import lp_bound_h_alt
 
-from helpers import clear_bessel_zero_memo, lambda_factorial, mp_real_yudin
+from helpers import (
+    asymptotic_rows_loop,
+    clear_bessel_zero_memo,
+    lambda_factorial,
+    mp_real_yudin,
+)
 
 
 class TestCeilSnap:
@@ -289,17 +295,42 @@ class TestAsymptoticConstants:
                 assert row.lp_liminf_log == want
 
     def test_three_log_gammas_per_row(self, monkeypatch):
+        # log Gamma at nu+1 and d*m/2 per row, at d/2 once per report
         calls = []
-        original = projbound.bounds.log_gamma
+        scalar, array = projbound.bounds.log_gamma, projbound.bounds.gammaln
 
-        def counting(x):
+        def counting_scalar(x):
             calls.append(x)
-            return original(x)
+            return scalar(x)
+
+        def counting_array(x):
+            calls.extend(np.ravel(x).tolist())
+            return array(x)
 
         rows = asymptotic_report(Field.H, range(2, 301))  # the zeros are solved
-        monkeypatch.setattr(projbound.bounds, "log_gamma", counting)
+        monkeypatch.setattr(projbound.bounds, "log_gamma", counting_scalar)
+        monkeypatch.setattr(projbound.bounds, "gammaln", counting_array)
         assert asymptotic_report(Field.H, range(2, 301)) == rows
-        assert len(calls) <= 3 * len(rows)
+        assert len(calls) == 2 * len(rows) + 1
+
+    @pytest.mark.parametrize("field", list(Field), ids=lambda f: f.name)
+    @pytest.mark.parametrize(
+        "m_list",
+        [range(2, 301), [1000, 100_000, 1_000_000_000], [7], []],
+        ids=["2..300", "large", "one", "empty"],
+    )
+    def test_rows_match_the_per_row_loop(self, field, m_list):
+        rows = asymptotic_report(field, m_list)
+        want = asymptotic_rows_loop(field, m_list)
+        assert len(rows) == len(want) == len(m_list)
+        for row, ref in zip(rows, want):
+            for f in dataclasses.fields(row):
+                got, exp = getattr(row, f.name), getattr(ref, f.name)
+                assert type(got) is type(exp), (row.m, f.name)
+                if isinstance(exp, float):  # hex tells -0.0 from 0.0
+                    assert got.hex() == exp.hex(), (row.m, f.name, got, exp)
+                else:
+                    assert got == exp, (row.m, f.name)
 
     def test_report_validation(self):
         for field in Field:

@@ -271,6 +271,28 @@ class TestAsymCommand:
         assert exc.value.code == 2
 
 
+class TestCsvWriter:
+    """_write_csv prints each cell as _fmt does, whatever the mix of cell types."""
+
+    ROWS = [
+        (1, True, 2**70, np.int64(10**13), np.float64(0.1), math.inf, 2.5),
+        (-3, False, -(2**70), np.int64(-7), -math.inf, math.nan, 4),  # float -> int
+        (0.0, -0.0, 5e-324, 0.1 + 0.2, np.float64(-0.0), 1e300, 7.0),  # int -> float
+        (1, True, 2**70, np.int64(10**13), np.float64(0.1), math.inf, 2.5),  # first again
+        (2**53 + 1, 1.0, 123456789012345678, np.float64(1e-310), 3, -1, 1e16),
+    ]
+
+    def test_lines_match_fmt(self, capsys):
+        assert cli._write_csv("test v1", "a,b,c,d,e,f,g", iter(self.ROWS), None) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["# projbound test v1 columns=a,b,c,d,e,f,g", "a,b,c,d,e,f,g"]
+        assert lines[2:] == [",".join(cli._fmt(v) for v in row) for row in self.ROWS]
+
+    def test_row_of_one_cell(self, capsys):
+        cli._write_csv("test v1", "a", [(7,), (7.0,), (-0.0,)], None)
+        assert capsys.readouterr().out.splitlines()[2:] == ["7", "7", "-0"]
+
+
 class TestTestfnCommand:
     def test_complex_m2_l1_has_negative_c2(self, capsys):
         code, out, _ = run(capsys, "testfn", "--field", "C", "--m", "2", "--l", "1")

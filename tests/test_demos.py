@@ -1,4 +1,4 @@
-"""Each demo script runs to completion against the package in src/."""
+"""Each demo script runs to completion against the package in src/, without a warning."""
 
 import os
 import subprocess
@@ -24,3 +24,4 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    assert "Warning" not in proc.stderr, proc.stderr
