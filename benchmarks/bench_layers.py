@@ -1,6 +1,6 @@
 """In-process timings of two source trees of projbound, written as one JSON record.
 
-    python benchmarks/bench_layers.py --parent OLD/src --change src --out BENCH_16.json
+    python benchmarks/bench_layers.py --parent OLD/src --change src --out BENCH_18.json
 
 The two trees are timed in rounds that alternate between them (parent then
 change, then change then parent, and so on), so a drift of the host's speed
@@ -23,6 +23,10 @@ spread of a tree's own rounds shows next to the difference between trees:
   200 calls: a single zero, as ``kappa`` and ``root_asymptotic_ratio`` ask;
 * ``table --field H --p-min 2 --p-max 1200`` and ``asym --field H --m-max 300``
   through ``cli.main``, and ``asym`` again with its zeros already solved;
+* bound-sweep's slowest kinds of request, ``bound --field C --m 3 --p 1868
+  --format json`` and ``table --field H --m 3 --p-min 1728 --p-max 1732
+  --format json``, through ``cli.main`` with their roots already solved, per
+  call over 20 calls;
 * ``testfn --field H --m 2 --l 4`` through ``cli.main``, per call over 20
   calls: one test function and its 201-row CSV, the one kind of request
   in the bound-sweep workload that prints CSV;
@@ -37,13 +41,19 @@ spread of a tree's own rounds shows next to the difference between trees:
   process (seconds) and its maximum resident set size (MiB, from
   ``os.wait4``).
 
-The package keeps each solved Bessel zero in a per-process memo
-(``specials._ZERO_CACHE``).  Every ``bessel_first_zero`` and ``asym`` entry
-but the one named as warm empties it before each timed call, so it times
-the solver, not a lookup; a tree without the memo is timed as it is.
+The package keeps each solved Bessel zero and each solved largest Jacobi root
+in a per-process memo (``specials._ZERO_CACHE`` and the ``lru_cache`` of
+``jacobi._solve_largest_root``).  Every ``bessel_first_zero`` and ``asym``
+entry but the one named as warm empties the zero memo before each timed
+call, and every ``largest_root`` entry and the cold ``table`` entry empties
+the root memo (the (2, 2) root cases fill keys the H, m=2 table reads), so
+each times the solver, not a lookup; a tree without a memo is timed as it
+is.  The ``bound`` and ``table`` entries named as warm, and the ``testfn``
+and ``oscillation_report`` entries after their first call, read their roots
+from the memo.
 
 The record also holds the machine: CPU count and model, Python, numpy and
-scipy versions.  Not part of the test suite; takes about twenty minutes.
+scipy versions.  Not part of the test suite; takes about five minutes on 2 cores.
 """
 
 from __future__ import annotations
@@ -69,6 +79,12 @@ LP_CASES = [("C", 4, 500), ("H", 200, 1000)]
 BOUND_ARGV = ["bound", "--field", "C", "--m", "3", "--p", "40"]
 TABLE_ARGV = ["table", "--field", "H", "--p-min", "2", "--p-max", "1200"]
 ASYM_ARGV = ["asym", "--field", "H", "--m-max", "300"]
+#: bound-sweep's slowest requests, timed warm
+WARM_ARGVS = [
+    ["bound", "--field", "C", "--m", "3", "--p", "1868", "--format", "json"],
+    ["table", "--field", "H", "--m", "3", "--p-min", "1728", "--p-max", "1732", "--format", "json"],
+]
+WARM_NUMBER = 20
 TESTFN_ARGV = ["testfn", "--field", "H", "--m", "2", "--l", "4"]
 TESTFN_NUMBER = 20
 ASYM_ROWS_NUMBER = 20
@@ -108,6 +124,7 @@ def measure() -> dict:
     """Timings of the projbound importable in this interpreter."""
     from projbound import bounds, cli, cubature, jacobi, specials
 
+    clear_roots = getattr(getattr(jacobi, "_solve_largest_root", None), "cache_clear", lambda: None)
     out = {}
     for alpha, beta, k in ROOT_CASES:
         params = jacobi.JacobiParams(alpha, beta)
@@ -115,6 +132,7 @@ def measure() -> dict:
 
         def roots():
             for _ in range(calls):
+                clear_roots()
                 jacobi.largest_root(params, k)
 
         roots()  # lazy imports
@@ -172,7 +190,11 @@ def measure() -> dict:
         zero_memo.clear()
         run_cli(ASYM_ARGV)
 
-    out["cli " + " ".join(TABLE_ARGV) + "_s"] = _median_time(lambda: run_cli(TABLE_ARGV), 1)
+    def run_table_cold():
+        clear_roots()
+        run_cli(TABLE_ARGV)
+
+    out["cli " + " ".join(TABLE_ARGV) + "_s"] = _median_time(run_table_cold, 1)
     run_asym_cold()  # warm-up, not timed
     out["cli " + " ".join(ASYM_ARGV) + "_s"] = _median_time(run_asym_cold, REPS)
     out["cli " + " ".join(ASYM_ARGV) + " warm_s"] = _median_time(lambda: run_cli(ASYM_ARGV), REPS)
@@ -183,6 +205,15 @@ def measure() -> dict:
 
     testfns()  # fills the quadrature caches, as any earlier request would
     out["cli " + " ".join(TESTFN_ARGV) + "_s"] = _median_time(testfns, REPS) / TESTFN_NUMBER
+
+    for argv in WARM_ARGVS:
+
+        def warm_requests():
+            for _ in range(WARM_NUMBER):
+                run_cli(argv)
+
+        warm_requests()  # solves the roots, so the timed calls read them
+        out["cli " + " ".join(argv) + " warm_s"] = _median_time(warm_requests, REPS) / WARM_NUMBER
 
     def asym_rows():
         for _ in range(ASYM_ROWS_NUMBER):
@@ -309,6 +340,8 @@ def main() -> int:
                 "bessel_first_zero": f"{REPS} x {BESSEL_NUMBER} calls",
                 "table": 1, "asym": REPS, "asym warm": REPS,
                 "testfn": f"{REPS} x {TESTFN_NUMBER} calls",
+                "bound warm": f"{REPS} x {WARM_NUMBER} calls",
+                "table warm": f"{REPS} x {WARM_NUMBER} calls",
                 "asymptotic_report warm": f"{REPS} x {ASYM_ROWS_NUMBER} calls",
                 "oscillation_report": REPS, "import": 1,
                 "bound one-shot": 1, "table one-shot": 1, "asym one-shot": 1,

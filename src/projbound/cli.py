@@ -18,6 +18,7 @@ import functools
 import json
 import operator
 import sys
+import warnings
 
 from .bounds import asymptotic_report, lp_bound_h_alt, yudin_bound
 from .cubature import load_point_set, verify
@@ -148,7 +149,12 @@ def cmd_asym(args, parser) -> int:
 
 
 def cmd_testfn(args, parser) -> int:
-    tf = build_test_function(Field.parse(args.field), args.m, args.l, args.kmax)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # recorded whatever the caller's filters are
+        tf = build_test_function(Field.parse(args.field), args.m, args.l, args.kmax)
+    for w in caught:  # the series-tail warning names the library's argument: say --kmax
+        message = str(w.message).replace("increase k_max", "increase --kmax")
+        print(f"warning: {message}", file=sys.stderr)
     return _write_csv(
         f"testfn v1 field={tf.field.name} m={tf.m} l={tf.l} xi={_fmt(tf.xi)}",
         _TESTFN_SCHEMA,

@@ -5,8 +5,10 @@ verifier) is built on this family, normalized so that P_k(1) = C(alpha+k, k),
 and every value of it comes from one forward three-term recurrence (Szego,
 Orthogonal Polynomials, 4.5) over one array of coefficients.  The same array
 gives the largest root: LAPACK bisection finds the top eigenvalue of the Jacobi
-matrix (Golub & Welsch 1969), and Newton steps polish it.  Gauss-Jacobi nodes
-serve only the integrals over a tail [xi, 1] of the weight.
+matrix (Golub & Welsch 1969), and Newton steps polish it; each solved root is
+kept in a bounded per-process memo, so a repeated (alpha, beta, k) costs one
+lookup.  Gauss-Jacobi nodes serve only the integrals over a tail [xi, 1] of the
+weight.
 """
 
 from __future__ import annotations
@@ -168,9 +170,17 @@ def largest_root(params: JacobiParams, k: int) -> float:
     absolute tolerance 0) gives its top eigenvalue to a few ulps; two Newton
     steps on P_k / P_k', over the same table as Python floats and rescaled
     together so that neither overflows, polish it to near machine precision.
+    Each solved root is kept per process, keyed by (alpha, beta, k), for the
+    2**14 keys used last; a repeated key returns the stored double.
     """
+    return _solve_largest_root(params.alpha, params.beta, k)
+
+
+@lru_cache(maxsize=1 << 14, typed=True)  # about 4 MB when full; a failed solve is not kept
+def _solve_largest_root(alpha: float, beta: float, k: int) -> float:
     if k < 1:
         raise ValueError(f"degree must be >= 1, got {k}")
+    params = JacobiParams(alpha, beta)
     coeffs = _coefficients(params, k)
     c1, c2, c3, c4 = coeffs
     # 0.0 - c2, not -c2: a zero diagonal (alpha = beta) stays +0.0, and so does xi at k = 1

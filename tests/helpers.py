@@ -19,8 +19,9 @@ direct LAPACK call replaced, and pin both to the same doubles;
 asymptotic_rows_loop is the per-row scalar loop that the package's column
 passes over the asymptotic rows replaced, and pins every row field to the
 same double.
-clear_bessel_zero_memo empties the package's per-order memo of first zeros,
-so a test that needs a cold solve gets one.
+clear_bessel_zero_memo and clear_largest_root_memo empty the package's
+per-process memos of first Bessel zeros and of largest Jacobi roots, so a test
+that needs a cold solve gets one.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import eval_jacobi, jv, roots_jacobi
 
-from projbound import specials
+from projbound import jacobi, specials
 from projbound.bounds import AsymptoticRow
 from projbound.cubature import gram_matrix
 
@@ -301,6 +302,11 @@ def bessel_first_zero_scan(nu: float) -> tuple[float, float]:
 def clear_bessel_zero_memo() -> None:
     """Empty the memo of bessel_first_zeros, so its next call solves every order it gets."""
     specials._ZERO_CACHE.clear()
+
+
+def clear_largest_root_memo() -> None:
+    """Empty the memo of largest_root, so its next call solves the (alpha, beta, k) it gets."""
+    jacobi._solve_largest_root.cache_clear()
 
 
 def mp_jacobi(alpha: float, beta: float, k: int, x: float, dps: int = 60):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from projbound import BoundReport, circle_design
 from projbound import cli
 from projbound.cli import build_parser, main
 
+from helpers import clear_largest_root_memo
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = REPO_ROOT / "tests" / "data" / "golden"
@@ -319,6 +321,22 @@ class TestTestfnCommand:
         text = target.read_text()
         assert text.startswith("# projbound testfn v1 field=H m=2 l=2")
 
+    @pytest.mark.parametrize("action", ["default", "ignore", "error"])
+    def test_short_kmax_is_one_stderr_line_naming_the_flag(self, capsys, action):
+        # the caller's warning filter changes neither the line nor stdout
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            code, out, err = run(capsys, "testfn", "--field", "H", "--m", "2", "--l", "4")
+            golden = run(capsys, "testfn", "--field", "C", "--m", "2", "--l", "1")
+        assert code == 0
+        assert out.startswith("# projbound testfn v1 field=H m=2 l=4 ") and out.count("\n") == 203
+        assert err == (
+            "warning: test function (field=H, m=2, l=4): series tail estimate 2.149e-09 "
+            "exceeds 1e-12 * f(1) = 5.862e-14; increase --kmax\n"
+        )
+        assert golden[0] == 0 and golden[2] == ""
+        assert golden[1].encode("utf-8") == (GOLDEN_DIR / "testfn_c_m2_l1.out").read_bytes()
+
 
 class TestParserReuse:
     """main builds its parser once; later calls print exactly what a first call does."""
@@ -352,6 +370,37 @@ class TestParserReuse:
         assert in_a_row == alone
         assert [code for code, _, _ in alone] == [0, 2, 2, 0, 0, 0]
         assert build_parser() is not build_parser()
+
+
+class TestLargestRootMemo:
+    """Requests that need the same xi solve it once per process."""
+
+    @pytest.fixture
+    def dstebz_calls(self, monkeypatch):
+        import scipy.linalg.lapack
+
+        calls, solve = [], scipy.linalg.lapack.dstebz
+
+        def counting(d, *args):
+            calls.append(d.size)
+            return solve(d, *args)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dstebz", counting)
+        return calls
+
+    def test_bound_then_testfn_solve_one_root(self, capsys, dstebz_calls):
+        clear_largest_root_memo()
+        assert run(capsys, "bound", "--field", "C", "--m", "3", "--p", "40")[0] == 0
+        assert run(capsys, "testfn", "--field", "C", "--m", "3", "--l", "20")[0] == 0
+        assert dstebz_calls == [20]
+
+    def test_repeated_table_solves_no_root(self, capsys, dstebz_calls):
+        argv = ("table", "--field", "H", "--m", "2", "--p-min", "2", "--p-max", "40")
+        clear_largest_root_memo()
+        first = run(capsys, *argv)
+        assert dstebz_calls == list(range(2, 21))  # p = 4..40; p = 2 needs no eigenvalue
+        assert run(capsys, *argv) == first
+        assert dstebz_calls == list(range(2, 21))
 
 
 class TestGoldenOutput:

@@ -17,9 +17,15 @@ from projbound import (
     largest_root,
     tau,
 )
-from projbound.jacobi import _coefficients, jacobi_norm_nu_all, jacobi_value_at_one_all
+from projbound.jacobi import (
+    _coefficients,
+    _solve_largest_root,
+    jacobi_norm_nu_all,
+    jacobi_value_at_one_all,
+)
 
 from helpers import (
+    clear_largest_root_memo,
     gauss_jacobi,
     largest_root_eigh,
     largest_root_scan,
@@ -245,6 +251,7 @@ class TestLargestRoot:
         def failed(d, e, *args):
             return 0, np.zeros_like(d), None, None, 1
 
+        clear_largest_root_memo()  # a root an earlier test solved would never reach dstebz
         monkeypatch.setattr(scipy.linalg.lapack, "dstebz", failed)
         with pytest.raises(NumericalError, match="info=1"):
             largest_root(JacobiParams(2.0, 0.5), 5)
@@ -287,6 +294,67 @@ class TestLargestRoot:
 
         assert positive(x * (1 - 1e-12)) != positive(x * (1 + 1e-12))
         assert all(positive(t) for t in np.linspace(x, 1.0, 41)[1:])
+
+
+
+#: the raised (alpha+1, beta+1) families whose largest roots are the xi of bound, table and testfn
+MEMO_PARAMS = [field_params(f, m).raised() for f in Field for m in (2, 3, 30)]
+#: degrees on which keys that compare equal are checked to solve to the same bits
+MEMO_DEGREES = [1, 2, 3, 7, 30, 120, 600]
+
+
+class TestLargestRootMemo:
+    """Each solved largest root is kept per process; a hit is the solved double, bit for bit."""
+
+    @pytest.mark.parametrize("params", MEMO_PARAMS, ids=str)
+    def test_hit_returns_the_solved_double(self, params):
+        for k in (1, 2, 30, 600):
+            clear_largest_root_memo()
+            solved = largest_root(params, k)
+            hits = _solve_largest_root.cache_info().hits
+            assert largest_root(params, k).hex() == solved.hex()
+            assert _solve_largest_root.cache_info().hits == hits + 1
+
+    @pytest.mark.parametrize("k", MEMO_DEGREES)
+    def test_signed_zero_params_solve_to_the_same_bits(self, k):
+        # +0.0 and -0.0 compare equal, so they share one key
+        bits = set()
+        for alpha in (0.0, -0.0):
+            for beta in (0.0, -0.0):
+                clear_largest_root_memo()
+                bits.add(largest_root(JacobiParams(alpha, beta), k).hex())
+        assert len(bits) == 1
+
+    @pytest.mark.parametrize("alpha,beta", [(2, 2), (100, 1), (1, 0), (3, 1)])
+    def test_int_and_float_params_solve_to_the_same_bits(self, alpha, beta):
+        for k in MEMO_DEGREES:
+            clear_largest_root_memo()
+            from_int = largest_root(JacobiParams(alpha, beta), k)
+            from_float = largest_root(JacobiParams(float(alpha), float(beta)), k)
+            assert from_int.hex() == from_float.hex()
+            assert _solve_largest_root.cache_info().misses == 2  # typed: two keys
+
+    def test_failed_solve_is_not_kept(self, monkeypatch):
+        import scipy.linalg.lapack
+
+        def failed(d, e, *args):
+            return 0, np.zeros_like(d), None, None, 1
+
+        clear_largest_root_memo()
+        with monkeypatch.context() as patch:
+            patch.setattr(scipy.linalg.lapack, "dstebz", failed)
+            for _ in range(2):
+                with pytest.raises(NumericalError, match="info=1"):
+                    largest_root(JacobiParams(2.0, 0.5), 5)
+            assert _solve_largest_root.cache_info().currsize == 0
+        assert largest_root(JacobiParams(2.0, 0.5), 5).hex() == largest_root_eigh(2.0, 0.5, 5).hex()
+
+    def test_degree_zero_raises_on_every_call(self):
+        clear_largest_root_memo()
+        for _ in range(3):
+            with pytest.raises(ValueError, match="degree must be >= 1"):
+                largest_root(JacobiParams(0, 0), 0)
+        assert _solve_largest_root.cache_info().currsize == 0
 
 
 class TestGaussJacobi:
