@@ -1,6 +1,6 @@
 """In-process timings of two source trees of projbound, written as one JSON record.
 
-    python benchmarks/bench_layers.py --parent OLD/src --change src --out BENCH_18.json
+    python benchmarks/bench_layers.py --parent OLD/src --change src --out BENCH_19.json
 
 The two trees are timed in rounds that alternate between them (parent then
 change, then change then parent, and so on), so a drift of the host's speed
@@ -40,6 +40,12 @@ spread of a tree's own rounds shows next to the difference between trees:
   point-set file with n in {2000, 4000, 10000}: wall time of the whole
   process (seconds) and its maximum resident set size (MiB, from
   ``os.wait4``).
+
+Each in-process entry ``<entry>_s`` has a twin ``<entry>_cpu_s``: the
+process CPU time (``time.process_time()``, every thread of the process) of
+the same calls.  Time that other processes take from the run counts in the
+wall time but not in the CPU time; a host that runs the whole machine slower
+slows both alike.
 
 The package keeps each solved Bessel zero and each solved largest Jacobi root
 in a per-process memo (``specials._ZERO_CACHE`` and the ``lru_cache`` of
@@ -100,13 +106,16 @@ MOMENT_REPS = 3
 ROUNDS = 10
 
 
-def _median_time(fn, reps: int) -> float:
-    times = []
+def _time(out: dict, entry: str, fn, reps: int, number: int = 1) -> None:
+    """out[entry_s] and out[entry_cpu_s]: median wall and process CPU seconds of fn, per call."""
+    wall, cpu = [], []
     for _ in range(reps):
-        start = time.perf_counter()
+        start, start_cpu = time.perf_counter(), time.process_time()
         fn()
-        times.append(time.perf_counter() - start)
-    return statistics.median(times)
+        cpu.append(time.process_time() - start_cpu)
+        wall.append(time.perf_counter() - start)
+    out[f"{entry}_s"] = statistics.median(wall) / number
+    out[f"{entry}_cpu_s"] = statistics.median(cpu) / number
 
 
 def random_nodes(delta: int, m: int, n: int, seed: int = 0):
@@ -136,9 +145,7 @@ def measure() -> dict:
                 jacobi.largest_root(params, k)
 
         roots()  # lazy imports
-        out[f"largest_root(alpha={alpha:g},beta={beta:g},k={k})_s"] = (
-            _median_time(roots, REPS) / calls
-        )
+        _time(out, f"largest_root(alpha={alpha:g},beta={beta:g},k={k})", roots, REPS, calls)
 
     for beta, alpha, eps in HYPERGEOM_CASES:
 
@@ -147,9 +154,8 @@ def measure() -> dict:
                 specials.hypergeom_F(beta, alpha, eps)
 
         hypergeoms()  # fills the Gauss-Jacobi rule cache, as any earlier call would
-        out[f"hypergeom_F(beta={beta:g},alpha={alpha:g},eps={eps:g})_s"] = (
-            _median_time(hypergeoms, REPS) / SCALAR_NUMBER
-        )
+        entry = f"hypergeom_F(beta={beta:g},alpha={alpha:g},eps={eps:g})"
+        _time(out, entry, hypergeoms, REPS, SCALAR_NUMBER)
 
     for name, m, q in LP_CASES:
         field = cubature.Field.parse(name)
@@ -158,18 +164,17 @@ def measure() -> dict:
             for _ in range(SCALAR_NUMBER):
                 bounds.lp_bound(field, m, q)
 
-        out[f"lp_bound({name},m={m},q={q})_s"] = _median_time(lps, REPS) / SCALAR_NUMBER
+        _time(out, f"lp_bound({name},m={m},q={q})", lps, REPS, SCALAR_NUMBER)
 
     ps = cubature.PointSet(cubature.Field.R, 4, random_nodes(1, 4, 2000))
-    out["gram_matrix(R,m=4,n=2000)_s"] = _median_time(lambda: cubature.gram_matrix(ps), REPS)
+    _time(out, "gram_matrix(R,m=4,n=2000)", lambda: cubature.gram_matrix(ps), REPS)
     del ps
 
     for name, m, n, p in MOMENT_CASES:
         field = cubature.Field.parse(name)
         ps = cubature.PointSet(field, m, random_nodes(field.delta, m, n))
-        out[f"moment_test({name},m={m},n={n},p={p})_s"] = _median_time(
-            lambda: cubature.moment_test(ps, p), MOMENT_REPS
-        )
+        entry = f"moment_test({name},m={m},n={n},p={p})"
+        _time(out, entry, lambda: cubature.moment_test(ps, p), MOMENT_REPS)
         del ps
 
     zero_memo = getattr(specials, "_ZERO_CACHE", {})
@@ -180,7 +185,7 @@ def measure() -> dict:
                 zero_memo.clear()
                 specials.bessel_first_zero(nu)
 
-        out[f"bessel_first_zero(nu={nu:g})_s"] = _median_time(zeros, REPS) / BESSEL_NUMBER
+        _time(out, f"bessel_first_zero(nu={nu:g})", zeros, REPS, BESSEL_NUMBER)
 
     def run_cli(argv):
         with contextlib.redirect_stdout(io.StringIO()):
@@ -194,17 +199,17 @@ def measure() -> dict:
         clear_roots()
         run_cli(TABLE_ARGV)
 
-    out["cli " + " ".join(TABLE_ARGV) + "_s"] = _median_time(run_table_cold, 1)
+    _time(out, "cli " + " ".join(TABLE_ARGV), run_table_cold, 1)
     run_asym_cold()  # warm-up, not timed
-    out["cli " + " ".join(ASYM_ARGV) + "_s"] = _median_time(run_asym_cold, REPS)
-    out["cli " + " ".join(ASYM_ARGV) + " warm_s"] = _median_time(lambda: run_cli(ASYM_ARGV), REPS)
+    _time(out, "cli " + " ".join(ASYM_ARGV), run_asym_cold, REPS)
+    _time(out, "cli " + " ".join(ASYM_ARGV) + " warm", lambda: run_cli(ASYM_ARGV), REPS)
 
     def testfns():
         for _ in range(TESTFN_NUMBER):
             run_cli(TESTFN_ARGV)
 
     testfns()  # fills the quadrature caches, as any earlier request would
-    out["cli " + " ".join(TESTFN_ARGV) + "_s"] = _median_time(testfns, REPS) / TESTFN_NUMBER
+    _time(out, "cli " + " ".join(TESTFN_ARGV), testfns, REPS, TESTFN_NUMBER)
 
     for argv in WARM_ARGVS:
 
@@ -213,16 +218,19 @@ def measure() -> dict:
                 run_cli(argv)
 
         warm_requests()  # solves the roots, so the timed calls read them
-        out["cli " + " ".join(argv) + " warm_s"] = _median_time(warm_requests, REPS) / WARM_NUMBER
+        _time(out, "cli " + " ".join(argv) + " warm", warm_requests, REPS, WARM_NUMBER)
 
     def asym_rows():
         for _ in range(ASYM_ROWS_NUMBER):
             bounds.asymptotic_report(bounds.Field.H, range(2, 301))
 
     asym_rows()  # solves the zeros, so the timed calls build rows only
-    out["asymptotic_report(H,m=2..300) warm_s"] = _median_time(asym_rows, REPS) / ASYM_ROWS_NUMBER
-    out[f"oscillation_report({OSCILLATION_P_MAX})_s"] = _median_time(
-        lambda: bounds.oscillation_report(OSCILLATION_P_MAX), REPS
+    _time(out, "asymptotic_report(H,m=2..300) warm", asym_rows, REPS, ASYM_ROWS_NUMBER)
+    _time(
+        out,
+        f"oscillation_report({OSCILLATION_P_MAX})",
+        lambda: bounds.oscillation_report(OSCILLATION_P_MAX),
+        REPS,
     )
     return out
 

@@ -257,13 +257,13 @@ class AsymptoticRow:
     gap_factor_log: float  # log of 2^{d(m-1)} * kappa
 
 
-def asymptotic_report(field: Field, m_list) -> list[AsymptoticRow]:
-    """Rows comparing the two liminf constants and their quotient for each m.
+def _asymptotic_columns(field: Field, m_list) -> list[list]:
+    """asymptotic_report's rows as columns: one list per AsymptoticRow field, in order.
 
     The Bessel zeros j_{nu,1} of all rows come from one bessel_first_zeros call.
     Each column is one float64 pass over the m list, with the operands of every
     + - * in the per-row formula's order; log and exp stay scalar libm calls, so
-    each row is the double the per-row formula gives.
+    each cell is the double the per-row formula gives.
     """
     d = field.delta
     m_list = list(m_list)
@@ -272,9 +272,10 @@ def asymptotic_report(field: Field, m_list) -> list[AsymptoticRow]:
             raise ValueError(f"m must be >= 2, got {m}")
     nus = [d * (m - 1) / 2.0 for m in m_list]
     zeros = bessel_first_zeros(nus)
+    j1 = [z.value for z in zeros]
     nu, m_float = np.array(nus), np.array(m_list, dtype=float)
     dm1 = 2.0 * nu  # d*(m-1) as a float, exactly
-    log_j1 = np.array(list(map(math.log, [z.value for z in zeros])))
+    log_j1 = np.array(list(map(math.log, j1)))
     lg_nu, lg_d, lg_dm = gammaln(nu + 1.0), log_gamma(d / 2.0), gammaln(d * m_float / 2.0)
     log_kap = 2.0 * nu * log_j1 - 2.0 * lg_nu - nu * math.log(16.0)
     log_pidm = np.array(list(map(math.log, (math.pi * d * m_float).tolist())))
@@ -289,10 +290,14 @@ def asymptotic_report(field: Field, m_list) -> list[AsymptoticRow]:
         lg_nu + lg_d - lg_dm - dm1 * log_j1,
         dm1 * math.log(2.0) + log_kap,
     )
-    return [
-        AsymptoticRow(m, z.nu, z.value, z.residual, _exp_safe(lk), lk, *rest)
-        for m, z, lk, *rest in zip(m_list, zeros, *(c.tolist() for c in columns))
-    ]
+    log_kappa, *rest = (c.tolist() for c in columns)
+    residuals = [z.residual for z in zeros]
+    return [m_list, nus, j1, residuals, list(map(_exp_safe, log_kappa)), log_kappa, *rest]
+
+
+def asymptotic_report(field: Field, m_list) -> list[AsymptoticRow]:
+    """Rows comparing the two liminf constants and their quotient for each m."""
+    return list(map(AsymptoticRow, *_asymptotic_columns(field, m_list)))
 
 
 @dataclass(frozen=True)

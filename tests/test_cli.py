@@ -9,11 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from projbound import BoundReport, circle_design
+from projbound import AsymptoticRow, BoundReport, Field, asymptotic_report, circle_design
 from projbound import cli
 from projbound.cli import build_parser, main
 
-from helpers import clear_largest_root_memo
+from helpers import asymptotic_rows_loop, clear_largest_root_memo
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = REPO_ROOT / "tests" / "data" / "golden"
@@ -271,6 +271,29 @@ class TestAsymCommand:
         with pytest.raises(SystemExit) as exc:
             main(["asym", "--field", "R", "--m-max", "1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("m_max", [2, 3, 300])
+    @pytest.mark.parametrize("field", ["R", "C", "H"])
+    def test_bytes_match_the_per_row_loop(self, capsys, field, m_max):
+        # H at m-max 300 reaches nu = 598
+        code, out, _ = run(capsys, "asym", "--field", field, "--m-max", str(m_max))
+        assert code == 0
+        schema = cli._ASYM_SCHEMA
+        lines = [f"# projbound asym v1 field={field} columns={schema}", schema]
+        for row in asymptotic_rows_loop(Field.parse(field), range(2, m_max + 1)):
+            lines.append(",".join(cli._fmt(getattr(row, c)) for c in schema.split(",")))
+        assert out.encode() == ("\n".join(lines) + "\n").encode()
+
+    def test_builds_no_row_objects(self, capsys, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("asym built an AsymptoticRow")
+
+        monkeypatch.setattr(AsymptoticRow, "__init__", refuse)
+        with pytest.raises(AssertionError):
+            asymptotic_report(Field.H, [2])
+        code, out, _ = run(capsys, "asym", "--field", "H", "--m-max", "300")
+        assert code == 0
+        assert len(out.splitlines()) == 2 + 299
 
 
 class TestCsvWriter:
