@@ -50,19 +50,20 @@ def _write_output(text: str, out_path):
     return 0
 
 
-def _write_csv(comment: str, schema: str, rows, out_path) -> int:
+def _write_csv(comment: str, schema: str, columns, out_path) -> int:
     """The `# projbound <comment> columns=<schema>` line, the schema line, then the rows.
 
-    Each row is a tuple, printed with one % format per distinct tuple of cell
-    types; the format keeps _fmt's rule cell by cell.
+    Each column is a sequence of cells, printed with one % format: "%s" if
+    every cell is an int, "%.12g" if none is, and _fmt cell by cell if the
+    column mixes the two, so every cell keeps _fmt's rule.
     """
+    formats, printed = [], []
+    for column in columns:
+        kinds = {issubclass(t, int) for t in set(map(type, column))}
+        formats.append("%.12g" if kinds == {False} else "%s")
+        printed.append(list(map(_fmt, column)) if len(kinds) > 1 else column)
     lines = [f"# projbound {comment} columns={schema}", schema]
-    formats = {}
-    for row in rows:
-        types = tuple(map(type, row))
-        if (fmt := formats.get(types)) is None:
-            fmt = formats[types] = ",".join("%s" if issubclass(t, int) else "%.12g" for t in types)
-        lines.append(fmt % row)
+    lines += map(",".join(formats).__mod__, zip(*printed))
     return _write_output("\n".join(lines) + "\n", out_path)
 
 
@@ -97,7 +98,7 @@ def cmd_table(args, parser) -> int:
         return _write_csv(
             f"table v1 field={field.name} m={args.m}",
             ",".join(columns),
-            (tuple(row.values()) for row in rows),
+            zip(*(row.values() for row in rows)),
             args.out,
         )
     if args.format == "markdown":
@@ -139,8 +140,8 @@ def cmd_asym(args, parser) -> int:
     if args.m_max < 2:
         parser.error("m-max must be >= 2")
     m, nu, zero, _residual, *rest = _asymptotic_columns(field, range(2, args.m_max + 1))
-    rows = zip(m, nu, zero, *rest)  # every field but the residual
-    return _write_csv(f"asym v1 field={field.name}", _ASYM_SCHEMA, rows, args.out)
+    columns = (m, nu, zero, *rest)  # every field but the residual
+    return _write_csv(f"asym v1 field={field.name}", _ASYM_SCHEMA, columns, args.out)
 
 
 def cmd_testfn(args, parser) -> int:
@@ -153,7 +154,7 @@ def cmd_testfn(args, parser) -> int:
     return _write_csv(
         f"testfn v1 field={tf.field.name} m={tf.m} l={tf.l} xi={_fmt(tf.xi)}",
         _TESTFN_SCHEMA,
-        zip(range(tf.k_max + 1), tf.coeff_h.tolist(), tf.coeff_g.tolist(), tf.coeff_f.tolist()),
+        (range(tf.k_max + 1), tf.coeff_h.tolist(), tf.coeff_g.tolist(), tf.coeff_f.tolist()),
         args.out,
     )
 

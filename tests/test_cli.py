@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -10,10 +11,10 @@ import numpy as np
 import pytest
 
 from projbound import AsymptoticRow, BoundReport, Field, asymptotic_report, circle_design
-from projbound import cli
+from projbound import cli, specials
 from projbound.cli import build_parser, main
 
-from helpers import asymptotic_rows_loop, clear_largest_root_memo
+from helpers import asymptotic_rows_loop, clear_bessel_zero_memo, clear_largest_root_memo
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = REPO_ROOT / "tests" / "data" / "golden"
@@ -24,6 +25,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def asym_expected(field: str, m_max: int) -> bytes:
+    """asym's output for (field, m_max), built from the per-row scalar loop and _fmt."""
+    schema = cli._ASYM_SCHEMA
+    lines = [f"# projbound asym v1 field={field} columns={schema}", schema]
+    for row in asymptotic_rows_loop(Field.parse(field), range(2, m_max + 1)):
+        lines.append(",".join(cli._fmt(getattr(row, c)) for c in schema.split(",")))
+    return ("\n".join(lines) + "\n").encode()
 
 
 def write_circle_file(path, p, perturb=False, weights=True):
@@ -278,11 +288,7 @@ class TestAsymCommand:
         # H at m-max 300 reaches nu = 598
         code, out, _ = run(capsys, "asym", "--field", field, "--m-max", str(m_max))
         assert code == 0
-        schema = cli._ASYM_SCHEMA
-        lines = [f"# projbound asym v1 field={field} columns={schema}", schema]
-        for row in asymptotic_rows_loop(Field.parse(field), range(2, m_max + 1)):
-            lines.append(",".join(cli._fmt(getattr(row, c)) for c in schema.split(",")))
-        assert out.encode() == ("\n".join(lines) + "\n").encode()
+        assert out.encode() == asym_expected(field, m_max)
 
     def test_builds_no_row_objects(self, capsys, monkeypatch):
         def refuse(self, *args, **kwargs):
@@ -296,8 +302,53 @@ class TestAsymCommand:
         assert len(out.splitlines()) == 2 + 299
 
 
+class TestAsymZeroMemo:
+    """asym's bytes are the same whether the Bessel zero memo is empty, partly or fully warm."""
+
+    @pytest.mark.parametrize("field", ["R", "C", "H"])
+    def test_cold_and_warm_bytes_match_the_per_row_loop(self, capsys, field):
+        clear_bessel_zero_memo()
+        for m_max in (300, 2, 150, 301, 3, 300):
+            code, out, _ = run(capsys, "asym", "--field", field, "--m-max", str(m_max))
+            assert code == 0
+            assert out.encode() == asym_expected(field, m_max)
+
+    def test_out_file_cold_and_warm(self, capsys, tmp_path):
+        clear_bessel_zero_memo()
+        for name in ("cold.csv", "warm.csv"):
+            argv = ("asym", "--field", "C", "--m-max", "120", "--out", str(tmp_path / name))
+            assert run(capsys, *argv)[:2] == (0, "")
+            assert (tmp_path / name).read_bytes() == asym_expected("C", 120)
+
+    def test_concurrent_requests(self, tmp_path):
+        clear_bessel_zero_memo()
+        m_maxes = (300, 40, 300, 40)
+        paths = [tmp_path / f"asym_{i}.csv" for i in range(len(m_maxes))]
+        codes = [None] * len(m_maxes)
+
+        def request(i):
+            argv = ["asym", "--field", "H", "--m-max", str(m_maxes[i]), "--out", str(paths[i])]
+            codes[i] = main(argv)
+
+        threads = [threading.Thread(target=request, args=(i,)) for i in range(len(m_maxes))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often inside each request
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert codes == [0] * len(m_maxes)
+        assert {2.0 * (m - 1) for m in range(2, 301)} <= specials._ZERO_CACHE.keys()
+        for path, m_max in zip(paths, m_maxes):
+            assert path.read_bytes() == asym_expected("H", m_max)
+
+
 class TestCsvWriter:
-    """_write_csv prints each cell as _fmt does, whatever the mix of cell types."""
+    """_write_csv prints each cell as _fmt does, whatever the mix of cell types in a column."""
 
     ROWS = [
         (1, True, 2**70, np.int64(10**13), np.float64(0.1), math.inf, 2.5),
@@ -308,13 +359,20 @@ class TestCsvWriter:
     ]
 
     def test_lines_match_fmt(self, capsys):
-        assert cli._write_csv("test v1", "a,b,c,d,e,f,g", iter(self.ROWS), None) == 0
+        assert cli._write_csv("test v1", "a,b,c,d,e,f,g", zip(*self.ROWS), None) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[:2] == ["# projbound test v1 columns=a,b,c,d,e,f,g", "a,b,c,d,e,f,g"]
         assert lines[2:] == [",".join(cli._fmt(v) for v in row) for row in self.ROWS]
 
+    def test_columns_of_one_kind(self, capsys):
+        ints = [0, -1, True, 2**70, -(2**70)]
+        floats = [-0.0, math.nan, -math.inf, np.float64(1e-310), np.int64(10**13)]
+        assert cli._write_csv("test v1", "a,b", (ints, floats), None) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2:] == [f"{cli._fmt(a)},{cli._fmt(b)}" for a, b in zip(ints, floats)]
+
     def test_row_of_one_cell(self, capsys):
-        cli._write_csv("test v1", "a", [(7,), (7.0,), (-0.0,)], None)
+        cli._write_csv("test v1", "a", [(7, 7.0, -0.0)], None)
         assert capsys.readouterr().out.splitlines()[2:] == ["7", "7", "-0"]
 
 
