@@ -1,6 +1,6 @@
 """In-process timings of two source trees of projbound, written as one JSON record.
 
-    python benchmarks/bench_layers.py --parent OLD/src --change src --out BENCH_20.json
+    python benchmarks/bench_layers.py --parent OLD/src --change src --out BENCH_21.json
 
 The two trees are timed in rounds that alternate between them (parent then
 change, then change then parent, and so on), so a drift of the host's speed
@@ -17,8 +17,11 @@ spread of a tree's own rounds shows next to the difference between trees:
 * ``hypergeom_F`` and exact-integer ``lp_bound``, per call over 200 calls, at
   arguments like those a ``bound`` request over H passes;
 * ``gram_matrix`` for a random R, m=4, n=2000 point set;
-* ``moment_test`` for random equal-weight sets: H, m=2, n=2000, p=8 and
-  R, m=3, n=4000, p=4, Gram kernel included;
+* ``moment_test`` for random equal-weight sets, Gram kernel included: H, m=2,
+  n=2000, p=8 and R, m=3, n=4000, p=4, many blocks of pairs with few moments;
+  and R, m=2, n=110, p=218 and C, m=2, n=40, p=16, one block with many
+  moments, the shape of verify-sweep's circle and Gauss designs, per call
+  over 20 and 200 calls;
 * one-order ``bessel_first_zero`` at nu in {0.5, 10, 147, 598}, per call over
   200 calls: a single zero, as ``kappa`` and ``root_asymptotic_ratio`` ask;
 * ``table --field H --p-min 2 --p-max 1200`` and ``asym --field H --m-max 300``
@@ -98,7 +101,9 @@ OSCILLATION_P_MAX = 200
 BESSEL_ORDERS = [0.5, 10.0, 147.0, 598.0]
 BESSEL_NUMBER = 200
 SCALAR_NUMBER = 200
-MOMENT_CASES = [("H", 2, 2000, 8), ("R", 3, 4000, 4)]
+#: (field, m, n, p, calls per repetition)
+MOMENT_CASES = [("H", 2, 2000, 8, 1), ("R", 3, 4000, 4, 1), ("R", 2, 110, 218, 20),
+                ("C", 2, 40, 16, 200)]
 VERIFY_FIELD, VERIFY_M, VERIFY_P = "H", 3, 8
 VERIFY_SIZES = (2000, 4000, 10_000)
 REPS = 5
@@ -170,11 +175,15 @@ def measure() -> dict:
     _time(out, "gram_matrix(R,m=4,n=2000)", lambda: cubature.gram_matrix(ps), REPS)
     del ps
 
-    for name, m, n, p in MOMENT_CASES:
+    for name, m, n, p, calls in MOMENT_CASES:
         field = cubature.Field.parse(name)
         ps = cubature.PointSet(field, m, random_nodes(field.delta, m, n))
-        entry = f"moment_test({name},m={m},n={n},p={p})"
-        _time(out, entry, lambda: cubature.moment_test(ps, p), MOMENT_REPS)
+
+        def moments():
+            for _ in range(calls):
+                cubature.moment_test(ps, p)
+
+        _time(out, f"moment_test({name},m={m},n={n},p={p})", moments, MOMENT_REPS, calls)
         del ps
 
     zero_memo = getattr(specials, "_ZERO_CACHE", {})
@@ -344,7 +353,8 @@ def main() -> int:
                 "largest_root": f"{REPS} x max(1, {ROOT_CALLS} // k) calls",
                 "hypergeom_F": f"{REPS} x {SCALAR_NUMBER} calls",
                 "lp_bound": f"{REPS} x {SCALAR_NUMBER} calls",
-                "gram_matrix": REPS, "moment_test": MOMENT_REPS,
+                "gram_matrix": REPS,
+                "moment_test": f"{MOMENT_REPS} x 1 call (n >= 2000), 20 or 200 calls",
                 "bessel_first_zero": f"{REPS} x {BESSEL_NUMBER} calls",
                 "table": 1, "asym": REPS, "asym warm": REPS,
                 "testfn": f"{REPS} x {TESTFN_NUMBER} calls",

@@ -22,6 +22,7 @@ import warnings
 from .bounds import _asymptotic_columns, lp_bound_h_alt, yudin_bound
 from .cubature import load_point_set, verify
 from .fields import Field
+from .jacobi import NumericalError
 from .testfn import build_test_function
 
 _TABLE_SCHEMA = "p,lp_bound,yudin_raw,yudin_bound,delta"
@@ -236,6 +237,9 @@ def main(argv=None) -> int:
         return args.run(args, parser)
     except ValueError as exc:
         parser.error(str(exc))
+    except NumericalError as exc:  # e.g. verify's moments past the float range
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

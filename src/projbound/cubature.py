@@ -12,9 +12,9 @@ Nodes are stored as quaternion coordinate quadruples for all three fields
 kernel |(x, y)|^2 is a sum of real products in a fixed order, without BLAS, so
 cos_ij and cos_ji are the same double and the pass forms each pair i <= j once,
 with pair weight w_i^2 or 2 w_i w_j.  The Gram matrix is never stored: the
-pairs come a row block at a time, each feeding the duplicate scan and the
-moment sums.  Those are correctly rounded by exact extraction and doubling is
-exact, so a moment is the rounded sum over all n^2 ordered pairs in any order.
+pairs come a row block at a time, each feeding the duplicate scan and, a group
+of degrees at a time, exact per-degree sums; doubling is exact, so a moment is
+the rounded sum over all n^2 ordered pairs in any order.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from .bounds import _check_even_p, yudin_bound
 from .fields import Field, field_params
-from .jacobi import NumericalError, _coefficients, _iter_values
+from .jacobi import NumericalError, _coefficients
 
 _UNIT_NORM_TOL = 1e-12
 _DUPLICATE_TOL = 1e-12
@@ -138,7 +138,9 @@ def _gram_pairs(ps: PointSet):
             g += np.multiply.outer(a, b)
         keep = np.arange(width) >= np.arange(rows)[:, None]
         g = g[keep]
-        yield r0, keep, 2.0 * (g * g if ps.field is Field.R else g) - 1.0
+        if ps.field is Field.R:
+            g *= g
+        yield r0, keep, np.subtract(np.multiply(g, 2.0, out=g), 1.0, out=g)  # 2 g - 1 in place
         r0 += rows
 
 
@@ -151,59 +153,45 @@ def gram_matrix(ps: PointSet) -> np.ndarray:
     return cos
 
 
-class _ExactSum:
-    """Correctly rounded sum of up to `count` floats, added in any chunks and order.
+def _exact_row_sums(x: np.ndarray) -> np.ndarray:
+    """Exact partial sums of each row of x, shape (rows, rungs); x ends all zero.
 
-    Error-free extraction on a fixed ladder (Rump, Ogita & Oishi 2008,
-    SIAM J. Sci. Comput. 31, ExtractVector).  With shift = ceil(log2(count + 2)),
-    level j has e_j = e_0 - j (52 - shift) and sigma_j = 2^(e_j + shift).
-    For |x| <= 2^e_j, q = (sigma_j + x) - sigma_j is a multiple of
-    2^-53 sigma_j, x - q is exact and at most 2^e_{j+1}, and every sum of up
-    to `count` such q is exact.  So each level's running sum is exact, and
-    fsum of the few level sums rounds the exact total once.  The largest
-    magnitude of the first nonzero chunk anchors e_0; a later value above it
-    lands on a level j < 0, which is exact all the same.
+    ExtractVector (Rump, Ogita & Oishi 2008, SIAM J. Sci. Comput. 31) on a ladder per row:
+    sigma starts at 2^shift times the row's top power of two, shift = ceil(log2(length + 2)),
+    and falls 52 - shift bits a rung; q = (sigma + x) - sigma, x - q and the row sum of q
+    are exact.  A row not finite or reaching 2^(1023 - shift) gets the one partial NaN.
     """
-
-    def __init__(self, count: int):
-        self.shift = (count + 1).bit_length()
-        self.step = 52 - self.shift
-        self.top: Optional[int] = None
-        self.levels: dict[int, float] = {}
-
-    def add(self, x: np.ndarray) -> None:
-        """Add every entry of x, which is overwritten (it ends all zero)."""
-        q = np.empty_like(x)
-        while True:
-            largest = max(x.max(), -x.min())
-            if largest == 0.0:
-                return
-            if self.top is None:
-                self.top = math.frexp(largest)[1]
-            # the first level j with 2^e_j >= largest, as largest < 2^E for frexp's E
-            j = (self.top - math.frexp(largest)[1]) // self.step
-            sigma = math.ldexp(1.0, self.top - j * self.step + self.shift)
-            np.add(x, sigma, out=q)
-            q -= sigma
-            self.levels[j] = self.levels.get(j, 0.0) + float(q.sum())
-            x -= q
-
-    def total(self) -> float:
-        return math.fsum(self.levels.values())
+    shift = (x.shape[1] + 1).bit_length()
+    largest = np.maximum(x.max(axis=1), -x.min(axis=1))
+    ok = largest < 2.0 ** (1023 - shift)  # finite, with room for sigma
+    sums = []
+    if not ok.all():
+        x[~ok] = largest[~ok] = 0.0
+        sums.append(np.where(ok, 0.0, np.nan))
+    sigma = np.ldexp(1.0, np.frexp(largest)[1] + shift)[:, None]
+    q = np.empty_like(x)
+    while x.any():
+        np.add(x, sigma, out=q)
+        q -= sigma
+        sums.append(q.sum(axis=1))
+        x -= q
+        sigma *= 2.0 ** (shift - 52)  # a power of two, or 0 past the subnormals
+    return np.array(sums).reshape(-1, len(x)).T
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a term past the float range gives a NaN moment
 def _gram_pass(ps: PointSet, p: int) -> tuple[list[float], list[tuple[int, int]]]:
     """(M_1 .. M_{p/2}, coincident pairs i < j) from one pass over the pairs i <= j.
 
-    Each moment is the correctly rounded sum of the n^2 values w_i w_j P_k(cos_ij), whatever
-    the node order: a pair i < j counts twice, exactly, and `_ExactSum` rounds once.
-    Pairs with cos_ij >= 1 - 1e-12 count as coincident; a moment below the -1e-10
-    guard contradicts positive semidefiniteness and raises NumericalError.
+    A row block takes the degrees in groups of about _BLOCK_ELEMENTS values; math.fsum of
+    the `_exact_row_sums` partials rounds the n^2 values w_i w_j P_k(cos_ij) once, whatever
+    the node order.  Pairs with cos_ij >= 1 - 1e-12 count as coincident.  A moment below
+    the -1e-10 guard, or NaN from a term past the float range, raises NumericalError.
     """
     _check_even_p(p)
     w = ps.weights
-    sums = [_ExactSum(ps.n * (ps.n + 1) // 2) for _ in range(p // 2)]
-    coeffs = _coefficients(field_params(ps.field, ps.m), p // 2)
+    c1, c2, c3, c4 = _coefficients(field_params(ps.field, ps.m), p // 2)
+    parts = [[] for _ in range(p // 2)]
     duplicates = []
     for r0, keep, cos in _gram_pairs(ps):
         hits = np.flatnonzero(cos >= 1.0 - _DUPLICATE_TOL)
@@ -215,16 +203,24 @@ def _gram_pass(ps: PointSet, p: int) -> tuple[list[float], list[tuple[int, int]]
         pair_w = 2.0 * w[r0 : r0 + len(keep), None] * w[r0:]  # 2 (w_i w_j) exactly
         np.fill_diagonal(pair_w, w[r0 : r0 + len(keep)] ** 2)
         pair_w = pair_w[keep]
-        values = _iter_values(coeffs, cos)
-        next(values)  # P_0
-        for acc, p_k in zip(sums, values):
-            acc.add(pair_w * p_k)
-    moments = [acc.total() for acc in sums]
+        group = max(1, _BLOCK_ELEMENTS // cos.size)
+        p_last = 1.0  # P_0; each degree then moves (p_prev, p_last) one along
+        for k0 in range(0, p // 2, group):
+            rows = np.multiply.outer(c3[k0 : k0 + group], cos)
+            rows += c2[k0 : k0 + group, None]  # c2 + c3 cos, degrees k0 + 1 ..
+            for k, row in enumerate(rows, start=k0):
+                if k:  # P_1 = (c2 + c3 cos) / c1, as P_0 = 1 and P_{-1} = 0
+                    row *= p_last
+                    row -= c4[k] * p_prev
+                row /= c1[k]
+                p_prev, p_last = p_last, row
+            for part, row_sums in zip(parts[k0:], _exact_row_sums(rows * pair_w).tolist()):
+                part += row_sums
+    moments = [math.fsum(part) for part in parts]
     for k, m_k in enumerate(moments, start=1):
-        if m_k < _MOMENT_NEGATIVE_GUARD:
-            raise NumericalError(
-                f"moment M_{k} = {m_k!r} violates nonnegativity; numerical failure"
-            )
+        if not m_k >= _MOMENT_NEGATIVE_GUARD:
+            raise NumericalError(f"moment M_{k} = {m_k!r} is negative or not finite; "
+                                 "numerical failure")
     return moments, duplicates
 
 

@@ -21,12 +21,15 @@ passes over the asymptotic rows replaced, and pins every row field to the
 same double.
 clear_bessel_zero_memo and clear_largest_root_memo empty the package's
 per-process memos of first Bessel zeros and of largest Jacobi roots, so a test
-that needs a cold solve gets one.
+that needs a cold solve gets one.  deadline turns a call that does not return
+in time into a failed test instead of a hung suite.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import signal
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -150,6 +153,22 @@ def fsum_moments(ps, p: int, cos=None) -> list[float]:
         p_k, p_prev = ((c2 + c3 * cos) * p_k - c4 * p_prev) / c1, p_k
         moments.append(math.fsum((pair_w * p_k).ravel()))
     return moments
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Raise TimeoutError in the body once `seconds` have passed (SIGALRM, main thread)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def frozen_gram_pass(ps, p: int) -> tuple[list[float], list[tuple[int, int]]]:

@@ -14,7 +14,12 @@ from projbound import AsymptoticRow, BoundReport, Field, asymptotic_report, circ
 from projbound import cli, specials
 from projbound.cli import build_parser, main
 
-from helpers import asymptotic_rows_loop, clear_bessel_zero_memo, clear_largest_root_memo
+from helpers import (
+    asymptotic_rows_loop,
+    clear_bessel_zero_memo,
+    clear_largest_root_memo,
+    deadline,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = REPO_ROOT / "tests" / "data" / "golden"
@@ -216,6 +221,17 @@ class TestVerifyCommand:
             main(["verify", str(path), f"--tol={tol}"])
         assert exc.value.code == 2
         assert "tol must be finite and positive" in capsys.readouterr().err
+
+    def test_moments_past_the_float_range_exit_2(self, capsys, tmp_path):
+        # two orthogonal H nodes in m = 300: P_k(1) leaves the float range before k = 600
+        nodes = [[[1.0 if a == i else 0.0, 0.0, 0.0, 0.0] for a in range(300)] for i in (0, 1)]
+        path = tmp_path / "h300.json"
+        path.write_text(json.dumps({"field": "H", "m": 300, "p": 1200, "nodes": nodes}))
+        with deadline(60):
+            code, out, err = run(capsys, "verify", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: moment M_") and err.count("\n") == 1
+        assert "= nan is negative or not finite" in err
 
     def test_float_p_exit_2(self, capsys, tmp_path):
         path = write_circle_file(tmp_path / "c.json", 10)

@@ -11,6 +11,7 @@ from scipy.special import eval_jacobi
 import projbound.cubature
 from projbound import (
     Field,
+    NumericalError,
     PointSet,
     circle_design,
     gram_matrix,
@@ -21,13 +22,15 @@ from projbound import (
     verify,
 )
 
-from projbound.cubature import _BLOCK_ELEMENTS, _ExactSum
+from projbound.cubature import _BLOCK_ELEMENTS, _exact_row_sums
 
 from helpers import (
     Quaternion,
+    deadline,
     field_alpha_beta,
     frozen_gram_pass,
     fsum_moments,
+    loop_coefficients,
     projective_cos,
 )
 
@@ -315,6 +318,38 @@ class TestMomentTest:
         p = 8 if n > 1000 else 16
         assert moment_test(ps, p) == fsum_moments(ps, p)
 
+    # circle_design(218) is 110 nodes, one block of 6105 pairs, 5 degrees a group; C, m=2,
+    # n=300 is blocks of 109, 171 and 20 rows, one degree a group but all 32 in the last.
+    # With 2000 values a block they make 4 and 26 blocks, the last with 2 and 32 a group.
+    @pytest.mark.parametrize("block", [None, 2000], ids=["default-blocks", "small-blocks"])
+    @pytest.mark.parametrize("case", ["circle-p218", "C-m2-n300-p64"])
+    def test_degree_groups_match_full_matrix_fsum_bit_for_bit(self, case, block, monkeypatch):
+        if case == "circle-p218":
+            ps, p = circle_design(218), 218
+        else:
+            ps, p = random_point_set(np.random.default_rng(101), Field.C, 2, 300), 64
+        if block is not None:
+            monkeypatch.setattr(projbound.cubature, "_BLOCK_ELEMENTS", block)
+        moments = moment_test(ps, p)
+        assert len(moments) == p // 2
+        assert moments == fsum_moments(ps, p)
+
+    @pytest.mark.parametrize("run", [moment_test, verify], ids=["moment_test", "verify"])
+    def test_terms_past_the_float_range_raise_instead_of_hanging(self, run):
+        # two orthogonal H nodes, m = 300: cos is 1 on the diagonal, where a term is
+        # P_k(1) / 4, and -1 off it, where P_k(-1) = k + 1; 3 pairs leave room below 2^1020
+        nodes = np.zeros((2, 300, 4))
+        nodes[0, 0, 0] = nodes[1, 1, 0] = 1.0
+        ps = PointSet(Field.H, 300, nodes)
+        p_prev, p_k = 0.0, 1.0
+        for k, (c1, c2, c3, c4) in enumerate(loop_coefficients(*field_alpha_beta(4, 300), 600), 1):
+            p_k, p_prev = ((c2 + c3 * 1.0) * p_k - c4 * p_prev) / c1, p_k
+            if not p_k / 4 < 2.0**1020:
+                break
+        assert 400 < k < 600
+        with deadline(60), pytest.raises(NumericalError, match=rf"^moment M_{k} = nan is "):
+            run(ps, 1200)
+
     def test_streams_without_an_n_by_n_temporary(self):
         rng = np.random.default_rng(67)
         ps = random_point_set(rng, Field.H, 2, 2000, equal_weights=True)
@@ -332,7 +367,10 @@ class TestMomentTest:
             moment_test(ps, 3)
 
 
-class TestExactSum:
+class TestExactRowSums:
+    CASES = ["cancellation", "wide", "ties", "subnormal", "zeros", "single", "residuals"]
+    ANCHORS = [1.0, 1e-20, 1e20]
+
     @staticmethod
     def adversarial(case):
         rng = np.random.default_rng(71)
@@ -348,22 +386,75 @@ class TestExactSum:
             return rng.integers(-1000, 1000, 4000) * 5e-324
         if case == "zeros":
             return np.zeros(1000)
+        if case == "residuals":
+            # below half a first-rung ulp of 1.9 at 6005 columns (shift 13), with full
+            # mantissas: all of them reach the second rung at nearly its largest size
+            return np.concatenate([[1.9], 2.0**-39 * rng.uniform(0.9, 1.0, 5000)])
         return np.array([-math.pi])
 
-    @pytest.mark.parametrize(
-        "case", ["cancellation", "wide", "ties", "subnormal", "zeros", "single"]
-    )
-    @pytest.mark.parametrize("anchor", [1.0, 1e-20, 1e20])
-    def test_matches_fsum_in_any_chunks(self, case, anchor):
-        x = self.adversarial(case)
-        # a first chunk [b, -b] anchors the ladder at b; a misplaced anchor stays exact
-        b = anchor * (float(np.abs(x).max()) or 1.0)
-        for pieces in (1, 7):
-            acc = _ExactSum(x.size + 2)
-            acc.add(np.array([b, -b]))
-            for chunk in np.array_split(x, min(pieces, x.size)):
-                acc.add(chunk.copy())
-            assert acc.total() == math.fsum(x)
+    def rows(self):
+        """One row per (case, anchor), then an all-zero row and one of +-1e100 and 2^-200.
+
+        A leading pair [b, -b] with b = anchor * max|x| moves the largest magnitude, which
+        anchors the row's ladder, far above the data (1e20), onto it (1) or leaves it (1e-20).
+        """
+        rows = []
+        for case in self.CASES:
+            x = self.adversarial(case)
+            for anchor in self.ANCHORS:
+                b = anchor * (float(np.abs(x).max()) or 1.0)
+                rows.append(np.concatenate([[b, -b], x]))
+        rows += [np.zeros(3), np.array([1e100, 2.0**-200, -1e100])]
+        x = np.zeros((len(rows), max(map(len, rows))))  # zero padding leaves each sum alone
+        for row, values in zip(x, rows):
+            row[: len(values)] = values
+        return x
+
+    @pytest.mark.parametrize("pieces", [1, 7, 64, 4000])
+    def test_matches_fsum_in_any_chunks(self, pieces):
+        x = self.rows()
+        want = [math.fsum(row) for row in x]
+        parts = [[] for _ in x]
+        for chunk in np.array_split(x, pieces, axis=1):  # each chunk anchors its own ladders
+            for part, sums in zip(parts, _exact_row_sums(chunk.copy()).tolist()):
+                part += sums
+        assert [math.fsum(part) for part in parts] == want
+        # the partials are exact, not only their rounded total: partials minus row is 0
+        assert all(math.fsum(part + (-row).tolist()) == 0.0 for part, row in zip(parts, x))
+        assert want[-2:] == [0.0, 2.0**-200] and all(len(part) > 0 for part in parts[:-2])
+
+    def test_each_row_sums_alone(self):
+        # every row anchors its own ladder, so no row's partials depend on another row
+        x = self.rows()
+        together = _exact_row_sums(x.copy()).tolist()
+        alone = [_exact_row_sums(row[None].copy()).tolist()[0] for row in x]
+        assert [[v for v in part if v] for part in together] == [
+            [v for v in part if v] for part in alone
+        ]
+
+    def test_overwrites_x_with_zeros(self):
+        x = self.rows()
+        _exact_row_sums(x)
+        assert not x.any()
+
+    def test_all_zero_rows_have_no_rungs(self):
+        assert _exact_row_sums(np.zeros((3, 5))).shape == (3, 0)
+
+    def test_near_the_top_of_the_float_range(self):
+        # 3 columns: shift 3, so a row must stay below 2^1020 for its first sigma
+        top = 1.5 * 2.0**1019
+        x = np.array([[top, top, -(2.0**-100)], [-top, 2.0**-1074, 0.0]])
+        sums = _exact_row_sums(x.copy()).tolist()
+        assert [math.fsum(part) for part in sums] == [math.fsum(row) for row in x]
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 2.0**1020])
+    def test_a_row_past_the_float_range_sums_to_nan(self, bad):
+        # 3 columns: shift 3, so 2^1020 leaves no double for the row's first sigma
+        x = np.full((4, 3), 0.75)
+        x[2, 1] = x[3, 0] = bad
+        sums = [math.fsum(part) for part in _exact_row_sums(x).tolist()]
+        assert sums[:2] == [2.25, 2.25] and all(map(math.isnan, sums[2:]))
+        assert not x.any()
 
 
 class TestVerify:
