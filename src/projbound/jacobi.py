@@ -29,7 +29,7 @@ _RESCALE = 1e100
 
 
 class NumericalError(RuntimeError):
-    """An iterative numeric routine failed to converge."""
+    """A numeric routine failed to converge, or its value is past the float range."""
 
 
 @dataclass(frozen=True)

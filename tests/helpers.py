@@ -574,3 +574,13 @@ def mp_real_yudin(m: int, xi: float) -> float:
         eps = (1 - mpmath.mpf(xi)) / 2
         gammas = mpmath.gamma(a + 2) * mpmath.gamma(mpmath.mpf(1) / 2) / mpmath.gamma(a + 1.5)
         return float(gammas / mpmath.hyp2f1(0.5, a + 1, a + 2, eps) / eps ** (a + 1))
+
+
+def mp_inverse_betainc(alpha: float, beta: float, eps: float) -> float:
+    """1 / I_eps(alpha+1, beta+1), mpmath's regularized incomplete beta at 40 digits.
+
+    The Yudin-type bound at eps for the Jacobi weight (alpha, beta); inf when
+    the value is past the float range.
+    """
+    with mpmath.workdps(40):
+        return float(1 / mpmath.betainc(alpha + 1, beta + 1, 0, mpmath.mpf(eps), regularized=True))

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -35,8 +36,21 @@ from helpers import (
     asymptotic_rows_loop,
     clear_bessel_zero_memo,
     lambda_factorial,
+    mp_inverse_betainc,
     mp_real_yudin,
 )
+
+
+#: the inputs of R/C/H x m in {2,3,5,10,20,30,60,100,150,200,250,300} x
+#: p in {2,4,6,8,10,20,40,100,200,500,1000,2000,4000} whose bound is past the float range
+PAST_FLOAT_RANGE = [
+    *((Field.R, m, p) for m, p in [(200, 4000), (250, 4000), (300, 2000), (300, 4000)]),
+    *((Field.C, m, p) for m, p in [(100, 4000), (150, 2000), (150, 4000)]),
+    *((Field.C, m, p) for m, p in [(200, 2000), (200, 4000)]),
+    *((Field.C, m, p) for m in (250, 300) for p in (1000, 2000, 4000)),
+    *((Field.H, m, p) for m, p in [(60, 4000), (100, 2000), (100, 4000)]),
+    *((Field.H, m, p) for m in (150, 200, 250, 300) for p in (1000, 2000, 4000)),
+]
 
 
 class TestCeilSnap:
@@ -67,9 +81,10 @@ class TestLpBound:
         assert lp_bound(Field.H, 2, 2) == 6
 
     def test_quaternion_values_are_exact_integers(self):
-        # a remainder of the division by 2m-1 raises NumericalError
-        for m in (2, 3, 5, 30, 200, 300):
-            for q in [*range(1, 40), *range(40, 2001, 97)]:
+        # a remainder of the division by 2m-1 raises NumericalError; the grid
+        # is the one lp_bound's docstring names
+        for m in range(2, 301):
+            for q in [*range(1, 200), *range(200, 4001, 37)]:
                 val = lp_bound(Field.H, m, q)
                 assert isinstance(val, int) and val >= 1
 
@@ -139,6 +154,16 @@ class TestYudinBound:
         # keys that name no field, such as the CLI's delta, are ignored
         assert BoundReport.from_dict(doc | {"delta": 7}) == rep
 
+    @pytest.mark.parametrize("field,m,p", PAST_FLOAT_RANGE, ids=lambda v: str(v))
+    def test_past_the_float_range_is_a_numerical_error(self, field, m, p):
+        # exp(log_raw) would overflow: the error names the input and the log
+        with pytest.raises(NumericalError) as exc:
+            yudin_bound(field, m, p)
+        assert str(exc.value).startswith(
+            f"bound past the float range for field={field.name}, m={m}, p={p}: log_raw="
+        )
+        assert float(str(exc.value).rsplit("=", 1)[1]) > math.log(sys.float_info.max)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             yudin_bound(Field.R, 2, 3)
@@ -161,6 +186,41 @@ class TestFormEquivalence:
                 assert real_integral_ratio(m, p) == pytest.approx(
                     yudin_bound(Field.R, m, p).yudin_raw, rel=1e-10
                 )
+
+    @pytest.mark.parametrize(
+        "field,n_past_float_range", [(Field.R, 3), (Field.C, 6), (Field.H, 8)], ids=["R", "C", "H"]
+    )
+    def test_closed_form_is_inverse_incomplete_beta(self, field, n_past_float_range):
+        # raw = 1 / I_eps(a+1, b+1) at the program's own root for every field; over C
+        # and H this one identity covers the per-field forms (1/eps)^(m-1) and
+        # eps^-(2m-2) / ((2m-1) - (2m-2) eps)
+        past = []
+        for m in (2, 3, 5, 10, 30, 100, 200, 300):
+            params = field_params(field, m)
+            for p in [*range(2, 201, 2), 300, 500, 1000, 2000, 4000]:
+                xi = largest_root(params.raised(), p // 2)
+                want = mp_inverse_betainc(params.alpha, params.beta, (1.0 - xi) / 2.0)
+                if want == math.inf:
+                    with pytest.raises(NumericalError, match=f"field={field.name}, m={m}, p={p}:"):
+                        yudin_bound(field, m, p)
+                    past.append((m, p))
+                    continue
+                rep = yudin_bound(field, m, p)
+                assert rep.xi == xi
+                assert rep.yudin_raw == pytest.approx(want, rel=1e-11), (m, p)
+                assert rep.yudin_bound >= 1 and rep.lp_bound >= 1
+        assert len(past) == n_past_float_range, past
+
+    def test_real_integral_ratio_is_the_one_cross_check(self, monkeypatch):
+        reports = {f: yudin_bound(f, 3, 12) for f in Field}
+        ratio = projbound.bounds._real_ratio_from_xi
+        monkeypatch.setattr(
+            projbound.bounds, "_real_ratio_from_xi", lambda m, xi: ratio(m, xi) * (1 + 1e-6)
+        )
+        with pytest.raises(NumericalError, match="bound forms disagree for field=R, m=3, p=12"):
+            yudin_bound(Field.R, 3, 12)
+        assert yudin_bound(Field.C, 3, 12) == reports[Field.C]
+        assert yudin_bound(Field.H, 3, 12) == reports[Field.H]
 
     @pytest.mark.parametrize("m,p", [(200, 2000), (170, 4000)])
     def test_real_large_m_forms_match_mpmath(self, m, p):

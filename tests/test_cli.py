@@ -85,6 +85,20 @@ class TestBoundCommand:
 
         assert report == yudin_bound(Field.C, 3, 12)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--field", "H", "--m", "200", "--p", "2000"],
+            ["table", "--field", "R", "--m", "300", "--p-min", "3998", "--p-max", "4000"],
+        ],
+        ids=["bound", "table"],
+    )
+    def test_bound_past_the_float_range_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: bound past the float range for field=")
+        assert err.count("\n") == 1
+
     def test_bad_flags_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bound", "--field", "Q", "--m", "2", "--p", "4"])
@@ -503,12 +517,14 @@ class TestLargestRootMemo:
 class TestGoldenOutput:
     """The README's CLI invocations print exactly the recorded bytes and exit codes."""
 
+    @pytest.mark.filterwarnings("error")  # a stray warning fails the recording too
     @pytest.mark.parametrize("case", GOLDEN_CASES, ids=[c["name"] for c in GOLDEN_CASES])
     def test_bytes_match_recording(self, capsys, monkeypatch, case):
         monkeypatch.chdir(REPO_ROOT)  # verify paths in the README are repo-relative
-        code, out, _ = run(capsys, *case["argv"])
+        code, out, err = run(capsys, *case["argv"])
         assert code == case["exit"]
         assert out.encode("utf-8") == (GOLDEN_DIR / f"{case['name']}.out").read_bytes()
+        assert err == ""
 
 
 class TestImport:
