@@ -1,6 +1,6 @@
 """In-process timings of two source trees of projbound, written as one JSON record.
 
-    python benchmarks/bench_layers.py --parent OLD/src --change src --out BENCH_21.json
+    python benchmarks/bench_layers.py --parent OLD/src --change src --out BENCH_23.json
 
 The two trees are timed in rounds that alternate between them (parent then
 change, then change then parent, and so on), so a drift of the host's speed
@@ -29,7 +29,8 @@ spread of a tree's own rounds shows next to the difference between trees:
 * bound-sweep's slowest kinds of request, ``bound --field C --m 3 --p 1868
   --format json`` and ``table --field H --m 3 --p-min 1728 --p-max 1732
   --format json``, through ``cli.main`` with their roots already solved, per
-  call over 20 calls;
+  call over 20 calls, and a small-p ``bound --field C --m 3 --p 40 --format
+  json``, per call over 200 calls, where argument parsing is most of the time;
 * ``testfn --field H --m 2 --l 4`` through ``cli.main``, per call over 20
   calls: one test function and its 201-row CSV, the one kind of request
   in the bound-sweep workload that prints CSV;
@@ -88,12 +89,14 @@ LP_CASES = [("C", 4, 500), ("H", 200, 1000)]
 BOUND_ARGV = ["bound", "--field", "C", "--m", "3", "--p", "40"]
 TABLE_ARGV = ["table", "--field", "H", "--p-min", "2", "--p-max", "1200"]
 ASYM_ARGV = ["asym", "--field", "H", "--m-max", "300"]
-#: bound-sweep's slowest requests, timed warm
-WARM_ARGVS = [
-    ["bound", "--field", "C", "--m", "3", "--p", "1868", "--format", "json"],
-    ["table", "--field", "H", "--m", "3", "--p-min", "1728", "--p-max", "1732", "--format", "json"],
+#: bound-sweep's slowest requests, and a small-p one that is mostly argument
+#: parsing, timed warm: (argv, calls per repetition)
+WARM_REQUESTS = [
+    (["bound", "--field", "C", "--m", "3", "--p", "1868", "--format", "json"], 20),
+    (["table", "--field", "H", "--m", "3", "--p-min", "1728", "--p-max", "1732",
+      "--format", "json"], 20),
+    (["bound", "--field", "C", "--m", "3", "--p", "40", "--format", "json"], 200),
 ]
-WARM_NUMBER = 20
 TESTFN_ARGV = ["testfn", "--field", "H", "--m", "2", "--l", "4"]
 TESTFN_NUMBER = 20
 ASYM_ROWS_NUMBER = 20
@@ -220,14 +223,14 @@ def measure() -> dict:
     testfns()  # fills the quadrature caches, as any earlier request would
     _time(out, "cli " + " ".join(TESTFN_ARGV), testfns, REPS, TESTFN_NUMBER)
 
-    for argv in WARM_ARGVS:
+    for argv, number in WARM_REQUESTS:
 
         def warm_requests():
-            for _ in range(WARM_NUMBER):
+            for _ in range(number):
                 run_cli(argv)
 
         warm_requests()  # solves the roots, so the timed calls read them
-        _time(out, "cli " + " ".join(argv) + " warm", warm_requests, REPS, WARM_NUMBER)
+        _time(out, "cli " + " ".join(argv) + " warm", warm_requests, REPS, number)
 
     def asym_rows():
         for _ in range(ASYM_ROWS_NUMBER):
@@ -358,8 +361,8 @@ def main() -> int:
                 "bessel_first_zero": f"{REPS} x {BESSEL_NUMBER} calls",
                 "table": 1, "asym": REPS, "asym warm": REPS,
                 "testfn": f"{REPS} x {TESTFN_NUMBER} calls",
-                "bound warm": f"{REPS} x {WARM_NUMBER} calls",
-                "table warm": f"{REPS} x {WARM_NUMBER} calls",
+                **{f"{argv[0]} warm ({' '.join(argv[1:7])})": f"{REPS} x {number} calls"
+                   for argv, number in WARM_REQUESTS},
                 "asymptotic_report warm": f"{REPS} x {ASYM_ROWS_NUMBER} calls",
                 "oscillation_report": REPS, "import": 1,
                 "bound one-shot": 1, "table one-shot": 1, "asym one-shot": 1,

@@ -7,6 +7,8 @@ Subcommands:
     asym    large-m comparison of the asymptotic constants
     testfn  dump the test-function coefficient tables as CSV
 
+Each request is parsed once, by its command's own parser; the top-level
+parser only prints the help and the error for a missing or unknown command.
 All numeric output uses 12 significant digits; integers print exactly.  CSV
 output begins with a versioned schema comment so table diffs stay stable.
 """
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import warnings
 
@@ -160,7 +163,8 @@ def cmd_testfn(args, parser) -> int:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and its command parsers by name."""
     parser = argparse.ArgumentParser(
         prog="projbound",
         description=(
@@ -221,20 +225,43 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--kmax", type=int, default=200)
     pf.add_argument("--out", default=None)
     pf.set_defaults(run=cmd_testfn)
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of `main`, built once per process: parse_args leaves it unchanged."""
-    return build_parser()
+def _parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parsers of `main`, built once per process: parsing leaves them unchanged."""
+    return _build_parsers()
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
+    """Run one request; argv defaults to sys.argv[1:].
+
+    A request that names its command is parsed once, by that command's
+    parser, and extra arguments get the top-level parser's error, as
+    argparse words it.  Any other argv (none, help, an unknown command) goes
+    through the top-level parser, which prints the help or the error.
+    """
+    parser, commands = _parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
-        return args.run(args, parser)
+        code = args.run(args, parser)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader is gone: say nothing more, as `head` expects
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ValueError as exc:
         parser.error(str(exc))
     except NumericalError as exc:  # e.g. verify's moments past the float range

@@ -13,6 +13,7 @@ import pytest
 from projbound import AsymptoticRow, BoundReport, Field, asymptotic_report, circle_design
 from projbound import cli, specials
 from projbound.cli import build_parser, main
+from projbound.jacobi import NumericalError
 
 from helpers import (
     asymptotic_rows_loop,
@@ -30,6 +31,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def outcome(capsys, route, argv):
+    """(exit code, stdout, stderr) of route(argv), the code of a SystemExit included."""
+    try:
+        code = route(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
 
 
 def asym_expected(field: str, m_max: int) -> bytes:
@@ -458,29 +468,88 @@ class TestParserReuse:
         ["bound", "--field", "Q", "--m", "2", "--p", "4"],  # error from argparse: exit 2
         ["table", "--help"],
         ["testfn", "--field", "H", "--m", "2", "--l", "1", "--kmax", "4"],
+        ["bound", "--field", "C", "--m", "3", "--p", "12", "extra"],  # exit 2
         ["bound", "--field", "C", "--m", "3", "--p", "12"],
     ]
-
-    @staticmethod
-    def call(capsys, argv):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err
 
     def test_calls_in_a_row_match_first_calls(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal width
         alone = []
         for argv in self.CALLS:
             cli._parser.cache_clear()
-            alone.append(self.call(capsys, argv))
+            alone.append(outcome(capsys, main, argv))
         cli._parser.cache_clear()
-        in_a_row = [self.call(capsys, argv) for argv in self.CALLS]
+        in_a_row = [outcome(capsys, main, argv) for argv in self.CALLS]
         assert in_a_row == alone
-        assert [code for code, _, _ in alone] == [0, 2, 2, 0, 0, 0]
+        assert [code for code, _, _ in alone] == [0, 2, 2, 0, 0, 2, 0]
         assert build_parser() is not build_parser()
+
+
+def argparse_route(argv):
+    """A request through the whole top-level parser, as main ran it before it dispatched."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.run(args, parser)
+    except ValueError as exc:
+        parser.error(str(exc))
+    except NumericalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def cli_process(*argv, **kwargs):
+    """`python -m projbound.cli argv`, importing this checkout's package, stdout block-buffered."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env |= {"PYTHONPATH": str(REPO_ROOT / "src"), "COLUMNS": "80"}
+    return subprocess.Popen([sys.executable, "-m", "projbound.cli", *argv], env=env, **kwargs)
+
+
+class TestDispatch:
+    """main parses a named command with its own parser and prints what argparse printed."""
+
+    BOUND = ["--field", "C", "--m", "3", "--p", "12"]
+    ARGVS = [
+        [], ["nope"], ["bo", *BOUND], ["-h"], ["--help"], ["-x"],
+        ["bound"], ["bound", "x"], ["bound", "-h"],
+        ["bound", *BOUND, "extra"], ["bound", *BOUND, "--", "x"], ["--", "bound", *BOUND],
+        ["bound", "--field=C", "--m", "3", "--p", "12"],
+        ["bound", "--fi", "C", "--m", "3", "--p", "12"],
+        ["bound", "--field", "C", "--m", "-3", "--p", "12"],
+        ["bound", *BOUND, "--format", "json", "--format", "text"],
+        ["bound", *BOUND, "--bogus"],
+        ["table", "--field", "R", "--p-min", "10", "--p-max", "4"],
+        ["verify"],
+        ["asym", "--field", "C", "--m-max", "1"],
+        ["testfn", "--field", "C", "--m", "2", "--l", "1", "--kmax", "2"],
+    ]
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=[" ".join(a) or "empty" for a in ARGVS])
+    def test_matches_the_argparse_route(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal width
+        assert outcome(capsys, main, argv) == outcome(capsys, argparse_route, argv)
+
+    def test_process_argv(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        for argv in (["bound", *self.BOUND], ["nope"]):
+            proc = cli_process(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            out, err = proc.communicate(timeout=60)
+            assert (proc.returncode, out, err) == outcome(capsys, argparse_route, argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", *BOUND],  # held in stdout's buffer until main flushes it
+            ["table", "--field", "H", "--p-min", "2", "--p-max", "1200"],
+            ["asym", "--field", "H", "--m-max", "300"],
+        ],
+        ids=["bound", "table", "asym"],
+    )
+    def test_closed_stdout_exits_1_quietly(self, argv):
+        proc = cli_process(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()  # the reader is gone before the first write
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (1, b"")
 
 
 class TestLargestRootMemo:
