@@ -1,6 +1,6 @@
 """In-process timings of two source trees of projbound, written as one JSON record.
 
-    python benchmarks/bench_layers.py --parent OLD/src --change src --out BENCH_23.json
+    python benchmarks/bench_layers.py --parent OLD/src --change src --out BENCH_24.json
 
 The two trees are timed in rounds that alternate between them (parent then
 change, then change then parent, and so on), so a drift of the host's speed
@@ -29,8 +29,10 @@ spread of a tree's own rounds shows next to the difference between trees:
 * bound-sweep's slowest kinds of request, ``bound --field C --m 3 --p 1868
   --format json`` and ``table --field H --m 3 --p-min 1728 --p-max 1732
   --format json``, through ``cli.main`` with their roots already solved, per
-  call over 20 calls, and a small-p ``bound --field C --m 3 --p 40 --format
-  json``, per call over 200 calls, where argument parsing is most of the time;
+  call over 20 calls, and two small-p requests, ``bound --field C --m 3 --p 40
+  --format json`` and the two-row ``table --field C --m 3 --p-min 40 --p-max
+  42 --format json``, per call over 200 calls, where argument parsing is much
+  of the time;
 * ``testfn --field H --m 2 --l 4`` through ``cli.main``, per call over 20
   calls: one test function and its 201-row CSV, the one kind of request
   in the bound-sweep workload that prints CSV;
@@ -89,13 +91,15 @@ LP_CASES = [("C", 4, 500), ("H", 200, 1000)]
 BOUND_ARGV = ["bound", "--field", "C", "--m", "3", "--p", "40"]
 TABLE_ARGV = ["table", "--field", "H", "--p-min", "2", "--p-max", "1200"]
 ASYM_ARGV = ["asym", "--field", "H", "--m-max", "300"]
-#: bound-sweep's slowest requests, and a small-p one that is mostly argument
-#: parsing, timed warm: (argv, calls per repetition)
+#: bound-sweep's slowest requests, and small-p ones where argument parsing is
+#: much of the time, timed warm: (argv, calls per repetition)
 WARM_REQUESTS = [
     (["bound", "--field", "C", "--m", "3", "--p", "1868", "--format", "json"], 20),
     (["table", "--field", "H", "--m", "3", "--p-min", "1728", "--p-max", "1732",
       "--format", "json"], 20),
     (["bound", "--field", "C", "--m", "3", "--p", "40", "--format", "json"], 200),
+    (["table", "--field", "C", "--m", "3", "--p-min", "40", "--p-max", "42",
+      "--format", "json"], 200),
 ]
 TESTFN_ARGV = ["testfn", "--field", "H", "--m", "2", "--l", "4"]
 TESTFN_NUMBER = 20

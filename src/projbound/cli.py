@@ -7,8 +7,11 @@ Subcommands:
     asym    large-m comparison of the asymptotic constants
     testfn  dump the test-function coefficient tables as CSV
 
-Each request is parsed once, by its command's own parser; the top-level
-parser only prints the help and the error for a missing or unknown command.
+A plain request (exact option strings with values not starting with "-",
+flags and positionals, each once, every value valid) is read from its
+command's option table.  argparse parses the rest (help, abbreviations,
+--opt=value, "--", repeats, negative, missing or bad values, extra tokens,
+a missing or unknown command), so every message and exit code is argparse's.
 All numeric output uses 12 significant digits; integers print exactly.  CSV
 output begins with a versioned schema comment so table diffs stay stable.
 """
@@ -151,8 +154,11 @@ def cmd_asym(args, parser) -> int:
 def cmd_testfn(args, parser) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")  # recorded whatever the caller's filters are
-        tf = build_test_function(Field.parse(args.field), args.m, args.l, args.kmax)
-    for w in caught:  # the series-tail warning names the library's argument: say --kmax
+        try:
+            tf = build_test_function(Field.parse(args.field), args.m, args.l, args.kmax)
+        except ValueError as exc:  # the k_max check names the library's argument: say --kmax
+            raise ValueError(str(exc).replace("k_max must", "--kmax must")) from None
+    for w in caught:  # so does the series-tail warning
         message = str(w.message).replace("increase k_max", "increase --kmax")
         print(f"warning: {message}", file=sys.stderr)
     return _write_csv(
@@ -164,7 +170,11 @@ def cmd_testfn(args, parser) -> int:
 
 
 def _build_parsers() -> tuple[argparse.ArgumentParser, dict]:
-    """The top-level parser and its command parsers by name."""
+    """The top-level parser and, by command name, each command's parser and option table.
+
+    A table holds, from the actions add_argument returned: option string ->
+    action, the positionals in order, the required actions, the defaults.
+    """
     parser = argparse.ArgumentParser(
         prog="projbound",
         description=(
@@ -173,59 +183,73 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict]:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    pb = sub.add_parser("bound", help="both lower bounds for one (field, m, p)")
-    pb.add_argument("--field", required=True, choices=["R", "C", "H"])
-    pb.add_argument("--m", type=int, required=True, help="number of coordinates, >= 2")
-    pb.add_argument("--p", type=int, required=True, help="even cubature index, >= 2")
-    pb.add_argument("--format", choices=["text", "json"], default="text")
-    pb.set_defaults(run=cmd_bound)
+    def command(name, run, **kwargs):
+        """Add a command parser; return its add_argument, which also keeps each action."""
+        command_parser = sub.add_parser(name, **kwargs)
+        command_parser.set_defaults(run=run)
+        actions = []
+        commands[name] = command_parser, actions
+        return lambda *flags, **kw: actions.append(command_parser.add_argument(*flags, **kw))
 
-    pt = sub.add_parser("table", help="bound table over a range of even p")
-    pt.add_argument("--field", required=True, choices=["R", "C", "H"])
-    pt.add_argument("--m", type=int, default=2)
-    pt.add_argument("--p-min", type=int, required=True)
-    pt.add_argument("--p-max", type=int, required=True)
-    pt.add_argument("--out", default=None, help="output path (default: stdout)")
-    pt.add_argument("--format", choices=["csv", "markdown", "json"], default="csv")
-    pt.add_argument(
+    arg = command("bound", cmd_bound, help="both lower bounds for one (field, m, p)")
+    arg("--field", required=True, choices=["R", "C", "H"])
+    arg("--m", type=int, required=True, help="number of coordinates, >= 2")
+    arg("--p", type=int, required=True, help="even cubature index, >= 2")
+    arg("--format", choices=["text", "json"], default="text")
+
+    arg = command("table", cmd_table, help="bound table over a range of even p")
+    arg("--field", required=True, choices=["R", "C", "H"])
+    arg("--m", type=int, default=2)
+    arg("--p-min", type=int, required=True)
+    arg("--p-max", type=int, required=True)
+    arg("--out", default=None, help="output path (default: stdout)")
+    arg("--format", choices=["csv", "markdown", "json"], default="csv")
+    arg(
         "--verbose",
         action="store_true",
         help="for field H, m=2: include the variant LP column lp_alt",
     )
-    pt.set_defaults(run=cmd_table)
 
-    pv = sub.add_parser("verify", help="moment-test a point-set JSON file")
-    pv.add_argument("file", help="point-set JSON file")
-    pv.add_argument(
+    arg = command("verify", cmd_verify, help="moment-test a point-set JSON file")
+    arg("file", help="point-set JSON file")
+    arg(
         "--tol",
         type=float,
         default=None,
         help="absolute tolerance on |M_k| (default: 1e-10 scaled by node count)",
     )
-    pv.add_argument("--verbose", action="store_true", help="print every moment and notes")
-    pv.set_defaults(run=cmd_verify)
+    arg("--verbose", action="store_true", help="print every moment and notes")
 
-    pa = sub.add_parser(
+    arg = command(
         "asym",
+        cmd_asym,
         help=f"asymptotic-constant comparison per m; CSV columns: {_ASYM_SCHEMA}",
     )
-    pa.add_argument("--field", required=True, choices=["R", "C", "H"])
-    pa.add_argument("--m-max", type=int, required=True)
-    pa.add_argument("--out", default=None)
-    pa.set_defaults(run=cmd_asym)
+    arg("--field", required=True, choices=["R", "C", "H"])
+    arg("--m-max", type=int, required=True)
+    arg("--out", default=None)
 
-    pf = sub.add_parser(
+    arg = command(
         "testfn",
+        cmd_testfn,
         help=f"dump test-function coefficients; CSV columns: {_TESTFN_SCHEMA}",
     )
-    pf.add_argument("--field", required=True, choices=["R", "C", "H"])
-    pf.add_argument("--m", type=int, required=True)
-    pf.add_argument("--l", type=int, required=True, help="degree parameter (p/2)")
-    pf.add_argument("--kmax", type=int, default=200)
-    pf.add_argument("--out", default=None)
-    pf.set_defaults(run=cmd_testfn)
-    return parser, sub.choices
+    arg("--field", required=True, choices=["R", "C", "H"])
+    arg("--m", type=int, required=True)
+    arg("--l", type=int, required=True, help="degree parameter (p/2)")
+    arg("--kmax", type=int, default=200)
+    arg("--out", default=None)
+
+    for name, (command_parser, actions) in commands.items():
+        commands[name] = command_parser, (
+            {option: a for a in actions for option in a.option_strings},
+            [a for a in actions if not a.option_strings],
+            [a for a in actions if a.required],
+            {a.dest: a.default for a in actions} | {"run": command_parser.get_default("run")},
+        )
+    return parser, commands
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -234,27 +258,69 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The parsers of `main`, built once per process: parsing leaves them unchanged."""
+    """The parsers and tables of `main`, built once per process: parsing leaves them unchanged."""
     return _build_parsers()
+
+
+def _read_plain(table, argv):
+    """The Namespace argparse makes of a plain argv, or None for any other argv.
+
+    Plain: each exact option string with one value not starting with "-", each
+    store_true flag and each positional at most once, every value passing its
+    action's type and choices, every required action present.
+    """
+    options, positionals, required, defaults = table
+    values, tokens, slots = {}, iter(argv), iter(positionals)
+    for token in tokens:
+        action = options.get(token) if isinstance(token, str) else None
+        if action is None:  # the next positional's value, or a token left to argparse
+            action, value = next(slots, None), token
+        elif action.nargs != 0:
+            value = next(tokens, None)
+        if action is None or action.dest in values:
+            return None
+        if action.nargs == 0:  # a store_true flag
+            values[action.dest] = action.const
+            continue
+        if not isinstance(value, str) or value.startswith("-"):
+            return None
+        try:
+            value = value if action.type is None else action.type(value)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if any(a.dest not in values for a in required):
+        return None
+    return argparse.Namespace(**(defaults | values))
 
 
 def main(argv=None) -> int:
     """Run one request; argv defaults to sys.argv[1:].
 
-    A request that names its command is parsed once, by that command's
-    parser, and extra arguments get the top-level parser's error, as
-    argparse words it.  Any other argv (none, help, an unknown command) goes
-    through the top-level parser, which prints the help or the error.
+    A plain request (see `_read_plain`) is read from its command's table.
+    Any other request naming its command is parsed by that command's parser,
+    and extra arguments get the top-level parser's error, as argparse words
+    it.  Any other argv (none, help, an unknown command) goes through the
+    top-level parser, which prints the help or the error.
     """
     parser, commands = _parser()
     argv = sys.argv[1:] if argv is None else argv
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
-        args = parser.parse_args(argv)
-    else:
-        args, extras = command.parse_known_args(argv[1:])
-        if extras:
-            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    command, table = commands[argv[0]] if argv and argv[0] in commands else (None, None)
+    try:
+        if command is None:
+            args = parser.parse_args(argv)
+        elif (args := _read_plain(table, argv[1:])) is None:
+            args, extras = command.parse_known_args(argv[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    except SystemExit:  # argparse's help may wait in stdout's buffer: flush it before exiting
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:  # argparse ignores a closed stdout: keep its exit code
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise
     try:
         code = args.run(args, parser)
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -431,6 +432,10 @@ class TestTestfnCommand:
         with pytest.raises(SystemExit) as exc:
             main(["testfn", "--field", "C", "--m", "2", "--l", "5", "--kmax", "6"])
         assert exc.value.code == 2
+        # the error names the flag, as the series-tail warning does
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "projbound: error: --kmax must be >= l+2, got 6 (l=5)"
+        )
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "coeffs.csv"
@@ -551,6 +556,112 @@ class TestDispatch:
         _, err = proc.communicate(timeout=60)
         assert (proc.returncode, err) == (1, b"")
 
+    @pytest.mark.parametrize("argv", [["-h"], ["table", "-h"]], ids=["-h", "table -h"])
+    def test_help_into_closed_stdout_exits_0_quietly(self, argv):
+        # argparse's help waits in stdout's buffer when argparse exits: main flushes it
+        proc = cli_process(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (0, b"")
+
+
+#: a valid value for each declared option that has neither choices nor a flag's
+#: const; OUT stands for a file in the test's working directory
+OUT = "<out>"
+VALUES = {
+    "m": "2", "p": "12", "p_min": "2", "p_max": "4", "m_max": "4", "l": "1", "kmax": "20",
+    "tol": "1e-9", "out": OUT, "file": str(REPO_ROOT / "demos" / "data" / "circle_r_p10.json"),
+}
+
+
+def declared_argvs():
+    """(label, argv) of each command, generated from the options its table declares.
+
+    Canonical and shuffled order, then each option dropped, given a bad type,
+    a bad choice, a negative value, no value, twice, as --opt=value and
+    abbreviated, then an extra token, "--" and -h.
+    """
+    rng = np.random.default_rng(0)
+    cases = []
+    for name, (_, (options, positionals, _, _)) in cli._build_parsers()[1].items():
+        actions = positionals + list(dict.fromkeys(options.values()))  # each once, in order
+        values = [a.choices[-1] if a.choices else VALUES.get(a.dest) for a in actions]
+        units = [a.option_strings[:1] + ([] if a.nargs == 0 else [value])
+                 for a, value in zip(actions, values)]
+
+        def argv(*parts):
+            return [name, *(token for unit in parts for token in unit)]
+
+        cases += [("canonical", argv(*units)),
+                  ("shuffled", argv(*(units[i] for i in rng.permutation(len(units)))))]
+        for i, (action, value) in enumerate(zip(actions, values)):
+            others = units[:i] + units[i + 1:]
+            cases.append((f"drop {action.dest}", argv(*others)))
+            if not action.option_strings:
+                continue
+            option = action.option_strings[0]
+            cases += [(f"twice {option}", argv(*units, units[i])),
+                      (f"abbreviated {option}", argv(*others, [option[:-1], *units[i][1:]]))]
+            if action.nargs == 0:
+                continue
+            cases += [(f"{option} x", argv(*others, [option, "x"])),
+                      (f"{option} -3", argv(*others, [option, "-3"])),
+                      (f"{option} missing", argv(*others, [option])),
+                      (f"{option}=value", argv(*others, [f"{option}={value}"]))]
+        cases += [("extra", argv(*units, ["extra"])), ("-- last", argv(*units, ["--"])),
+                  ("-- first", argv(["--"], *units)), ("-h last", argv(*units, ["-h"])),
+                  ("-h", argv(["-h"]))]
+    return cases
+
+
+DECLARED_ARGVS = declared_argvs()
+
+
+class TestPlainRequests:
+    """main reads a plain request from its command's table and prints what argparse printed."""
+
+    @pytest.mark.parametrize(
+        "label, argv", DECLARED_ARGVS, ids=[f"{a[0]} {label}" for label, a in DECLARED_ARGVS]
+    )
+    def test_matches_the_argparse_route(self, capsys, monkeypatch, tmp_path, label, argv):
+        monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal width
+        monkeypatch.chdir(tmp_path)  # a bad --out value is a file name too
+        argv = [token.replace(OUT, "out") for token in argv]
+        assert outcome(capsys, main, argv) == outcome(capsys, argparse_route, argv)
+        command, table = cli._parser()[1][argv[0]]
+        plain = cli._read_plain(table, argv[1:])
+        if label in ("canonical", "shuffled"):
+            assert plain is not None
+        if plain is not None:
+            assert vars(plain) == vars(command.parse_known_args(argv[1:])[0])
+
+    def test_non_str_token_raises_as_argparse_does(self):
+        argv = ["bound", "--field", "C", "--m", 3, "--p", "12"]
+        with pytest.raises(TypeError) as read:
+            main(argv)
+        with pytest.raises(TypeError) as parsed:
+            argparse_route(argv)
+        assert str(read.value) == str(parsed.value)
+
+    def test_benchmark_requests_take_the_table(self, capsys, monkeypatch, tmp_path):
+        # every argv shape the benchmark's workloads emit is read without argparse
+        monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))
+        import workloads
+        shapes = {}
+        for workload in workloads.WORKLOADS:
+            for request in workloads.make_block(workload, 1, str(tmp_path)):
+                argv = request["argv"]
+                shapes.setdefault(tuple(t for t in argv if t.startswith("-")), argv)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("argparse parsed a benchmark request")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+        assert len(shapes) == 5
+        for argv in shapes.values():
+            assert main(argv) in (0, 1), argv  # verify exits 1 on a known-FAIL set
+        capsys.readouterr()
+
 
 class TestLargestRootMemo:
     """Requests that need the same xi solve it once per process."""
@@ -597,6 +708,17 @@ class TestGoldenOutput:
 
 
 class TestImport:
+    def test_cli_import_builds_no_parser(self):
+        # the parsers and their option tables are built by the first main call,
+        # so they add nothing to import time
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        code = "import projbound.cli as cli; print(cli._parser.cache_info().currsize)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
+
     def test_cli_import_leaves_scipy_linalg_unloaded(self):
         # scipy.linalg is imported where it is used, so it adds nothing to the
         # start-up of a command that never needs it
