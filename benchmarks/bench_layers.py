@@ -1,6 +1,6 @@
 """In-process timings of two source trees of projbound, written as one JSON record.
 
-    python benchmarks/bench_layers.py --parent OLD/src --change src --out BENCH_24.json
+    python benchmarks/bench_layers.py --parent OLD/src --change src --out BENCH_25.json
 
 The two trees are timed in rounds that alternate between them (parent then
 change, then change then parent, and so on), so a drift of the host's speed
@@ -36,6 +36,10 @@ spread of a tree's own rounds shows next to the difference between trees:
 * ``testfn --field H --m 2 --l 4`` through ``cli.main``, per call over 20
   calls: one test function and its 201-row CSV, the one kind of request
   in the bound-sweep workload that prints CSV;
+* ``verify --verbose`` through ``cli.main`` on random equal-weight point-set
+  files at C, m=4, n=14, p=2 and R, m=3, n=71, p=2, per call over 200 calls:
+  verify-sweep's median kind of request, where reading the file, building
+  the point set and setting up the Gram pass are much of the time;
 * the rows alone, without the CLI's CSV writer: ``asymptotic_report`` over H,
   m = 2..300, with its zeros already solved, per call over 20 calls, and
   ``oscillation_report(200)``;
@@ -103,6 +107,9 @@ WARM_REQUESTS = [
 ]
 TESTFN_ARGV = ["testfn", "--field", "H", "--m", "2", "--l", "4"]
 TESTFN_NUMBER = 20
+#: verify-sweep's median kinds of request, timed warm: (field, m, n, p)
+WARM_VERIFY_CASES = [("C", 4, 14, 2), ("R", 3, 71, 2)]
+WARM_VERIFY_NUMBER = 200
 ASYM_ROWS_NUMBER = 20
 OSCILLATION_P_MAX = 200
 BESSEL_ORDERS = [0.5, 10.0, 147.0, 598.0]
@@ -236,6 +243,18 @@ def measure() -> dict:
         warm_requests()  # solves the roots, so the timed calls read them
         _time(out, "cli " + " ".join(argv) + " warm", warm_requests, REPS, number)
 
+    with tempfile.TemporaryDirectory() as tmp:
+        for field, m, n, p in WARM_VERIFY_CASES:
+            argv = ["verify", write_verify_file(tmp, field, m, n, p), "--verbose"]
+
+            def verifies():
+                for _ in range(WARM_VERIFY_NUMBER):
+                    run_cli(argv)
+
+            verifies()  # solves the bounds' roots, so the timed calls read them
+            entry = f"cli verify --verbose ({field},m={m},n={n},p={p}) warm"
+            _time(out, entry, verifies, REPS, WARM_VERIFY_NUMBER)
+
     def asym_rows():
         for _ in range(ASYM_ROWS_NUMBER):
             bounds.asymptotic_report(bounds.Field.H, range(2, 301))
@@ -277,13 +296,13 @@ def _one_shot(src: str, argv: list) -> tuple[float, float]:
     return elapsed, usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
 
 
-def write_verify_file(directory: str, n: int) -> str:
-    delta = {"R": 1, "C": 2, "H": 4}[VERIFY_FIELD]
-    nodes = random_nodes(delta, VERIFY_M, n, seed=1)[..., :delta]
-    path = os.path.join(directory, f"verify_{n}.json")
+def write_verify_file(directory: str, field: str, m: int, n: int, p: int) -> str:
+    """A point-set file of n random equal-weight nodes of K^m, to be verified at index p."""
+    delta = {"R": 1, "C": 2, "H": 4}[field]
+    nodes = random_nodes(delta, m, n, seed=1)[..., :delta]
+    path = os.path.join(directory, f"verify_{field}_m{m}_n{n}_p{p}.json")
     with open(path, "w") as f:
-        json.dump({"field": VERIFY_FIELD, "m": VERIFY_M, "p": VERIFY_P,
-                   "nodes": nodes.tolist()}, f)
+        json.dump({"field": field, "m": m, "p": p, "nodes": nodes.tolist()}, f)
     return path
 
 
@@ -365,6 +384,7 @@ def main() -> int:
                 "bessel_first_zero": f"{REPS} x {BESSEL_NUMBER} calls",
                 "table": 1, "asym": REPS, "asym warm": REPS,
                 "testfn": f"{REPS} x {TESTFN_NUMBER} calls",
+                "verify warm": f"{REPS} x {WARM_VERIFY_NUMBER} calls",
                 **{f"{argv[0]} warm ({' '.join(argv[1:7])})": f"{REPS} x {number} calls"
                    for argv, number in WARM_REQUESTS},
                 "asymptotic_report warm": f"{REPS} x {ASYM_ROWS_NUMBER} calls",
@@ -372,7 +392,8 @@ def main() -> int:
                 "bound one-shot": 1, "table one-shot": 1, "asym one-shot": 1,
                 "verify one-shot": 1,
             },
-            **run_trees(trees, {n: write_verify_file(tmp, n) for n in VERIFY_SIZES}),
+            **run_trees(trees, {n: write_verify_file(tmp, VERIFY_FIELD, VERIFY_M, n, VERIFY_P)
+                                for n in VERIFY_SIZES}),
         }
     with open(args.out, "w") as f:
         json.dump(record, f, indent=2)

@@ -26,7 +26,7 @@ import sys
 import warnings
 
 from .bounds import _asymptotic_columns, lp_bound_h_alt, yudin_bound
-from .cubature import load_point_set, verify
+from .cubature import _coincident_note, load_point_set, verify
 from .fields import Field
 from .jacobi import NumericalError
 from .testfn import build_test_function
@@ -134,7 +134,7 @@ def cmd_verify(args, parser) -> int:
         f"yudin_bound {report.yudin_bound}{' (tight)' if report.tight_yudin else ''}"
     )
     if report.duplicates:
-        print(f"warning: projectively coincident node pairs: {list(report.duplicates)}")
+        print(f"warning: {_coincident_note(report.duplicates, report.duplicate_count)}")
     if args.verbose:
         for k, m_k in enumerate(report.moments, start=1):
             print(f"M_{k} = {_fmt(m_k)}")

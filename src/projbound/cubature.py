@@ -14,7 +14,9 @@ cos_ij and cos_ji are the same double and the pass forms each pair i <= j once,
 with pair weight w_i^2 or 2 w_i w_j.  The Gram matrix is never stored: the
 pairs come a row block at a time, each feeding the duplicate scan and, a group
 of degrees at a time, exact per-degree sums; doubling is exact, so a moment is
-the rounded sum over all n^2 ordered pairs in any order.
+the rounded sum over all n^2 ordered pairs in any order.  The duplicate scan
+masks the block's diagonal and locates a hit only off it, keeping the first
+100 coincident pairs and the count of all.
 """
 
 from __future__ import annotations
@@ -38,6 +40,9 @@ _MOMENT_NEGATIVE_GUARD = -1e-10
 
 #: Gram entries per row block of the Gram pass (256 KiB of doubles)
 _BLOCK_ELEMENTS = 1 << 15
+
+#: coincident pairs kept, in scan order, beside their total count
+_DUPLICATES_KEPT = 100
 
 #: reading of the vanishing-moment condition used by this verifier
 INTERPRETATION_NOTE = (
@@ -68,22 +73,23 @@ class PointSet:
         n = nodes.shape[0]
         if n < 1:
             raise ValueError("point set must contain at least one node")
-        if weights is None:
-            weights = np.full(n, 1.0 / n)
-        weights = np.array(weights, dtype=float)
-        if weights.shape != (n,):
-            raise ValueError(f"weights must have shape ({n},), got {weights.shape}")
-        if not np.all(np.isfinite(nodes)):
+        if not np.isfinite(nodes).all():
             raise ValueError("node coordinates must be finite")
-        if not np.all(np.isfinite(weights)):
-            raise ValueError("weights must be finite")
-        if np.any(weights <= 0.0):
-            raise ValueError("weights must be strictly positive")
-        total = math.fsum(weights)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1 within 1e-12, got {total!r}")
+        if weights is None:  # 1/n each: positive, and summing to within 2^-53 of 1
+            weights = np.full(n, 1.0 / n)
+        else:
+            weights = np.array(weights, dtype=float)
+            if weights.shape != (n,):
+                raise ValueError(f"weights must have shape ({n},), got {weights.shape}")
+            if not np.isfinite(weights).all():
+                raise ValueError("weights must be finite")
+            if (weights <= 0.0).any():
+                raise ValueError("weights must be strictly positive")
+            total = math.fsum(weights.tolist())
+            if abs(total - 1.0) > 1e-12:
+                raise ValueError(f"weights must sum to 1 within 1e-12, got {total!r}")
 
-        if field.delta < 4 and np.any(nodes[:, :, field.delta :] != 0.0):
+        if nodes[:, :, field.delta :].any():
             raise ValueError(
                 f"nodes contain components outside the scalar dimension of field {field.name}"
             )
@@ -108,16 +114,20 @@ def _features(ps: PointSet) -> tuple[np.ndarray, np.ndarray]:
     |x_a|^2, then the delta components of X_ab = x_a conj(x_b), a < b, doubled on
     the left, as |(x, y)|^2 = sum_a |x_a|^2 |y_a|^2 + 2 sum_{a<b} <X_ab, Y_ab>.
     """
-    q = np.moveaxis(ps.nodes, -1, 0)  # (4, n, m)
+    q = ps.nodes.transpose(2, 1, 0)  # (4, m, n)
     if ps.field is Field.R:
-        return q[0].T, q[0].T
-    a, b = np.triu_indices(ps.m, 1)
-    z, w = q[0] + 1j * q[1], q[2] + 1j * q[3]
-    x = z[:, a] * z[:, b].conj() + w[:, a] * w[:, b].conj()
-    y = w[:, a] * z[:, b] - z[:, a] * w[:, b]
-    off = np.concatenate([x.real, x.imag, y.real, y.imag][: ps.field.delta], axis=1).T
-    diag = (q * q).sum(axis=0).T
-    return np.concatenate([diag, 2.0 * off]), np.concatenate([diag, off])
+        return q[0], q[0]
+    r = np.arange(ps.m)
+    a, b = np.nonzero(r[:, None] < r)  # the pairs a < b, row by row
+    zw = q[::2] + 1j * q[1::2]  # z and w of each coordinate z + w j
+    zwa, zwb = zw[:, a], zw[:, b]
+    s, t = zwa * zwb.conj(), zwa * zwb[::-1]  # complex products round by operand order: keep it
+    s, t = s[0] + s[1], t[1] - t[0]  # X_ab = s + t j
+    features = [(q * q).sum(axis=0), s.real, s.imag, t.real, t.imag]
+    right = np.concatenate(features[: ps.field.delta + 1])
+    left = right.copy(order="K")  # right's memory layout, as before: the block products feel it
+    left[ps.m :] *= 2.0
+    return left, right
 
 
 def _gram_pairs(ps: PointSet):
@@ -162,14 +172,14 @@ def _exact_row_sums(x: np.ndarray) -> np.ndarray:
     are exact.  A row not finite or reaching 2^(1023 - shift) gets the one partial NaN.
     """
     shift = (x.shape[1] + 1).bit_length()
-    largest = np.maximum(x.max(axis=1), -x.min(axis=1))
+    q = np.empty_like(x)
+    largest = np.abs(x, out=q).max(axis=1)
     ok = largest < 2.0 ** (1023 - shift)  # finite, with room for sigma
     sums = []
     if not ok.all():
         x[~ok] = largest[~ok] = 0.0
         sums.append(np.where(ok, 0.0, np.nan))
     sigma = np.ldexp(1.0, np.frexp(largest)[1] + shift)[:, None]
-    q = np.empty_like(x)
     while x.any():
         np.add(x, sigma, out=q)
         q -= sigma
@@ -180,29 +190,35 @@ def _exact_row_sums(x: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a term past the float range gives a NaN moment
-def _gram_pass(ps: PointSet, p: int) -> tuple[list[float], list[tuple[int, int]]]:
-    """(M_1 .. M_{p/2}, coincident pairs i < j) from one pass over the pairs i <= j.
+def _gram_pass(ps: PointSet, p: int) -> tuple[list[float], list[tuple[int, int]], int]:
+    """(M_1 .. M_{p/2}, the first coincident pairs i < j, their count), from one pass over i <= j.
 
     A row block takes the degrees in groups of about _BLOCK_ELEMENTS values; math.fsum of
     the `_exact_row_sums` partials rounds the n^2 values w_i w_j P_k(cos_ij) once, whatever
-    the node order.  Pairs with cos_ij >= 1 - 1e-12 count as coincident.  A moment below
+    the node order.  Pairs i < j with cos_ij >= 1 - 1e-12 count as coincident; the first
+    _DUPLICATES_KEPT in scan order are kept.  The scan masks each block's diagonal pairs,
+    which may or may not pass the test (cos_ii < 1 - 1e-12 for a node inside the 1e-12 norm
+    tolerance), and finds rows and columns only for a hit off the diagonal.  A moment below
     the -1e-10 guard, or NaN from a term past the float range, raises NumericalError.
     """
     _check_even_p(p)
     w = ps.weights
     c1, c2, c3, c4 = _coefficients(field_params(ps.field, ps.m), p // 2)
     parts = [[] for _ in range(p // 2)]
-    duplicates = []
+    duplicates, count = [], 0
     for r0, keep, cos in _gram_pairs(ps):
-        hits = np.flatnonzero(cos >= 1.0 - _DUPLICATE_TOL)
         a = np.arange(len(keep))
-        starts = a * keep.shape[1] - a * (a - 1) // 2  # row a holds n - r0 - a pairs
-        i = np.searchsorted(starts, hits, side="right") - 1
-        j = hits - starts[i] + i
-        duplicates += zip((r0 + i[i < j]).tolist(), (r0 + j[i < j]).tolist())
-        pair_w = 2.0 * w[r0 : r0 + len(keep), None] * w[r0:]  # 2 (w_i w_j) exactly
-        np.fill_diagonal(pair_w, w[r0 : r0 + len(keep)] ** 2)
-        pair_w = pair_w[keep]
+        diagonal = a * (2 * keep.shape[1] + 1 - a) // 2  # row a holds its pairs from (a, a) on
+        hit = cos >= 1.0 - _DUPLICATE_TOL
+        hit[diagonal] = False
+        if np.count_nonzero(hit):
+            hits = np.flatnonzero(hit)
+            count += hits.size
+            hits = hits[: _DUPLICATES_KEPT - len(duplicates)]
+            i = np.searchsorted(diagonal, hits, side="right") - 1
+            duplicates += zip((r0 + i).tolist(), (r0 + i + hits - diagonal[i]).tolist())
+        pair_w = (2.0 * w[r0 : r0 + len(keep), None] * w[r0:])[keep]  # 2 (w_i w_j) exactly
+        pair_w[diagonal] = w[r0 : r0 + len(keep)] ** 2
         group = max(1, _BLOCK_ELEMENTS // cos.size)
         p_last = 1.0  # P_0; each degree then moves (p_prev, p_last) one along
         for k0 in range(0, p // 2, group):
@@ -221,7 +237,14 @@ def _gram_pass(ps: PointSet, p: int) -> tuple[list[float], list[tuple[int, int]]
         if not m_k >= _MOMENT_NEGATIVE_GUARD:
             raise NumericalError(f"moment M_{k} = {m_k!r} is negative or not finite; "
                                  "numerical failure")
-    return moments, duplicates
+    return moments, duplicates, count
+
+
+def _coincident_note(pairs, count: int) -> str:
+    """Names the coincident pairs, and their count when `pairs` holds only the first of them."""
+    if count > len(pairs):
+        return f"{count} projectively coincident node pairs, the first {len(pairs)}: {list(pairs)}"
+    return f"projectively coincident node pairs: {list(pairs)}"
 
 
 def moment_test(ps: PointSet, p: int) -> list[float]:
@@ -229,10 +252,9 @@ def moment_test(ps: PointSet, p: int) -> list[float]:
 
     Coincident node pairs, which the moments cannot show, raise a UserWarning.
     """
-    moments, duplicates = _gram_pass(ps, p)
+    moments, duplicates, count = _gram_pass(ps, p)
     if duplicates:
-        warnings.warn(f"point set has projectively coincident node pairs: {duplicates}",
-                      stacklevel=2)
+        warnings.warn(f"point set has {_coincident_note(duplicates, count)}", stacklevel=2)
     return moments
 
 
@@ -251,13 +273,15 @@ class VerificationReport:
     tight_lp: bool
     tight_yudin: bool
     duplicates: tuple
+    duplicate_count: int
     note: str = INTERPRETATION_NOTE
 
 
 def verify(ps: PointSet, p: int, tol: Optional[float] = None) -> VerificationReport:
     """Run the moment test and compare the cardinality against both bounds.
 
-    Coincident node pairs are reported in `duplicates`, without a warning.
+    Coincident node pairs are reported without a warning: the first 100 in `duplicates`,
+    all of them in `duplicate_count`.  A bound is tight only for a passing set.
     tol defaults to 1e-10 * n, matching the accumulation of n^2 unit-scale
     terms per moment.  An explicit tol must be finite and positive.
     """
@@ -265,8 +289,9 @@ def verify(ps: PointSet, p: int, tol: Optional[float] = None) -> VerificationRep
         tol = 1e-10 * ps.n
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    moments, duplicates = _gram_pass(ps, p)
+    moments, duplicates, count = _gram_pass(ps, p)
     max_abs = max(abs(m_k) for m_k in moments)
+    passed = max_abs <= tol
     report = yudin_bound(ps.field, ps.m, p)
     return VerificationReport(
         field=ps.field,
@@ -276,12 +301,13 @@ def verify(ps: PointSet, p: int, tol: Optional[float] = None) -> VerificationRep
         moments=tuple(moments),
         max_abs_moment=max_abs,
         tolerance=tol,
-        passed=max_abs <= tol,
+        passed=passed,
         lp_bound=report.lp_bound,
         yudin_bound=report.yudin_bound,
-        tight_lp=ps.n == report.lp_bound,
-        tight_yudin=ps.n == report.yudin_bound,
+        tight_lp=passed and ps.n == report.lp_bound,
+        tight_yudin=passed and ps.n == report.yudin_bound,
         duplicates=tuple(duplicates),
+        duplicate_count=count,
     )
 
 
@@ -302,13 +328,15 @@ def _json_float(value, where: str) -> float:
         raise ValueError(f"{where}: {value} is outside the float range") from None
 
 
-def _json_floats(raw: list, shape: tuple) -> Optional[np.ndarray]:
-    """Nested lists of JSON numbers as a float array of `shape`, in array passes; else None."""
+def _json_floats(raw: list, out: np.ndarray) -> bool:
+    """Fill the float array `out` from nested lists of JSON numbers in array passes; else False."""
     values = np.array(raw, dtype=object)  # may nest deeper than numpy iterates, so shape first
-    if values.shape == shape and all(t is not bool and issubclass(t, (int, float))
-                                     for t in set(map(type, values.flat))):
+    if values.shape == out.shape and all(t is not bool and issubclass(t, (int, float))
+                                         for t in set(map(type, values.flat))):
         with contextlib.suppress(OverflowError):  # an integer beyond the float range
-            return values.astype(float)  # float(v) for each v
+            out[...] = values  # float(v) for each v
+            return True
+    return False
 
 
 def parse_point_set(doc: dict) -> tuple[PointSet, int]:
@@ -332,8 +360,9 @@ def parse_point_set(doc: dict) -> tuple[PointSet, int]:
     raw_nodes = doc["nodes"]
     if not isinstance(raw_nodes, list) or not raw_nodes:
         raise ValueError("'nodes' must be a nonempty list")
-    scalars = _json_floats(raw_nodes, (len(raw_nodes), m, field.delta))
-    for i, node in enumerate(raw_nodes if scalars is None else ()):  # raises on a bad entry
+    nodes = np.zeros((len(raw_nodes), max(m, 0), 4))  # m < 0 fails the shape test, then the walk
+    filled = _json_floats(raw_nodes, nodes[..., : field.delta])
+    for i, node in enumerate(() if filled else raw_nodes):  # raises on a bad entry
         if not isinstance(node, list) or len(node) != m:
             raise ValueError(f"nodes[{i}]: expected {m} coordinates, got {node!r}")
         for j, c in enumerate(node):
@@ -342,15 +371,12 @@ def parse_point_set(doc: dict) -> tuple[PointSet, int]:
                 raise ValueError(f"{where}: expected {field.delta} real components, got {c!r}")
             for value in c:
                 _json_float(value, where)
-    nodes = np.zeros((len(raw_nodes), m, 4))
-    if scalars is not None:  # None here only for m = 0, which PointSet rejects
-        nodes[..., : field.delta] = scalars
     weights = doc.get("weights")
     if weights is not None:
         if not isinstance(weights, list):
             raise ValueError(f"'weights' must be a list, got {weights!r}")
-        values = _json_floats(weights, (len(weights),))
-        if values is None:
+        values = np.empty(len(weights))
+        if not _json_floats(weights, values):
             values = [_json_float(w, f"weights[{i}]") for i, w in enumerate(weights)]
         weights = values
     return PointSet(field, m, nodes, weights), p

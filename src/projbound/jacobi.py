@@ -71,6 +71,7 @@ def _coefficients(params: JacobiParams, k: int) -> np.ndarray:
     coeffs = np.empty((4, k))
     if k >= 1:
         coeffs[:, 0] = (2.0, a - b, a + b + 2.0, 0.0)
+    if k >= 2:
         n = np.arange(2.0, k + 1.0)
         two_n, n_a = 2.0 * n, n + a
         s = two_n + a + b

@@ -11,6 +11,8 @@ purpose and pin one step of it bit for bit: fsum_moments takes the
 package's Gram cosines and checks the recurrence and moment summation;
 frozen_gram_pass is the full-square complex-pair pass the package's half
 pass over node pairs replaced, and pins the real moments to the same doubles;
+frozen_features is the node-feature builder that the package's stacked complex
+passes replaced, and pins every feature to the same double, signed zeros included;
 bessel_first_zero_scan runs the package's Bessel-zero algorithm one order
 and one scalar jv call at a time and checks the array-valued solver's path;
 loop_coefficients and largest_root_eigh are the per-row Jacobi coefficient
@@ -200,6 +202,25 @@ def frozen_gram_pass(ps, p: int) -> tuple[list[float], list[tuple[int, int]]]:
     cos = 2.0 * sq - 1.0
     i, j = np.nonzero(np.triu(cos >= 1.0 - 1e-12, 1))
     return fsum_moments(ps, p, cos), list(zip(i.tolist(), j.tolist()))
+
+
+def frozen_features(ps) -> tuple[np.ndarray, np.ndarray]:
+    """(left, right), each (D, n), by the replaced `cubature._features`.
+
+    Over R the coordinates; over C and H |x_a|^2, then the delta real components
+    of X_ab = z_a conj(z_b) + w_a conj(w_b) and Y_ab = w_a z_b - z_a w_b for the
+    pairs a < b of `np.triu_indices`, the off-diagonal part doubled on the left.
+    """
+    q = np.moveaxis(ps.nodes, -1, 0)  # (4, n, m)
+    if ps.field.delta == 1:
+        return q[0].T, q[0].T
+    a, b = np.triu_indices(ps.m, 1)
+    z, w = q[0] + 1j * q[1], q[2] + 1j * q[3]
+    x = z[:, a] * z[:, b].conj() + w[:, a] * w[:, b].conj()
+    y = w[:, a] * z[:, b] - z[:, a] * w[:, b]
+    off = np.concatenate([x.real, x.imag, y.real, y.imag][: ps.field.delta], axis=1).T
+    diag = (q * q).sum(axis=0).T
+    return np.concatenate([diag, 2.0 * off]), np.concatenate([diag, off])
 
 
 @dataclass(frozen=True)

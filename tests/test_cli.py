@@ -291,6 +291,28 @@ class TestVerifyCommand:
         assert proc.stdout.count("(0, 1)") == 1
         assert "warning: projectively coincident node pairs: [(0, 1)]\n" in proc.stdout
 
+    def test_failing_set_is_not_tight(self, capsys, tmp_path):
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps({"field": "R", "m": 2, "p": 2,
+                                    "nodes": [[[1.0], [0.0]], [[1.0], [0.0]]]}))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 1 and err == ""
+        assert out.splitlines() == [
+            "FAIL: field R m 2 p 2 n 2  max|M_k| 0.5 (tol 2e-10)",
+            "lp_bound 2  yudin_bound 2",
+            "warning: projectively coincident node pairs: [(0, 1)]",
+        ]
+
+    def test_more_than_100_coincident_pairs_are_counted(self, capsys, tmp_path):
+        path = tmp_path / "lines.json"
+        path.write_text(json.dumps({"field": "R", "m": 2, "p": 2, "nodes": [[[1.0], [0.0]]] * 16}))
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 1
+        assert out.splitlines()[2] == (
+            "warning: 120 projectively coincident node pairs, the first 100: "
+            + str([(i, j) for i in range(16) for j in range(i + 1, 16)][:100])
+        )
+
     def test_verbose_moments_and_note(self, capsys, tmp_path):
         path = write_circle_file(tmp_path / "c.json", 6)
         code, out, _ = run(capsys, "verify", str(path), "--verbose")

@@ -22,12 +22,13 @@ from projbound import (
     verify,
 )
 
-from projbound.cubature import _BLOCK_ELEMENTS, _exact_row_sums
+from projbound.cubature import _BLOCK_ELEMENTS, _exact_row_sums, _features
 
 from helpers import (
     Quaternion,
     deadline,
     field_alpha_beta,
+    frozen_features,
     frozen_gram_pass,
     fsum_moments,
     loop_coefficients,
@@ -211,6 +212,73 @@ class TestPointSetValidation:
                 (300, 699), (520, 521)]
         assert frozen_gram_pass(ps, 2)[1] == want
         assert verify(ps, 2).duplicates == tuple(want)
+
+
+class TestDuplicateScan:
+    """The scan finds rows and columns only in a block with a hit off its diagonal."""
+
+    @staticmethod
+    def planted(field, n, pairs, seed=61):
+        """A random (field, m=3) set whose node j is node i times a unit scalar, per (i, j)."""
+        rng = np.random.default_rng(seed)
+        nodes = random_point_set(rng, field, 3, n).nodes.copy()
+        for i, j in pairs:
+            a = random_unit_scalar(rng, field)
+            nodes[j] = [(Quaternion(*coord) * a).as_array() for coord in nodes[i]]
+        return nodes
+
+    # n = 12: one block of every pair, or blocks of 2 rows with pairs inside and across them
+    @pytest.mark.parametrize("block_rows", [None, 2], ids=["one-block", "2-rows"])
+    @pytest.mark.parametrize("field", list(Field), ids=lambda f: f.name)
+    def test_planted_pairs_in_one_block_and_across_blocks(self, field, block_rows, monkeypatch):
+        nodes = self.planted(field, 12, [(0, 1), (2, 3), (4, 11), (7, 10)])
+        ps = PointSet(field, 3, nodes)
+        if block_rows is not None:
+            monkeypatch.setattr(projbound.cubature, "_BLOCK_ELEMENTS", block_rows * ps.n)
+        want = frozen_gram_pass(ps, 2)[1]
+        assert want == [(0, 1), (2, 3), (4, 11), (7, 10)]
+        report = verify(ps, 2)
+        assert report.duplicates == tuple(want) and report.duplicate_count == len(want)
+
+    @pytest.mark.parametrize("block_rows", [None, 3], ids=["one-block", "3-rows"])
+    @pytest.mark.parametrize("field", list(Field), ids=lambda f: f.name)
+    def test_diagonal_miss_beside_a_pair_off_the_diagonal(self, field, block_rows, monkeypatch):
+        # node 4 is short by 9e-13, inside the 1e-12 norm tolerance, so cos_44 < 1 - 1e-12:
+        # with the pair (2, 5) the block has as many hits as rows, none at (4, 4)
+        nodes = self.planted(field, 8, [(2, 5)])
+        nodes[4] *= 1.0 - 9e-13
+        ps = PointSet(field, 3, nodes)
+        cos = gram_matrix(ps)
+        assert cos[4, 4] < 1.0 - 1e-12 <= cos[2, 5]
+        assert np.count_nonzero(np.triu(cos >= 1.0 - 1e-12)) == ps.n
+        if block_rows is not None:
+            monkeypatch.setattr(projbound.cubature, "_BLOCK_ELEMENTS", block_rows * ps.n)
+        assert frozen_gram_pass(ps, 2)[1] == [(2, 5)]
+        assert verify(ps, 2).duplicates == ((2, 5),)
+
+    def test_keeps_the_first_pairs_and_counts_all(self):
+        nodes = np.zeros((1000, 2, 4))
+        nodes[:, 0, 0] = 1.0  # 1000 copies of one line: 499500 pairs
+        ps = PointSet(Field.R, 2, nodes)
+        report = verify(ps, 2)
+        assert report.duplicates == tuple((0, j) for j in range(1, 101))  # row 0 comes first
+        assert report.duplicate_count == 499500
+        with pytest.warns(UserWarning) as caught:
+            moment_test(ps, 2)
+        message = str(caught[0].message)
+        assert message.startswith(
+            "point set has 499500 projectively coincident node pairs, the first 100: [(0, 1), "
+        )
+        assert message.endswith(", (0, 100)]")
+
+    def test_pairs_kept_across_blocks_in_scan_order(self, monkeypatch):
+        nodes = np.zeros((16, 2, 4))
+        nodes[:, 0, 0] = 1.0  # 120 pairs
+        ps = PointSet(Field.R, 2, nodes)
+        monkeypatch.setattr(projbound.cubature, "_BLOCK_ELEMENTS", 3 * ps.n)
+        report = verify(ps, 2)
+        want = [(i, j) for i in range(16) for j in range(i + 1, 16)]
+        assert report.duplicates == tuple(want[:100]) and report.duplicate_count == 120
 
 
 class TestMomentTest:
@@ -479,6 +547,13 @@ class TestVerify:
         assert not report.passed
         assert report.max_abs_moment > 1e-6
 
+    def test_a_failing_set_is_not_tight(self):
+        nodes = np.zeros((2, 2, 4))
+        nodes[:, 0, 0] = 1.0  # two equal nodes: n = 2 is both bounds at p = 2
+        report = verify(PointSet(Field.R, 2, nodes), 2)
+        assert not report.passed and report.n == report.lp_bound == report.yudin_bound == 2
+        assert not report.tight_lp and not report.tight_yudin
+
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
             verify(circle_design(4), 4, tol=0.0)
@@ -689,6 +764,24 @@ class TestPointSetIO:
 
 
 class TestGramMatrix:
+    @pytest.mark.parametrize("field", list(Field), ids=lambda f: f.name)
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_features_match_the_frozen_builder_bit_for_bit(self, field, m):
+        rng = np.random.default_rng(97 + m)
+        nodes = random_point_set(rng, field, m, 40).nodes.copy()
+        zeros = rng.random(nodes.shape) < 0.2  # exact zeros of both signs past coordinate 0
+        zeros[:, 0] = False
+        nodes[zeros] = np.where(rng.random(nodes.shape) < 0.5, 0.0, -0.0)[zeros]
+        nodes[:, :, field.delta :] = 0.0
+        nodes[:4] = 0.0
+        nodes[:4, 0, 0] = [1.0, -1.0, 1.0, -1.0]  # coordinate vectors: mostly signed zeros
+        nodes[2:4, 1:, : field.delta] = -0.0
+        nodes /= np.sqrt((nodes**2).sum(axis=(1, 2)))[:, None, None]
+        ps = PointSet(field, m, nodes)
+        assert np.signbit(ps.nodes[ps.nodes == 0.0]).any()
+        for got, want in zip(_features(ps), frozen_features(ps)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("field", list(Field), ids=lambda f: f.name)
     @pytest.mark.parametrize("m", [2, 3, 8])
     def test_matches_pairwise_kernel(self, field, m):
