@@ -9,9 +9,9 @@ Subcommands:
 
 A plain request (exact option strings with values not starting with "-",
 flags and positionals, each once, every value valid) is read from its
-command's option table.  argparse parses the rest (help, abbreviations,
---opt=value, "--", repeats, negative, missing or bad values, extra tokens,
-a missing or unknown command), so every message and exit code is argparse's.
+command's option table; the top-level parser parses any other argv (help,
+abbreviations, --opt=value, "--", repeats, negative, missing or bad values,
+extra tokens, a missing or unknown command), with argparse's message and code.
 All numeric output uses 12 significant digits; integers print exactly.  CSV
 output begins with a versioned schema comment so table diffs stay stable.
 """
@@ -74,7 +74,7 @@ def _write_csv(comment: str, schema: str, columns, out_path) -> int:
     return _write_output("\n".join(lines) + "\n", out_path)
 
 
-def cmd_bound(args, parser) -> int:
+def cmd_bound(args) -> int:
     report = yudin_bound(Field.parse(args.field), args.m, args.p)
     if args.format == "json":
         print(json.dumps(report.to_dict() | {"delta": report.delta}))
@@ -85,11 +85,11 @@ def cmd_bound(args, parser) -> int:
     return 0
 
 
-def cmd_table(args, parser) -> int:
+def cmd_table(args) -> int:
     if args.p_min > args.p_max:
-        parser.error(f"empty range: p-min {args.p_min} > p-max {args.p_max}")
+        raise ValueError(f"empty range: p-min {args.p_min} > p-max {args.p_max}")
     if args.p_min % 2 or args.p_max % 2 or args.p_min < 2:
-        parser.error("p-min and p-max must be even integers >= 2")
+        raise ValueError("p-min and p-max must be even integers >= 2")
     field = Field.parse(args.field)
     columns = _TABLE_SCHEMA.split(",")
     rows = []
@@ -117,7 +117,7 @@ def cmd_table(args, parser) -> int:
     return _write_output(text, args.out)
 
 
-def cmd_verify(args, parser) -> int:
+def cmd_verify(args) -> int:
     try:
         ps, p = load_point_set(args.file)
     except (OSError, ValueError) as exc:
@@ -142,16 +142,16 @@ def cmd_verify(args, parser) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_asym(args, parser) -> int:
+def cmd_asym(args) -> int:
     field = Field.parse(args.field)
     if args.m_max < 2:
-        parser.error("m-max must be >= 2")
+        raise ValueError("m-max must be >= 2")
     m, nu, zero, _residual, *rest = _asymptotic_columns(field, range(2, args.m_max + 1))
     columns = (m, nu, zero, *rest)  # every field but the residual
     return _write_csv(f"asym v1 field={field.name}", _ASYM_SCHEMA, columns, args.out)
 
 
-def cmd_testfn(args, parser) -> int:
+def cmd_testfn(args) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")  # recorded whatever the caller's filters are
         try:
@@ -170,10 +170,11 @@ def cmd_testfn(args, parser) -> int:
 
 
 def _build_parsers() -> tuple[argparse.ArgumentParser, dict]:
-    """The top-level parser and, by command name, each command's parser and option table.
+    """The top-level parser and, by command name, each command's option table.
 
     A table holds, from the actions add_argument returned: option string ->
-    action, the positionals in order, the required actions, the defaults.
+    action, the positionals in order, the required actions, the defaults
+    (with the command's name and function, as the top-level parser sets them).
     """
     parser = argparse.ArgumentParser(
         prog="projbound",
@@ -183,14 +184,14 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict]:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
+    tables = {}
 
     def command(name, run, **kwargs):
         """Add a command parser; return its add_argument, which also keeps each action."""
         command_parser = sub.add_parser(name, **kwargs)
         command_parser.set_defaults(run=run)
         actions = []
-        commands[name] = command_parser, actions
+        tables[name] = run, actions
         return lambda *flags, **kw: actions.append(command_parser.add_argument(*flags, **kw))
 
     arg = command("bound", cmd_bound, help="both lower bounds for one (field, m, p)")
@@ -242,24 +243,21 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict]:
     arg("--kmax", type=int, default=200)
     arg("--out", default=None)
 
-    for name, (command_parser, actions) in commands.items():
-        commands[name] = command_parser, (
+    for name, (run, actions) in tables.items():
+        tables[name] = (
             {option: a for a in actions for option in a.option_strings},
             [a for a in actions if not a.option_strings],
             [a for a in actions if a.required],
-            {a.dest: a.default for a in actions} | {"run": command_parser.get_default("run")},
+            {a.dest: a.default for a in actions} | {"command": name, "run": run},
         )
-    return parser, commands
+    return parser, tables
 
 
 def build_parser() -> argparse.ArgumentParser:
     return _build_parsers()[0]
 
 
-@functools.cache
-def _parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The parsers and tables of `main`, built once per process: parsing leaves them unchanged."""
-    return _build_parsers()
+_parser = functools.cache(_build_parsers)  # main's, built once: parsing leaves them unchanged
 
 
 def _read_plain(table, argv):
@@ -299,32 +297,23 @@ def _read_plain(table, argv):
 def main(argv=None) -> int:
     """Run one request; argv defaults to sys.argv[1:].
 
-    A plain request (see `_read_plain`) is read from its command's table.
-    Any other request naming its command is parsed by that command's parser,
-    and extra arguments get the top-level parser's error, as argparse words
-    it.  Any other argv (none, help, an unknown command) goes through the
-    top-level parser, which prints the help or the error.
+    A plain request (see `_read_plain`) is read from its command's table, any
+    other argv by the top-level parser, which prints the help or the error.
     """
-    parser, commands = _parser()
+    parser, tables = _parser()
     argv = sys.argv[1:] if argv is None else argv
-    command, table = commands[argv[0]] if argv and argv[0] in commands else (None, None)
     try:
-        if command is None:
-            args = parser.parse_args(argv)
-        elif (args := _read_plain(table, argv[1:])) is None:
-            args, extras = command.parse_known_args(argv[1:])
-            if extras:
-                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        plain = argv and argv[0] in tables and _read_plain(tables[argv[0]], argv[1:])
+        args = plain or parser.parse_args(argv)  # any argv the table does not read
+        code = args.run(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
     except SystemExit:  # argparse's help may wait in stdout's buffer: flush it before exiting
         try:
             sys.stdout.flush()
         except BrokenPipeError:  # argparse ignores a closed stdout: keep its exit code
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise
-    try:
-        code = args.run(args, parser)
-        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
-        return code
     except BrokenPipeError:  # the reader is gone: say nothing more, as `head` expects
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1

@@ -85,7 +85,10 @@ class PointSet:
                 raise ValueError("weights must be finite")
             if (weights <= 0.0).any():
                 raise ValueError("weights must be strictly positive")
-            total = math.fsum(weights.tolist())
+            try:
+                total = math.fsum(weights.tolist())
+            except OverflowError:  # finite weights whose sum is past the float range
+                total = math.inf
             if abs(total - 1.0) > 1e-12:
                 raise ValueError(f"weights must sum to 1 within 1e-12, got {total!r}")
 
@@ -282,8 +285,9 @@ def verify(ps: PointSet, p: int, tol: Optional[float] = None) -> VerificationRep
 
     Coincident node pairs are reported without a warning: the first 100 in `duplicates`,
     all of them in `duplicate_count`.  A bound is tight only for a passing set.
-    tol defaults to 1e-10 * n, matching the accumulation of n^2 unit-scale
-    terms per moment.  An explicit tol must be finite and positive.
+    tol defaults to 1e-10 * n, a convention, not an error estimate: each moment is summed
+    exactly and rounded once, so its error does not grow with n.  An explicit tol must be
+    finite and positive.
     """
     if tol is None:
         tol = 1e-10 * ps.n
@@ -360,8 +364,10 @@ def parse_point_set(doc: dict) -> tuple[PointSet, int]:
     raw_nodes = doc["nodes"]
     if not isinstance(raw_nodes, list) or not raw_nodes:
         raise ValueError("'nodes' must be a nonempty list")
-    nodes = np.zeros((len(raw_nodes), max(m, 0), 4))  # m < 0 fails the shape test, then the walk
-    filled = _json_floats(raw_nodes, nodes[..., : field.delta])
+    # no allocation unless nodes[0] has m coordinates (else the walk names it): m may be huge
+    shaped = isinstance(raw_nodes[0], list) and len(raw_nodes[0]) == m
+    nodes = np.zeros((len(raw_nodes), m, 4)) if shaped else None
+    filled = shaped and _json_floats(raw_nodes, nodes[..., : field.delta])
     for i, node in enumerate(() if filled else raw_nodes):  # raises on a bad entry
         if not isinstance(node, list) or len(node) != m:
             raise ValueError(f"nodes[{i}]: expected {m} coordinates, got {node!r}")

@@ -68,7 +68,10 @@ def _coefficients(params: JacobiParams, k: int) -> np.ndarray:
     if k < 0:
         raise ValueError(f"degree must be >= 0, got {k}")
     a, b = params.alpha, params.beta
-    coeffs = np.empty((4, k))
+    try:
+        coeffs = np.empty((4, k))
+    except (ValueError, MemoryError):  # numpy refuses k, or cannot find 32 k bytes
+        raise ValueError(f"degree {k} is too large for its recurrence table") from None
     if k >= 1:
         coeffs[:, 0] = (2.0, a - b, a + b + 2.0, 0.0)
     if k >= 2:

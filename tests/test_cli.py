@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -109,6 +110,15 @@ class TestBoundCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: bound past the float range for field=")
         assert err.count("\n") == 1
+
+    def test_degree_numpy_refuses_exit_2(self, capsys):
+        # 2^70 is past numpy's largest dimension, so nothing is allocated
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", "--field", "R", "--m", "2", "--p", str(2**70)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: degree {2**69} is too large for its recurrence table\n")
+        assert err.count("\n") == 2  # the usage line, then the error
 
     def test_bad_flags_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -257,6 +267,28 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: moment M_") and err.count("\n") == 1
         assert "= nan is negative or not finite" in err
+
+    def test_weights_past_the_float_range_exit_2(self, capsys, tmp_path):
+        path = write_circle_file(tmp_path / "w.json", 2)
+        doc = json.loads(path.read_text())
+        doc["weights"] = [1e308, 1e308]
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out, err) == (2, "", "error: weights must sum to 1 within 1e-12, got inf\n")
+
+    def test_huge_m_with_short_nodes_allocates_nothing_exit_2(self, capsys, tmp_path):
+        nodes = [[[1.0], [0.0]], [[0.0], [1.0]], [[1.0], [0.0]]]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"field": "R", "m": 10**9, "p": 2, "nodes": nodes}))
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "verify", str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err == "error: nodes[0]: expected 1000000000 coordinates, got [[1.0], [0.0]]\n"
+        assert peak < 2**20  # an (n, m, 4) array would be 89 GiB
 
     def test_float_p_exit_2(self, capsys, tmp_path):
         path = write_circle_file(tmp_path / "c.json", 10)
@@ -513,11 +545,11 @@ class TestParserReuse:
 
 
 def argparse_route(argv):
-    """A request through the whole top-level parser, as main ran it before it dispatched."""
+    """A request through the whole top-level parser, as main runs any argv it cannot read plain."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args, parser)
+        return args.run(args)
     except ValueError as exc:
         parser.error(str(exc))
     except NumericalError as exc:
@@ -533,7 +565,9 @@ def cli_process(*argv, **kwargs):
 
 
 class TestDispatch:
-    """main parses a named command with its own parser and prints what argparse printed."""
+    """main prints what the top-level parser's route prints, for help, usage errors,
+    unknown commands and the commands' own errors: the option table reads the plain argv
+    among them, and main gives the others to the top-level parser."""
 
     BOUND = ["--field", "C", "--m", "3", "--p", "12"]
     ARGVS = [
@@ -605,7 +639,7 @@ def declared_argvs():
     """
     rng = np.random.default_rng(0)
     cases = []
-    for name, (_, (options, positionals, _, _)) in cli._build_parsers()[1].items():
+    for name, (options, positionals, _, _) in cli._build_parsers()[1].items():
         actions = positionals + list(dict.fromkeys(options.values()))  # each once, in order
         values = [a.choices[-1] if a.choices else VALUES.get(a.dest) for a in actions]
         units = [a.option_strings[:1] + ([] if a.nargs == 0 else [value])
@@ -650,12 +684,11 @@ class TestPlainRequests:
         monkeypatch.chdir(tmp_path)  # a bad --out value is a file name too
         argv = [token.replace(OUT, "out") for token in argv]
         assert outcome(capsys, main, argv) == outcome(capsys, argparse_route, argv)
-        command, table = cli._parser()[1][argv[0]]
-        plain = cli._read_plain(table, argv[1:])
+        plain = cli._read_plain(cli._parser()[1][argv[0]], argv[1:])
         if label in ("canonical", "shuffled"):
             assert plain is not None
         if plain is not None:
-            assert vars(plain) == vars(command.parse_known_args(argv[1:])[0])
+            assert vars(plain) == vars(build_parser().parse_args(argv))
 
     def test_non_str_token_raises_as_argparse_does(self):
         argv = ["bound", "--field", "C", "--m", 3, "--p", "12"]
