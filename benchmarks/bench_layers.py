@@ -1,6 +1,6 @@
 """In-process timings of two source trees of projbound, written as one JSON record.
 
-    python benchmarks/bench_layers.py --parent OLD/src --change src --out BENCH_25.json
+    python benchmarks/bench_layers.py --parent OLD/src --change src --out BENCH_27.json
 
 The two trees are timed in rounds that alternate between them (parent then
 change, then change then parent, and so on), so a drift of the host's speed
@@ -32,7 +32,8 @@ spread of a tree's own rounds shows next to the difference between trees:
   call over 20 calls, and two small-p requests, ``bound --field C --m 3 --p 40
   --format json`` and the two-row ``table --field C --m 3 --p-min 40 --p-max
   42 --format json``, per call over 200 calls, where argument parsing is much
-  of the time;
+  of the time; and ``bound --field R --m 2 --p 418 --format json``, per call
+  over 200 calls, the real field's path through the integral-ratio cross-check;
 * ``testfn --field H --m 2 --l 4`` through ``cli.main``, per call over 20
   calls: one test function and its 201-row CSV, the one kind of request
   in the bound-sweep workload that prints CSV;
@@ -104,6 +105,7 @@ WARM_REQUESTS = [
     (["bound", "--field", "C", "--m", "3", "--p", "40", "--format", "json"], 200),
     (["table", "--field", "C", "--m", "3", "--p-min", "40", "--p-max", "42",
       "--format", "json"], 200),
+    (["bound", "--field", "R", "--m", "2", "--p", "418", "--format", "json"], 200),
 ]
 TESTFN_ARGV = ["testfn", "--field", "H", "--m", "2", "--l", "4"]
 TESTFN_NUMBER = 20

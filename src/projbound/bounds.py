@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 from scipy.special import gammaln
 
 from .fields import Field, field_params
-from .jacobi import NumericalError, largest_root
+from .jacobi import JacobiParams, NumericalError, largest_root
 from .specials import bessel_first_zero, bessel_first_zeros, hypergeom_F, log_gamma
 
 #: relative slack within which the real closed form must match the integral ratio
@@ -101,9 +102,7 @@ class BoundReport:
 
     def to_dict(self) -> dict:
         """Every field by name, in declaration order; the field tag as its name."""
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        doc["field"] = self.field.name
-        return doc
+        return self.__dict__ | {"field": self.field.name}
 
     @classmethod
     def from_dict(cls, d: dict) -> "BoundReport":
@@ -118,14 +117,31 @@ def _check_even_p(p: int) -> None:
         raise ValueError(f"p must be a positive even integer, got {p}")
 
 
+@lru_cache(maxsize=1 << 12, typed=True)  # a failed (field, m) is not kept
+def _field_constants(field: Field, m: int) -> tuple[JacobiParams, float, float, float, float]:
+    """What yudin_bound needs of (field, m) alone: raised params, alpha, beta, two log terms.
+
+    The first log term is log Gamma(a+2) + log Gamma(b+1) - log Gamma(a+b+2)
+    of the closed form; the second, over R only (else nan), is the log of the
+    full integral in the integral ratio, see _real_ratio_from_xi.
+    """
+    params = field_params(field, m)
+    a, b = params.alpha, params.beta
+    log_gammas = log_gamma(a + 2.0) + log_gamma(b + 1.0) - log_gamma(a + b + 2.0)
+    log_full = math.nan
+    if field is Field.R:
+        # integral_0^1 (1-s^2)^a ds = 2^{2a} Gamma(a+1)^2 / Gamma(2a+2), a = (m-3)/2 over R
+        log_full = 2.0 * a * math.log(2.0) + 2.0 * log_gamma(a + 1.0) - log_gamma(2.0 * a + 2.0)
+    return params.raised(), a, b, log_gammas, log_full
+
+
 def _real_ratio_from_xi(m: int, xi: float) -> float:
-    # integral_0^1 (1-s^2)^a ds = 2^{2a} Gamma(a+1)^2 / Gamma(2a+2), and with h = 1 - eta
-    # integral_eta^1 (1-s^2)^a ds = h^{a+1} 2^a F(-a, a+1; a+2; h/2) / (a+1): their ratio,
-    # in logs since h^{a+1} underflows at large m
+    # with h = 1 - eta, integral_eta^1 (1-s^2)^a ds = h^{a+1} 2^a F(-a, a+1; a+2; h/2) / (a+1):
+    # the full integral's ratio to it, in logs since h^{a+1} underflows at large m
+    log_full = _field_constants(Field.R, m)[4]
     a, eta = (m - 3) / 2.0, math.sqrt((1.0 + xi) / 2.0)
     h = ((1.0 - xi) / 2.0) / (1.0 + eta)  # 1 - eta without the cancellation
     tail_f = hypergeom_F(a, a, h / 2.0) / (a + 1.0)
-    log_full = 2.0 * a * math.log(2.0) + 2.0 * log_gamma(a + 1.0) - log_gamma(2.0 * a + 2.0)
     log_tail = (a + 1.0) * math.log(h) + a * math.log(2.0) + math.log(tail_f)
     return math.exp(log_full - log_tail)
 
@@ -138,9 +154,7 @@ def real_integral_ratio(m: int, p: int) -> float:
     as an independent numeric route.
     """
     _check_even_p(p)
-    params = field_params(Field.R, m)
-    xi = largest_root(params.raised(), p // 2)
-    return _real_ratio_from_xi(m, xi)
+    return _real_ratio_from_xi(m, largest_root(_field_constants(Field.R, m)[0], p // 2))
 
 
 def yudin_bound(field: Field, m: int, p: int) -> BoundReport:
@@ -148,23 +162,17 @@ def yudin_bound(field: Field, m: int, p: int) -> BoundReport:
 
     Evaluates the closed form 1/I_eps(a+1, b+1) in the log domain; over R it must
     agree with the integral ratio, an independent route.  A raw value past the
-    float range raises NumericalError.
+    float range raises NumericalError.  Every term that depends on (field, m)
+    alone is computed once per (field, m) while _field_constants keeps it.
     """
     _check_even_p(p)
-    params = field_params(field, m)
-    a, b = params.alpha, params.beta
-    xi = largest_root(params.raised(), p // 2)
+    raised, a, b, log_gammas, _ = _field_constants(field, m)
+    xi = largest_root(raised, p // 2)
     eps = (1.0 - xi) / 2.0
     if not 0.0 < eps < 1.0:
         raise NumericalError(f"epsilon={eps} outside (0,1) for field={field.name}, m={m}, p={p}")
 
-    log_raw = (
-        log_gamma(a + 2.0)
-        + log_gamma(b + 1.0)
-        - log_gamma(a + b + 2.0)
-        - math.log(hypergeom_F(b, a, eps))
-        - (a + 1.0) * math.log(eps)
-    )
+    log_raw = log_gammas - math.log(hypergeom_F(b, a, eps)) - (a + 1.0) * math.log(eps)
     try:
         raw = math.exp(log_raw)
     except OverflowError:

@@ -2,20 +2,22 @@
 
 Only the narrow slices needed by the bound formulas are exposed: the
 hypergeometric value F(-beta, alpha+1; alpha+2; eps) of the closed-form
-bound, and the first positive zero j_{nu,1} behind its large-p behavior,
-for an array of orders at once, each solved once while a bounded memo keeps it.
+bound, its quadrature rule kept per alpha, and the first positive zero
+j_{nu,1} behind its large-p behavior, for an array of orders at once, each
+solved once while a bounded memo keeps it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, roots_jacobi
 from scipy.special import jv as _besselj
 
-from .jacobi import NumericalError, _roots_jacobi_cached
+from .jacobi import NumericalError
 
 # The scan step must stay below the minimal gap between consecutive zeros of
 # J_nu (>= 3.11 over all nu >= 0), so a sign change is never skipped.
@@ -41,16 +43,41 @@ def hypergeom_F(beta: float, alpha: float, eps: float) -> float:
     Computed through the Euler integral
         (alpha+1) * integral_0^1 s^alpha (1 - eps*s)^beta ds,
     where the endpoint factor s^alpha is absorbed into a Gauss-Jacobi rule and
-    the remaining factor is analytic for eps < 1.
+    the remaining factor is analytic for eps < 1.  The rule's nodes, weights
+    and prefactor are kept per alpha.  From alpha = 1033.5 the weights
+    overflow, and from alpha = 1074 0.5^(alpha+1) underflows; where the
+    rule's value is not finite and positive, beta = 0 and beta = 1 take the
+    terminating series, and any other beta raises NumericalError.
     """
     if not alpha > -1.0:
         raise ValueError(f"hypergeom_F requires alpha > -1, got {alpha}")
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"hypergeom_F requires 0 <= eps < 1, got {eps}")
-    # s = (1+u)/2 turns s^alpha ds into a (0, alpha) Jacobi weight on (-1, 1)
-    u, w = _roots_jacobi_cached(_HYPERGEOM_ORDER, 0.0, alpha)
+    s, w, scale = _euler_rule(alpha)
+    value = scale * float(np.dot(w, (1.0 - eps * s) ** beta))
+    if 0.0 < value < math.inf:
+        return value
+    if beta == 0.0:
+        return 1.0
+    if beta == 1.0:
+        return 1.0 - (alpha + 1.0) * eps / (alpha + 2.0)
+    raise NumericalError(
+        f"hypergeom_F: Gauss-Jacobi rule out of the float range at alpha={alpha}, "
+        f"beta={beta}, eps={eps}"
+    )
+
+
+@lru_cache(maxsize=256, typed=True)
+def _euler_rule(alpha: float):
+    """Nodes s = (1+u)/2, weights and prefactor (alpha+1) * 0.5^(alpha+1) of hypergeom_F's rule."""
+    # s = (1+u)/2 turns s^alpha ds into a (0, alpha) Jacobi weight on (-1, 1); from
+    # alpha = 1033.5 scipy's weights overflow, which hypergeom_F answers for
+    with np.errstate(over="ignore"):
+        u, w = roots_jacobi(_HYPERGEOM_ORDER, 0.0, alpha)
     s = 0.5 * (1.0 + u)
-    return (alpha + 1.0) * 0.5 ** (alpha + 1.0) * float(np.dot(w, (1.0 - eps * s) ** beta))
+    s.setflags(write=False)
+    w.setflags(write=False)
+    return s, w, (alpha + 1.0) * 0.5 ** (alpha + 1.0)
 
 
 def bessel_j(nu: float, x: float) -> float:

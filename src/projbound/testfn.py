@@ -76,7 +76,10 @@ def build_test_function(field: Field, m: int, l: int, k_max: int = 200) -> Yudin
     # largest root of P_r' == largest root of the raised family at degree l
     xi = largest_root(params.raised(), l)
 
-    k = np.arange(k_max + 1, dtype=float)
+    try:
+        k = np.arange(k_max + 1, dtype=float)
+    except (ValueError, MemoryError):  # numpy refuses k_max, or cannot find 8 k_max bytes
+        raise ValueError(f"k_max must fit in memory as a table, got {k_max}") from None
     raised_at_xi = jacobi_eval_all(params.raised(), k_max - 1, xi)
     w_raised = params.raised().weight(xi)
 

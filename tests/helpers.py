@@ -20,7 +20,11 @@ loop and the eigh_tridiagonal root that the package's array-built table and
 direct LAPACK call replaced, and pin both to the same doubles;
 asymptotic_rows_loop is the per-row scalar loop that the package's column
 passes over the asymptotic rows replaced, and pins every row field to the
-same double.
+same double; uncached_hypergeom_F, uncached_real_integral_ratio and
+uncached_yudin_bound are the bound's expressions before its (field, m) terms
+and its Euler-rule nodes were kept per process: three log_gamma calls per
+bound, the nodes from roots_jacobi, the root from the unmemoised solver; they
+pin every report field to the same double.
 clear_bessel_zero_memo and clear_largest_root_memo empty the package's
 per-process memos of first Bessel zeros and of largest Jacobi roots, so a test
 that needs a cold solve gets one.  deadline turns a call that does not return
@@ -30,6 +34,8 @@ in time into a failed test instead of a hung suite.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import json
 import math
 import signal
 from dataclasses import dataclass
@@ -40,8 +46,9 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import eval_jacobi, jv, roots_jacobi
 
-from projbound import jacobi, specials
-from projbound.bounds import AsymptoticRow
+from projbound import bounds, jacobi, specials
+from projbound.bounds import AsymptoticRow, BoundReport
+from projbound.fields import Field, field_params
 from projbound.cubature import gram_matrix
 
 
@@ -605,3 +612,72 @@ def mp_inverse_betainc(alpha: float, beta: float, eps: float) -> float:
     """
     with mpmath.workdps(40):
         return float(1 / mpmath.betainc(alpha + 1, beta + 1, 0, mpmath.mpf(eps), regularized=True))
+
+
+def _uncached_root(params, k: int) -> float:
+    return jacobi._solve_largest_root.__wrapped__(params.alpha, params.beta, k)
+
+
+def uncached_hypergeom_F(beta: float, alpha: float, eps: float) -> float:
+    """hypergeom_F's 64-point Euler-integral value, its rule taken from roots_jacobi on each call."""
+    u, w = roots_jacobi(64, 0.0, alpha)
+    s = 0.5 * (1.0 + u)
+    return (alpha + 1.0) * 0.5 ** (alpha + 1.0) * float(np.dot(w, (1.0 - eps * s) ** beta))
+
+
+def _uncached_real_ratio(m: int, xi: float) -> float:
+    a, eta = (m - 3) / 2.0, math.sqrt((1.0 + xi) / 2.0)
+    h = ((1.0 - xi) / 2.0) / (1.0 + eta)
+    tail_f = uncached_hypergeom_F(a, a, h / 2.0) / (a + 1.0)
+    log_full = (
+        2.0 * a * math.log(2.0) + 2.0 * specials.log_gamma(a + 1.0)
+        - specials.log_gamma(2.0 * a + 2.0)
+    )
+    log_tail = (a + 1.0) * math.log(h) + a * math.log(2.0) + math.log(tail_f)
+    return math.exp(log_full - log_tail)
+
+
+def uncached_real_integral_ratio(m: int, p: int) -> float:
+    """real_integral_ratio(m, p), every term computed afresh."""
+    return _uncached_real_ratio(m, _uncached_root(field_params(Field.R, m).raised(), p // 2))
+
+
+def uncached_yudin_bound(field, m: int, p: int) -> BoundReport:
+    """yudin_bound(field, m, p) for even p >= 2 that hypergeom_F's rule answers, computed afresh."""
+    params = field_params(field, m)
+    a, b = params.alpha, params.beta
+    xi = _uncached_root(params.raised(), p // 2)
+    eps = (1.0 - xi) / 2.0
+    log_raw = (
+        specials.log_gamma(a + 2.0)
+        + specials.log_gamma(b + 1.0)
+        - specials.log_gamma(a + b + 2.0)
+        - math.log(uncached_hypergeom_F(b, a, eps))
+        - (a + 1.0) * math.log(eps)
+    )
+    try:
+        raw = math.exp(log_raw)
+    except OverflowError:
+        raise jacobi.NumericalError(
+            f"bound past the float range for field={field.name}, m={m}, p={p}: log_raw={log_raw!r}"
+        ) from None
+    if field is Field.R:
+        reference = _uncached_real_ratio(m, xi)
+        assert abs(raw - reference) <= bounds._CONSISTENCY_RTOL * abs(reference)
+    return BoundReport(
+        field=field,
+        m=m,
+        p=p,
+        lp_bound=bounds.lp_bound(field, m, p // 2),
+        yudin_raw=raw,
+        yudin_bound=bounds.ceil_snap(raw),
+        epsilon=eps,
+        xi=xi,
+    )
+
+
+def bound_json_line(report: BoundReport) -> str:
+    """`bound --format json`'s stdout for the report: each dataclass field by name, then delta."""
+    doc = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    doc["field"] = report.field.name
+    return json.dumps(doc | {"delta": report.delta}) + "\n"

@@ -1,12 +1,16 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import projbound.bounds
+import projbound.cli
 import projbound.specials
 from projbound import (
     BoundReport,
@@ -34,11 +38,17 @@ from projbound.bounds import lp_bound_h_alt
 
 from helpers import (
     asymptotic_rows_loop,
+    bound_json_line,
     clear_bessel_zero_memo,
     lambda_factorial,
     mp_inverse_betainc,
     mp_real_yudin,
+    uncached_hypergeom_F,
+    uncached_real_integral_ratio,
+    uncached_yudin_bound,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 #: the inputs of R/C/H x m in {2,3,5,10,20,30,60,100,150,200,250,300} x
@@ -244,6 +254,128 @@ class TestFormEquivalence:
                     p + 1,
                 )
                 assert eta * eta == pytest.approx((1.0 + xi) / 2.0, abs=1e-12)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of the NumericalError it raises."""
+    try:
+        return fn(*args)
+    except NumericalError as exc:
+        return NumericalError, str(exc)
+
+
+class TestFieldConstantsAreShared:
+    """yudin_bound keeps its (field, m) terms and hypergeom_F its Euler-rule nodes per
+    process; every value must be the double the uncached expressions give."""
+
+    MS = (2, 3, 5, 17, 200)
+    PS = (2, 4, 40, 418, 1868)
+
+    @pytest.fixture(autouse=True)
+    def cold_memos(self):
+        projbound.bounds._field_constants.cache_clear()
+        projbound.specials._euler_rule.cache_clear()
+
+    def test_reports_and_json_match_the_uncached_expressions(self, capsys):
+        # the field alternates from call to call and each (field, m) comes back
+        # at every p, so constants kept under the wrong key would show
+        for m in self.MS:
+            for p in self.PS:
+                for field in Field:
+                    want = _outcome(uncached_yudin_bound, field, m, p)
+                    got = _outcome(yudin_bound, field, m, p)
+                    argv = ["bound", "--field", field.name, "--m", str(m), "--p", str(p)]
+                    code = projbound.cli.main([*argv, "--format", "json"])
+                    out, err = capsys.readouterr()
+                    if isinstance(want, tuple):
+                        assert got == want, (field, m, p)
+                        assert (code, out, err) == (2, "", f"error: {want[1]}\n")
+                        continue
+                    for f in dataclasses.fields(want):
+                        assert getattr(got, f.name) == getattr(want, f.name), (field, m, p, f.name)
+                    assert (code, out, err) == (0, bound_json_line(want), "")
+
+    def test_real_integral_ratio_matches_the_uncached_expressions(self):
+        for m in self.MS:
+            for p in self.PS:
+                _outcome(yudin_bound, Field.C, m, p)  # a kept C entry must not answer for R
+                assert real_integral_ratio(m, p) == uncached_real_integral_ratio(m, p), (m, p)
+
+    def test_hypergeom_F_matches_the_uncached_rule(self):
+        alphas = [field_params(f, m).alpha for m in self.MS for f in Field]
+        for eps in (0.0, 0.013, 0.5, 0.97):
+            for alpha in alphas:
+                for beta in (-0.5, 0.0, 1.0, alpha):
+                    got = projbound.specials.hypergeom_F(beta, alpha, eps)
+                    assert got == uncached_hypergeom_F(beta, alpha, eps), (beta, alpha, eps)
+
+    def test_numpy_integer_m_does_not_leak_into_an_int_request(self):
+        yudin_bound(Field.C, np.int64(3), 40)
+        got = repr(yudin_bound(Field.C, 3, 40).to_dict())
+        code = (
+            "from projbound import Field, yudin_bound; "
+            "print(repr(yudin_bound(Field.C, 3, 40).to_dict()))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        fresh = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                               text=True, check=True, timeout=60).stdout
+        assert got + "\n" == fresh
+
+    def test_a_failure_is_not_kept(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="m must be >= 2, got 1"):
+                yudin_bound(Field.H, 1, 4)
+        assert projbound.bounds._field_constants.cache_info().currsize == 0
+
+    def test_both_memos_are_bounded_and_typed(self):
+        for memo in (projbound.bounds._field_constants, projbound.specials._euler_rule):
+            params = memo.cache_parameters()
+            assert params["typed"] and 0 < params["maxsize"] <= 1 << 14
+
+
+#: m past which hypergeom_F's 64-point rule leaves the float range: its weights
+#: overflow from alpha = 1033.5 (H m=519, C m=1036, R m=2070)
+LARGE_M = (514, 520, 540, 1030, 1080, 2000, 5000)
+
+
+class TestLargeM:
+    """From alpha = 1033.5 the bound is the terminating form over C and H, an error over R."""
+
+    @pytest.mark.parametrize("field", [Field.C, Field.H], ids=lambda f: f.name)
+    def test_complex_and_quaternionic_match_mpmath(self, field):
+        for m in LARGE_M:
+            params = field_params(field, m)
+            for p in (2, 4, 100):
+                xi = largest_root(params.raised(), p // 2)
+                want = mp_inverse_betainc(params.alpha, params.beta, (1.0 - xi) / 2.0)
+                if want == math.inf:
+                    with pytest.raises(NumericalError, match=f"field={field.name}, m={m}, p={p}:"):
+                        yudin_bound(field, m, p)
+                    continue
+                rep = yudin_bound(field, m, p)
+                assert rep.yudin_raw == pytest.approx(want, rel=1e-11), (m, p)
+                assert rep.yudin_bound >= 1
+
+    @pytest.mark.parametrize("m", [2070, 2100, 2160])
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_real_past_the_rule_is_a_numerical_error(self, m, p):
+        alpha = field_params(Field.R, m).alpha
+        with pytest.raises(NumericalError, match=f"alpha={alpha}, beta=-0.5, eps="):
+            yudin_bound(Field.R, m, p)
+
+    @pytest.mark.parametrize("field", list(Field), ids=lambda f: f.name)
+    def test_no_bound_is_zero(self, field):
+        # every input either matches mpmath or raises NumericalError; none is a silent 0
+        for m in (2, 300, 514, 540, 1080, 2100, 5000):
+            params = field_params(field, m)
+            for p in (2, 4, 100):
+                try:
+                    rep = yudin_bound(field, m, p)
+                except NumericalError:
+                    continue
+                want = mp_inverse_betainc(params.alpha, params.beta, rep.epsilon)
+                assert rep.yudin_raw == pytest.approx(want, rel=1e-11), (m, p)
+                assert rep.yudin_bound >= 1
 
 
 class TestDeltaTables:

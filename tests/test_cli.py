@@ -90,6 +90,26 @@ class TestBoundCommand:
         assert code == 0
         assert '"xi": 0.0' in out and '"xi": -0.0' not in out
 
+    @pytest.mark.parametrize("command", ["bound", "table"])
+    def test_real_past_the_rule_is_one_error_line(self, command):
+        # a fresh process builds the overflowing Gauss-Jacobi rule: scipy's overflow
+        # warning stays off stderr, and the error is one line
+        ps = ["--p", "4"] if command == "bound" else ["--p-min", "2", "--p-max", "4"]
+        proc = cli_process(command, "--field", "R", "--m", "2100", *ps,
+                           stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, out) == (2, "")
+        assert err.startswith("error: hypergeom_F: ") and err.count("\n") == 1, err
+
+    def test_quaternion_past_the_rule_is_no_silent_zero(self):
+        proc = cli_process("bound", "--field", "H", "--m", "520", "--p", "4", "--format", "json",
+                           stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["yudin_raw"] == pytest.approx(56.7857938763, rel=1e-10)
+        assert doc["yudin_bound"] == 57
+
     def test_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "bound", "--field", "C", "--m", "3", "--p", "12", "--format", "json")
         report = BoundReport.from_dict(json.loads(out))
@@ -489,6 +509,14 @@ class TestTestfnCommand:
         # the error names the flag, as the series-tail warning does
         assert capsys.readouterr().err.splitlines()[-1] == (
             "projbound: error: --kmax must be >= l+2, got 6 (l=5)"
+        )
+
+    def test_kmax_past_numpy_names_the_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["testfn", "--field", "R", "--m", "2", "--l", "1", "--kmax", str(2**70)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"projbound: error: --kmax must fit in memory as a table, got {2**70}"
         )
 
     def test_out_file(self, capsys, tmp_path):

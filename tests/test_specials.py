@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
 import projbound.specials
 from projbound import (
@@ -77,6 +78,29 @@ class TestHypergeomF:
         for beta, alpha, eps in [(-0.5, -0.5, 0.5), (1.0, 3.0, 0.2), (0.5, 7.0, 0.85)]:
             want = mp_hyp2f1(-beta, alpha + 1.0, alpha + 2.0, eps)
             assert hypergeom_F(beta, alpha, eps) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [1033.5, 1100.5, 9997.0])
+    def test_terminating_forms_past_the_rule(self, alpha):
+        # the 64-point rule's weights overflow from alpha = 1033.5, and 0.5^(alpha+1)
+        # underflows later: beta = 0 and beta = 1 terminate, and their series answers
+        for eps in (0.0, 0.3, 0.99):
+            assert hypergeom_F(0.0, alpha, eps) == 1.0
+            assert hypergeom_F(1.0, alpha, eps) == 1.0 - (alpha + 1.0) * eps / (alpha + 2.0)
+            want = mp_hyp2f1(-1.0, alpha + 1.0, alpha + 2.0, eps)
+            assert hypergeom_F(1.0, alpha, eps) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("beta", [-0.5, 0.5, 2.0])
+    def test_other_beta_past_the_rule_is_a_numerical_error(self, beta):
+        with pytest.raises(NumericalError, match=f"alpha=1100.5, beta={beta}, eps=0.25"):
+            hypergeom_F(beta, 1100.5, 0.25)
+
+    def test_rule_value_kept_where_finite(self):
+        # below the overflow the 64-point value stands, even where beta terminates
+        alpha, eps = 1000.0, 0.5
+        u, w = roots_jacobi(64, 0.0, alpha)
+        s = 0.5 * (1.0 + u)
+        rule = (alpha + 1.0) * 0.5 ** (alpha + 1.0) * float(np.dot(w, (1.0 - eps * s) ** 1.0))
+        assert hypergeom_F(1.0, alpha, eps) == rule
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -55,6 +55,11 @@ class TestConstruction:
         assert abs(tf.coeff_f[6]) <= 1e-12 * scale
         assert np.all(tf.coeff_f[7:] < 0.0)
 
+    def test_k_max_past_numpy_is_a_value_error(self):
+        # numpy cannot size a (2**70 + 1,) table: the error names k_max, not numpy's limit
+        with pytest.raises(ValueError, match=f"^k_max must fit in memory as a table, got {2**70}$"):
+            build_test_function(Field.R, 2, 1, k_max=2**70)
+
     def test_k_max_validation(self):
         with pytest.raises(ValueError):
             build_test_function(Field.C, 2, 5, k_max=6)
