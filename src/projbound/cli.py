@@ -23,7 +23,6 @@ import functools
 import json
 import os
 import sys
-import warnings
 
 from .bounds import _asymptotic_columns, lp_bound_h_alt, yudin_bound
 from .cubature import _coincident_note, load_point_set, verify
@@ -152,15 +151,15 @@ def cmd_asym(args) -> int:
 
 
 def cmd_testfn(args) -> int:
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")  # recorded whatever the caller's filters are
-        try:
-            tf = build_test_function(Field.parse(args.field), args.m, args.l, args.kmax)
-        except ValueError as exc:  # the k_max check names the library's argument: say --kmax
-            raise ValueError(str(exc).replace("k_max must", "--kmax must")) from None
-    for w in caught:  # so does the series-tail warning
-        message = str(w.message).replace("increase k_max", "increase --kmax")
-        print(f"warning: {message}", file=sys.stderr)
+    try:
+        tf = build_test_function(Field.parse(args.field), args.m, args.l, args.kmax)
+    except ValueError as exc:  # the k_max checks name the library's argument: say --kmax
+        raise ValueError(str(exc).replace("k_max must", "--kmax must")) from None
+    limit = 1e-12 * tf.value_at_one
+    if tf.series_tail_term > limit:  # the report carries the tail; its advisory is worded here
+        where = f"test function (field={tf.field.name}, m={tf.m}, l={tf.l})"
+        tail = f"series tail estimate {tf.series_tail_term:.3e} exceeds 1e-12 * f(1) = {limit:.3e}"
+        print(f"warning: {where}: {tail}; increase --kmax", file=sys.stderr)
     return _write_csv(
         f"testfn v1 field={tf.field.name} m={tf.m} l={tf.l} xi={_fmt(tf.xi)}",
         _TESTFN_SCHEMA,

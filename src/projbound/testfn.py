@@ -11,7 +11,6 @@ tau / c_0[h].
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +18,7 @@ import numpy as np
 from .fields import Field, field_params
 from .jacobi import (
     JacobiParams,
+    NumericalError,
     incomplete_weight_integral,
     jacobi_eval,
     jacobi_eval_all,
@@ -57,6 +57,7 @@ class YudinTestFunction:
     series_tail_term: float
 
 
+@np.errstate(all="ignore")  # a value past the float range is a NumericalError below
 def build_test_function(field: Field, m: int, l: int, k_max: int = 200) -> YudinTestFunction:
     """Build f_l for the projective space over `field` in K^m.
 
@@ -80,35 +81,34 @@ def build_test_function(field: Field, m: int, l: int, k_max: int = 200) -> Yudin
         k = np.arange(k_max + 1, dtype=float)
     except (ValueError, MemoryError):  # numpy refuses k_max, or cannot find 8 k_max bytes
         raise ValueError(f"k_max must fit in memory as a table, got {k_max}") from None
-    raised_at_xi = jacobi_eval_all(params.raised(), k_max - 1, xi)
-    w_raised = params.raised().weight(xi)
+    try:
+        raised_at_xi = jacobi_eval_all(params.raised(), k_max - 1, xi)
+        w_raised = params.raised().weight(xi)
+        coeff_h = np.empty(k_max + 1)
+        coeff_h[0] = incomplete_weight_integral(params, xi)
+        coeff_h[1:] = w_raised * raised_at_xi / (2.0 * k[1:])
 
-    coeff_h = np.empty(k_max + 1)
-    coeff_h[0] = incomplete_weight_integral(params, xi)
-    coeff_h[1:] = w_raised * raised_at_xi / (2.0 * k[1:])
-
-    # the tail nodes of g's direct quadrature at k = r (below), and xi last
-    t_q, w_q = tail_rule(params, xi, order=64 + 2 * r)
-    p_r = jacobi_eval(params, r, np.append(t_q, xi))
-    p_r_q, p_r_at_xi = p_r[:-1], float(p_r[-1])
-    with np.errstate(divide="ignore", invalid="ignore"):
+        # the tail nodes of g's direct quadrature at k = r (below), and xi last
+        t_q, w_q = tail_rule(params, xi, order=64 + 2 * r)
+        p_r = jacobi_eval(params, r, np.append(t_q, xi))
+        p_r_q, p_r_at_xi = p_r[:-1], float(p_r[-1])
         coeff_g = r * (r + lam) * p_r_at_xi / ((k - r) * (k + r + lam)) * coeff_h
-    # the closed form excludes k = r; there c_r[h] = 0 and g needs direct quadrature
-    coeff_g[r] = float(np.dot(w_q, (p_r_q - p_r_at_xi) * p_r_q))
+        # the closed form excludes k = r; there c_r[h] = 0 and g needs direct quadrature
+        coeff_g[r] = float(np.dot(w_q, (p_r_q - p_r_at_xi) * p_r_q))
 
-    p_at_one = jacobi_value_at_one_all(params, k_max)
-    coeff_f = coeff_g * coeff_h / (tau(params) * p_at_one)
-
-    nu = jacobi_norm_nu_all(params, k_max)
-    value_at_one = float(np.dot(nu * coeff_f, p_at_one))
-    tail = abs(nu[k_max] * coeff_f[k_max]) * p_at_one[k_max]
-    if tail > 1e-12 * value_at_one:
-        warnings.warn(
-            f"test function (field={field.name}, m={m}, l={l}): series tail estimate "
-            f"{tail:.3e} exceeds 1e-12 * f(1) = {1e-12 * value_at_one:.3e}; "
-            f"increase k_max",
-            stacklevel=2,
-        )
+        p_at_one = jacobi_value_at_one_all(params, k_max)
+        tau_p_at_one = tau(params) * p_at_one
+        coeff_f = coeff_g * coeff_h / tau_p_at_one
+        nu = jacobi_norm_nu_all(params, k_max)
+        value_at_one = float(np.dot(nu * coeff_f, p_at_one))
+        tail = abs(nu[k_max] * coeff_f[k_max]) * p_at_one[k_max]
+        checked = (coeff_h, coeff_g, tau_p_at_one, coeff_f, (value_at_one, tail))
+        if not all(np.isfinite(values).all() for values in checked):
+            raise OverflowError
+    except OverflowError:  # also a Python float power or exp past the float range
+        raise NumericalError(
+            f"test function (field={field.name}, m={m}, l={l}): coefficients past the float range"
+        ) from None
 
     for arr in (coeff_h, coeff_g, coeff_f):
         arr.setflags(write=False)

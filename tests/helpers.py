@@ -5,7 +5,10 @@ moments come from high-precision mpmath arithmetic, convolutions from a
 geometric quadrature over the sphere, special-function references from
 mpmath, Gauss-Jacobi rules from scipy's Golub-Welsch nodes, projective
 cosines from scalar quaternion products, largest Jacobi roots from a sign
-scan over scipy's eval_jacobi.  Agreement between these and the package is
+scan over scipy's eval_jacobi.  sic_tetrahedron, mub_octahedron, hesse_sic
+and simplex_hp1 build tight C and H designs from their geometry,
+unitary_image moves a set off real coordinates, and embedding_defect tests
+the isometric-embedding identity with the same quaternion products.  Agreement between these and the package is
 the point of the tests.  Some exceptions share the package's route on
 purpose and pin one step of it bit for bit: fsum_moments takes the
 package's Gram cosines and checks the recurrence and moment summation;
@@ -49,7 +52,7 @@ from scipy.special import eval_jacobi, jv, roots_jacobi
 from projbound import bounds, jacobi, specials
 from projbound.bounds import AsymptoticRow, BoundReport
 from projbound.fields import Field, field_params
-from projbound.cubature import gram_matrix
+from projbound.cubature import PointSet, gram_matrix
 
 
 def field_alpha_beta(delta: int, m: int) -> tuple[float, float]:
@@ -84,8 +87,8 @@ class Quaternion:
         return np.array([self.w, self.x, self.y, self.z])
 
 
-def projective_cos(x, y) -> float:
-    """Projective cosine 2|(x,y)|^2 - 1 of two unit nodes given as (m, 4) arrays.
+def inner_sq(x, y) -> float:
+    """|(x, y)|^2 of two nodes given as (m, 4) arrays.
 
     The inner product sum_i conj(x_i) y_i is built from Quaternion products,
     one coordinate pair at a time, so it shares no code with the package's
@@ -99,7 +102,116 @@ def projective_cos(x, y) -> float:
         ((Quaternion(*xi).conjugate() * Quaternion(*yi)).as_array() for xi, yi in zip(x, y)),
         np.zeros(4),
     )
-    return 2.0 * float(np.dot(inner, inner)) - 1.0
+    return float(np.dot(inner, inner))
+
+
+def projective_cos(x, y) -> float:
+    """Projective cosine 2|(x,y)|^2 - 1 of two unit nodes given as (m, 4) arrays, by `inner_sq`."""
+    return 2.0 * inner_sq(x, y) - 1.0
+
+
+def _complex_nodes(rows) -> np.ndarray:
+    """(n, m, 4) quaternion-embedded nodes of complex coordinate rows (n, m)."""
+    z = np.asarray(rows, dtype=complex)
+    nodes = np.zeros(z.shape + (4,))
+    nodes[..., 0], nodes[..., 1] = z.real, z.imag
+    return nodes
+
+
+def bloch_design(vectors) -> PointSet:
+    """Equal-weight states of CP^1 with the given unit Bloch vectors (x, y, z).
+
+    The state of (sin th cos ph, sin th sin ph, cos th) is (cos th/2, e^{i ph} sin th/2),
+    and |(u, v)|^2 = (1 + b_u . b_v) / 2 for Bloch vectors b_u, b_v.
+    """
+    rows = []
+    for x, y, z in vectors:
+        theta, phi = math.acos(z), math.atan2(y, x)
+        rows.append([math.cos(theta / 2.0), np.exp(1j * phi) * math.sin(theta / 2.0)])
+    return PointSet(Field.C, 2, _complex_nodes(rows))
+
+
+def sic_tetrahedron() -> PointSet:
+    """The SIC of CP^1 (C, m=2): Bloch vectors at a regular tetrahedron; tight at p=4."""
+    return bloch_design(np.array([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]) / math.sqrt(3))
+
+
+def mub_octahedron() -> PointSet:
+    """The three mutually unbiased bases of C^2: Bloch vectors at the octahedron; tight at p=6."""
+    return bloch_design(np.concatenate([np.eye(3), -np.eye(3)]))
+
+
+def hesse_sic() -> PointSet:
+    """The Hesse SIC of CP^2 (C, m=3): 9 lines, |(u, v)|^2 = 1/4 for u != v; tight at p=4.
+
+    (0, 1, -1), (0, w, -w^2), (0, w^2, -w) with w = e^{2 pi i/3}, and their cyclic shifts,
+    divided by sqrt 2.
+    """
+    w = np.exp(2j * math.pi / 3.0)
+    base = np.array([(0, 1, -1), (0, w, -(w**2)), (0, w**2, -w)])
+    rows = [np.roll(row, shift) for shift in range(3) for row in base]
+    return PointSet(Field.C, 3, _complex_nodes(np.array(rows) / math.sqrt(2.0)))
+
+
+def simplex_hp1() -> PointSet:
+    """The regular simplex of S^4 = HP^1 (H, m=2): 6 points; tight at p=4.
+
+    A vertex (t, v) of S^4, t real and v in R^4 = H, maps to the node
+    (sqrt((1+t)/2), conj(v) / (2 sqrt((1+t)/2))).  One vertex is the pole t = 1;
+    the other five have t = -1/5 and v the vertices of a regular simplex of R^4
+    with |v|^2 = 24/25, so every pair of vertices has inner product -1/5.
+    """
+    r5 = 1.0 / math.sqrt(5.0)
+    base = [(1, 1, 1, -r5), (1, -1, -1, -r5), (-1, 1, -1, -r5), (-1, -1, 1, -r5), (0, 0, 0, 4 * r5)]
+    vertices = [(1.0, np.zeros(4))] + [(-0.2, np.array(v) * math.sqrt(0.3)) for v in base]
+    nodes = np.zeros((6, 2, 4))
+    for node, (t, v) in zip(nodes, vertices):
+        a = math.sqrt((1.0 + t) / 2.0)
+        node[0, 0] = a
+        node[1] = Quaternion(*v).conjugate().as_array() / (2.0 * a)
+    return PointSet(Field.H, 2, nodes)
+
+
+def unitary_image(ps, rng) -> PointSet:
+    """ps moved by a unitary map of K^m, so no coordinate of a node stays real.
+
+    Each coordinate is left-multiplied by a random unit scalar of K, then the
+    coordinates are mixed by a random real rotation; both keep every |(x, y)|,
+    hence every moment.  The products are Quaternion products.
+    """
+    d = ps.field.delta
+    units = rng.standard_normal((ps.m, 4)) * (np.arange(4) < d)
+    units = [Quaternion(*(u / np.linalg.norm(u))) for u in units]
+    nodes = np.array(
+        [[(u * Quaternion(*x)).as_array() for u, x in zip(units, node)] for node in ps.nodes]
+    )
+    rotation = np.linalg.qr(rng.standard_normal((ps.m, ps.m)))[0]
+    return PointSet(ps.field, ps.m, np.einsum("ab,nbc->nac", rotation, nodes), ps.weights)
+
+
+def haar_point_set(field, m: int, n: int, rng) -> PointSet:
+    """n equal-weight nodes drawn from the unitarily invariant measure on the sphere of K^m."""
+    nodes = np.zeros((n, m, 4))
+    nodes[..., : field.delta] = rng.standard_normal((n, m, field.delta))
+    nodes /= np.sqrt((nodes**2).sum(axis=(1, 2)))[:, None, None]
+    return PointSet(field, m, nodes)
+
+
+def embedding_defect(ps, p: int, rng, samples: int = 50) -> float:
+    """max |sum_i w_i |(x, x_i)|^p - c| over `samples` Haar-random unit x, by `inner_sq`.
+
+    The isometric-embedding identity: a weighted set has index p exactly when
+    sum_i w_i |(x, x_i)|^p = c |x|^p for every x in K^m, with
+    c = prod_{j<p/2} (d/2 + j) / (dm/2 + j), d = dim_R K, the mean of
+    |(x, y)|^p over the unit sphere.
+    """
+    d, m = ps.field.delta, ps.m
+    c = math.prod((d / 2.0 + j) / (d * m / 2.0 + j) for j in range(p // 2))
+    pairs = list(zip(ps.weights, ps.nodes))
+    return max(
+        abs(math.fsum(w * inner_sq(x, node) ** (p // 2) for w, node in pairs) - c)
+        for x in haar_point_set(ps.field, m, samples, rng).nodes
+    )
 
 
 def loop_coefficients(alpha: float, beta: float, k: int) -> list[tuple]:

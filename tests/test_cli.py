@@ -506,7 +506,7 @@ class TestTestfnCommand:
         with pytest.raises(SystemExit) as exc:
             main(["testfn", "--field", "C", "--m", "2", "--l", "5", "--kmax", "6"])
         assert exc.value.code == 2
-        # the error names the flag, as the series-tail warning does
+        # the error names the flag, as the series-tail advisory does
         assert capsys.readouterr().err.splitlines()[-1] == (
             "projbound: error: --kmax must be >= l+2, got 6 (l=5)"
         )
@@ -517,6 +517,17 @@ class TestTestfnCommand:
         assert exc.value.code == 2
         assert capsys.readouterr().err.splitlines()[-1] == (
             f"projbound: error: --kmax must fit in memory as a table, got {2**70}"
+        )
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("field,m,l", [("H", 280, 2), ("H", 550, 2), ("C", 516, 1)])
+    def test_past_the_float_range_is_one_error_line(self, capsys, field, m, l):
+        # these printed NaN or overflow-zeroed tables with exit 0, or ended in a traceback
+        code, out, err = run(capsys, "testfn", "--field", field, "--m", str(m), "--l", str(l))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: test function (field={field}, m={m}, l={l}): "
+            "coefficients past the float range\n"
         )
 
     def test_out_file(self, capsys, tmp_path):

@@ -27,12 +27,19 @@ from projbound.cubature import _BLOCK_ELEMENTS, _exact_row_sums, _features
 from helpers import (
     Quaternion,
     deadline,
+    embedding_defect,
     field_alpha_beta,
     frozen_features,
     frozen_gram_pass,
     fsum_moments,
+    haar_point_set,
+    hesse_sic,
     loop_coefficients,
+    mub_octahedron,
     projective_cos,
+    sic_tetrahedron,
+    simplex_hp1,
+    unitary_image,
 )
 
 BASIS_H_M2 = Path(__file__).resolve().parent.parent / "demos" / "data" / "basis_h_m2.json"
@@ -593,6 +600,49 @@ class TestVerify:
         report = verify(ps, 6)
         assert not report.passed
         assert report.moments[2] == pytest.approx(11 / 25, abs=1e-12)
+
+
+class TestTightDesigns:
+    """Tight C and H designs: verify meets the LP bound, and the embedding identity agrees.
+
+    The identity sum_i w_i |(x, x_i)|^p = c |x|^p is computed from Quaternion
+    products, the moments from the package's Gram features: the two routes
+    share no code.  At p+2 each set has one nonzero moment, the last, whose
+    exact value follows from its inner products |(x_i, x_j)|^2 (1/3 in the
+    SIC, 0 or 1/2 in the MUB, 1/4 in the Hesse SIC, 2/5 in the simplex).
+    """
+
+    DESIGNS = [
+        # constructor, p, lp_bound, yudin_bound, last moment at p+2
+        (sic_tetrahedron, 4, 4, 4, 5 / 9),
+        (mub_octahedron, 6, 6, 6, 7 / 12),
+        (hesse_sic, 4, 9, 8, 7 / 8),
+        (simplex_hp1, 4, 6, 5, 28 / 25),
+    ]
+    NAMES = [d[0].__name__ for d in DESIGNS]
+
+    @pytest.mark.parametrize("make,p,lp,yudin,last", DESIGNS, ids=NAMES)
+    def test_tight_at_p_and_failing_at_p_plus_2(self, make, p, lp, yudin, last):
+        # the unitary image has no real coordinate, so every feature of the Gram kernel counts
+        for ps in (make(), unitary_image(make(), np.random.default_rng(29))):
+            report = verify(ps, p)
+            assert report.passed and report.max_abs_moment <= 2e-15
+            assert (report.n, report.lp_bound, report.yudin_bound) == (lp, lp, yudin)
+            assert report.tight_lp and report.tight_yudin == (lp == yudin)
+            report = verify(ps, p + 2)
+            assert not report.passed
+            assert report.moments[-1] == pytest.approx(last, abs=1e-12)
+            assert max(abs(m_k) for m_k in report.moments[:-1]) <= 2e-15
+
+    @pytest.mark.parametrize("make,p", [d[:2] for d in DESIGNS], ids=NAMES)
+    def test_isometric_embedding_identity(self, make, p):
+        rng = np.random.default_rng(29)
+        for ps in (make(), unitary_image(make(), rng)):
+            assert embedding_defect(ps, p, rng) <= 2e-15
+            assert embedding_defect(ps, p + 2, rng) > 1e-3  # the identity pins the index
+        for _ in range(5):  # Haar-random sets of the same size miss by far more
+            haar = haar_point_set(ps.field, ps.m, ps.n, rng)
+            assert embedding_defect(haar, p, rng) > 0.05
 
 
 class TestPointSetIO:

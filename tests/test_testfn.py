@@ -5,6 +5,7 @@ import pytest
 
 from projbound import (
     Field,
+    NumericalError,
     bound_from_test_function,
     build_test_function,
     eval_f,
@@ -66,17 +67,30 @@ class TestConstruction:
         with pytest.raises(ValueError):
             build_test_function(Field.C, 2, 0, k_max=10)
 
-    def test_tail_warning_for_slowly_decaying_series(self):
-        import warnings
-
-        # real-field coefficients decay algebraically: the default truncation
-        # is flagged, and enlarging k_max shrinks the reported tail term
-        with warnings.catch_warnings(record=True) as rec:
-            warnings.simplefilter("always")
-            tf_small = build_test_function(Field.R, 3, 5, k_max=200)
-        assert any("series tail" in str(w.message) for w in rec)
+    @pytest.mark.filterwarnings("error")
+    def test_series_tail_is_reported_without_a_warning(self):
+        # real-field coefficients decay algebraically: the default truncation's
+        # tail term exceeds 1e-12 * f(1), the report carries it and no warning is
+        # raised, and enlarging k_max shrinks it
+        tf_small = build_test_function(Field.R, 3, 5, k_max=200)
+        assert tf_small.series_tail_term > 1e-12 * tf_small.value_at_one
         tf_big = build_test_function(Field.R, 3, 5, k_max=1000)
         assert tf_big.series_tail_term < tf_small.series_tail_term
+
+    @pytest.mark.filterwarnings("error")
+    def test_last_finite_tables_before_the_float_range(self):
+        tf = build_test_function(Field.H, 231, 2)
+        for table in (tf.coeff_h, tf.coeff_g, tf.coeff_f):
+            assert np.isfinite(table).all()
+        assert math.isfinite(tf.value_at_one) and math.isfinite(tf.series_tail_term)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m", [232, 267, 518])
+    def test_tables_past_the_float_range_are_a_numerical_error(self, m):
+        # over H at l=2, tau * P_k(1) overflows from m=232 (c_f would read 0), c_f
+        # is NaN from m=267, and a Python float power overflows from m=518
+        with pytest.raises(NumericalError, match=rf"^test function \(field=H, m={m}, l=2\): "):
+            build_test_function(Field.H, m, 2)
 
 
 class TestCoefficientsAgainstQuadrature:
