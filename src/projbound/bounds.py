@@ -53,8 +53,9 @@ def lp_bound(field: Field, m: int, q: int) -> int:
     """Classical LP bound Lambda(m, q) on nodes of an index-2q cubature formula.
 
     Exact integer arithmetic throughout.  The quaternionic case divides by
-    2m-1, which leaves no remainder (checked for m <= 300 with q <= 199 and
-    every 37th q up to 4000); a remainder would raise NumericalError.
+    2m-1 exactly; at even q it is the Narayana number N(2m-1+q/2, q/2+1).
+    tests/test_bounds.py checks both for m <= 300 with q <= 199 and every
+    37th q up to 4000.
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
@@ -64,13 +65,8 @@ def lp_bound(field: Field, m: int, q: int) -> int:
         return math.comb(m + q - 1, m - 1)
     if field is Field.C:
         return math.comb(m + q // 2 - 1, m - 1) * math.comb(m + (q + 1) // 2 - 1, m - 1)
-    value, remainder = divmod(
-        math.comb(2 * m + q // 2 - 2, 2 * m - 2) * math.comb(2 * m + (q + 1) // 2 - 1, 2 * m - 2),
-        2 * m - 1,
-    )
-    if remainder:
-        raise NumericalError(f"quaternionic LP bound at m={m}, q={q} is not an integer")
-    return value
+    n = 2 * m - 2
+    return math.comb(n + q // 2, n) * math.comb(n + (q + 1) // 2 + 1, n) // (n + 1)
 
 
 def lp_bound_h_alt(p: int) -> int:

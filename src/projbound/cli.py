@@ -145,7 +145,11 @@ def cmd_asym(args) -> int:
     field = Field.parse(args.field)
     if args.m_max < 2:
         raise ValueError("m-max must be >= 2")
-    m, nu, zero, _residual, *rest = _asymptotic_columns(field, range(2, args.m_max + 1))
+    try:
+        m_list = list(range(2, args.m_max + 1))
+    except (OverflowError, MemoryError):  # more m values than an index or memory holds
+        raise ValueError(f"--m-max must fit in memory as a table, got {args.m_max}") from None
+    m, nu, zero, _residual, *rest = _asymptotic_columns(field, m_list)
     columns = (m, nu, zero, *rest)  # every field but the residual
     return _write_csv(f"asym v1 field={field.name}", _ASYM_SCHEMA, columns, args.out)
 

@@ -361,6 +361,10 @@ def parse_point_set(doc: dict) -> tuple[PointSet, int]:
     m = _json_int(doc, "m")
     p = _json_int(doc, "p")
     _check_even_p(p)
+    try:  # verify's table of p/2 degrees: a size numpy refuses is the file's error, not argv's
+        np.empty((4, p // 2))
+    except (ValueError, MemoryError):
+        raise ValueError(f"'p' is too large for its degree table, got {p}") from None
     raw_nodes = doc["nodes"]
     if not isinstance(raw_nodes, list) or not raw_nodes:
         raise ValueError("'nodes' must be a nonempty list")

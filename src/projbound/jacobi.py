@@ -208,13 +208,16 @@ def _solve_largest_root(alpha: float, beta: float, k: int) -> float:
             p, p_prev = (s * p - c4_n * p_prev) / c1_n, p
             if p > big or p < small or d > big or d < small:
                 p, p_prev, d, d_prev = (v / big for v in (p, p_prev, d, d_prev))
-        x -= p / d
+        x -= (p / d) if d else math.inf  # P_k' underflows to 0 at a huge alpha
+    if not math.isfinite(x):
+        raise NumericalError(f"Newton step not finite at alpha={alpha}, beta={beta}, k={k}")
     return x
 
 
 @lru_cache(maxsize=256)
 def _roots_jacobi_cached(order: int, alpha: float, beta: float):
-    x, w = roots_jacobi(order, alpha, beta)
+    with np.errstate(over="ignore"):  # weights overflow from alpha = 1033.5: tail_rule refuses them
+        x, w = roots_jacobi(order, alpha, beta)
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
@@ -225,11 +228,14 @@ def tail_rule(params: JacobiParams, xi: float, order: int):
 
     The endpoint factor (1-t)^alpha is absorbed into a Gauss-Jacobi rule with
     parameters (alpha, 0) mapped affinely onto [xi, 1]; the remaining factor
-    (1+t)^beta is smooth there and is folded into the weights.
+    (1+t)^beta is smooth there and is folded into the weights.  A rule whose
+    weights are not finite (from alpha = 1033.5) raises NumericalError.
     """
     if not (-1.0 < xi < 1.0):
         raise ValueError(f"xi must lie in (-1, 1), got {xi}")
     u, w = _roots_jacobi_cached(order, params.alpha, 0.0)
+    if not np.isfinite(w).all():
+        raise NumericalError(f"tail_rule: weights past the float range for {params}, xi={xi}")
     t = 0.5 * ((1.0 + xi) + (1.0 - xi) * u)
     scale = (0.5 * (1.0 - xi)) ** (params.alpha + 1.0)
     return t, scale * w * (1.0 + t) ** params.beta

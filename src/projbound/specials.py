@@ -54,7 +54,12 @@ def hypergeom_F(beta: float, alpha: float, eps: float) -> float:
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"hypergeom_F requires 0 <= eps < 1, got {eps}")
     s, w, scale = _euler_rule(alpha)
-    value = scale * float(np.dot(w, (1.0 - eps * s) ** beta))
+    f = (1.0 - eps * s) ** beta
+    if scale > 2.0**-960:  # the weights sum to 1/scale: for beta > -1 the dot stays finite
+        value = scale * float(np.dot(w, f))
+    else:  # the dot may pass the float range (inf), or the weights did (scale 0)
+        with np.errstate(over="ignore"):
+            value = scale and scale * float(np.dot(w, f))
     if 0.0 < value < math.inf:
         return value
     if beta == 0.0:
@@ -70,14 +75,14 @@ def hypergeom_F(beta: float, alpha: float, eps: float) -> float:
 @lru_cache(maxsize=256, typed=True)
 def _euler_rule(alpha: float):
     """Nodes s = (1+u)/2, weights and prefactor (alpha+1) * 0.5^(alpha+1) of hypergeom_F's rule."""
-    # s = (1+u)/2 turns s^alpha ds into a (0, alpha) Jacobi weight on (-1, 1); from
-    # alpha = 1033.5 scipy's weights overflow, which hypergeom_F answers for
+    # s = (1+u)/2 turns s^alpha ds into a (0, alpha) Jacobi weight on (-1, 1); from alpha =
+    # 1033.5 scipy's weights overflow: the prefactor is then 0, and hypergeom_F reads no weight
     with np.errstate(over="ignore"):
         u, w = roots_jacobi(_HYPERGEOM_ORDER, 0.0, alpha)
     s = 0.5 * (1.0 + u)
     s.setflags(write=False)
     w.setflags(write=False)
-    return s, w, (alpha + 1.0) * 0.5 ** (alpha + 1.0)
+    return s, w, (alpha + 1.0) * 0.5 ** (alpha + 1.0) if np.isfinite(w).all() else 0.0
 
 
 def bessel_j(nu: float, x: float) -> float:

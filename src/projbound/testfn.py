@@ -105,7 +105,7 @@ def build_test_function(field: Field, m: int, l: int, k_max: int = 200) -> Yudin
         checked = (coeff_h, coeff_g, tau_p_at_one, coeff_f, (value_at_one, tail))
         if not all(np.isfinite(values).all() for values in checked):
             raise OverflowError
-    except OverflowError:  # also a Python float power or exp past the float range
+    except (OverflowError, NumericalError):  # also a float power, exp or tail rule past the range
         raise NumericalError(
             f"test function (field={field.name}, m={m}, l={l}): coefficients past the float range"
         ) from None

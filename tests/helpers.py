@@ -6,9 +6,11 @@ geometric quadrature over the sphere, special-function references from
 mpmath, Gauss-Jacobi rules from scipy's Golub-Welsch nodes, projective
 cosines from scalar quaternion products, largest Jacobi roots from a sign
 scan over scipy's eval_jacobi.  sic_tetrahedron, mub_octahedron, hesse_sic
-and simplex_hp1 build tight C and H designs from their geometry,
-unitary_image moves a set off real coordinates, and embedding_defect tests
-the isometric-embedding identity with the same quaternion products.  Agreement between these and the package is
+and simplex_hp1 build tight C and H designs from their geometry, and
+e8_root_lines the tight R design of the E8 root lines; unitary_image moves a
+set off real coordinates, and embedding_defect tests the isometric-embedding
+identity, whose constant is embedding_constant, with the same quaternion
+products.  Agreement between these and the package is
 the point of the tests.  Some exceptions share the package's route on
 purpose and pin one step of it bit for bit: fsum_moments takes the
 package's Gram cosines and checks the recurrence and moment summation;
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import signal
@@ -172,6 +175,27 @@ def simplex_hp1() -> PointSet:
     return PointSet(Field.H, 2, nodes)
 
 
+def e8_root_lines() -> PointSet:
+    """The 120 lines of the E8 root system (R, m=8): tight at p=6.
+
+    The 240 roots are the 112 permutations of (+-1, +-1, 0^6) and the 128
+    vectors (+-1/2)^8 with an even number of minus signs; each line keeps the
+    root of its +- pair whose first nonzero coordinate is positive, over sqrt 2.
+    """
+    roots = []
+    for i, j in itertools.combinations(range(8), 2):
+        for sign in (1.0, -1.0):
+            root = np.zeros(8)
+            root[i], root[j] = 1.0, sign
+            roots.append(root)
+    for signs in itertools.product((1.0, -1.0), repeat=7):
+        if signs.count(-1.0) % 2 == 0:  # first coordinate +1/2: an even count among the rest
+            roots.append(0.5 * np.array((1.0, *signs)))
+    nodes = np.zeros((120, 8, 4))
+    nodes[..., 0] = np.array(roots) / math.sqrt(2.0)
+    return PointSet(Field.R, 8, nodes)
+
+
 def unitary_image(ps, rng) -> PointSet:
     """ps moved by a unitary map of K^m, so no coordinate of a node stays real.
 
@@ -197,20 +221,23 @@ def haar_point_set(field, m: int, n: int, rng) -> PointSet:
     return PointSet(field, m, nodes)
 
 
+def embedding_constant(field, m: int, p: int) -> float:
+    """c = prod_{j<p/2} (d/2 + j) / (dm/2 + j), d = dim_R K: the sphere's mean of |(x, y)|^p."""
+    d = field.delta
+    return math.prod((d / 2.0 + j) / (d * m / 2.0 + j) for j in range(p // 2))
+
+
 def embedding_defect(ps, p: int, rng, samples: int = 50) -> float:
     """max |sum_i w_i |(x, x_i)|^p - c| over `samples` Haar-random unit x, by `inner_sq`.
 
     The isometric-embedding identity: a weighted set has index p exactly when
-    sum_i w_i |(x, x_i)|^p = c |x|^p for every x in K^m, with
-    c = prod_{j<p/2} (d/2 + j) / (dm/2 + j), d = dim_R K, the mean of
-    |(x, y)|^p over the unit sphere.
+    sum_i w_i |(x, x_i)|^p = c |x|^p for every x in K^m, c = embedding_constant.
     """
-    d, m = ps.field.delta, ps.m
-    c = math.prod((d / 2.0 + j) / (d * m / 2.0 + j) for j in range(p // 2))
+    c = embedding_constant(ps.field, ps.m, p)
     pairs = list(zip(ps.weights, ps.nodes))
     return max(
         abs(math.fsum(w * inner_sq(x, node) ** (p // 2) for w, node in pairs) - c)
-        for x in haar_point_set(ps.field, m, samples, rng).nodes
+        for x in haar_point_set(ps.field, ps.m, samples, rng).nodes
     )
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -91,12 +92,21 @@ class TestLpBound:
         assert lp_bound(Field.H, 2, 2) == 6
 
     def test_quaternion_values_are_exact_integers(self):
-        # a remainder of the division by 2m-1 raises NumericalError; the grid
-        # is the one lp_bound's docstring names
+        # lp_bound divides by 2m-1 with //: check that 2m-1 divides the product, and
+        # at even q compare with the Narayana number N(a, b) = C(a, b) C(a, b-1) / a,
+        # a = 2m-1+q/2, b = q/2+1, on the grid lp_bound's docstring names
         for m in range(2, 301):
             for q in [*range(1, 200), *range(200, 4001, 37)]:
+                numerator = math.comb(2 * m + q // 2 - 2, 2 * m - 2) * math.comb(
+                    2 * m + (q + 1) // 2 - 1, 2 * m - 2
+                )
+                assert numerator % (2 * m - 1) == 0, (m, q)
                 val = lp_bound(Field.H, m, q)
-                assert isinstance(val, int) and val >= 1
+                assert isinstance(val, int) and val == numerator // (2 * m - 1) >= 1
+                if q % 2 == 0:
+                    a, b = 2 * m - 1 + q // 2, q // 2 + 1
+                    narayana, remainder = divmod(math.comb(a, b) * math.comb(a, b - 1), a)
+                    assert (narayana, remainder) == (val, 0), (m, q)
 
     def test_monotone_in_q(self):
         for field in Field:
@@ -356,12 +366,27 @@ class TestLargeM:
                 assert rep.yudin_raw == pytest.approx(want, rel=1e-11), (m, p)
                 assert rep.yudin_bound >= 1
 
-    @pytest.mark.parametrize("m", [2070, 2100, 2160])
+    # at m = 2065 (alpha = 1031) the weights are finite and their dot overflows
+    @pytest.mark.parametrize("m", [2065, 2070, 2100, 2160, 5 * 10**14])
     @pytest.mark.parametrize("p", [2, 4])
     def test_real_past_the_rule_is_a_numerical_error(self, m, p):
         alpha = field_params(Field.R, m).alpha
-        with pytest.raises(NumericalError, match=f"alpha={alpha}, beta=-0.5, eps="):
-            yudin_bound(Field.R, m, p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=f"alpha={alpha}, beta=-0.5, eps="):
+                yudin_bound(Field.R, m, p)
+
+    @pytest.mark.parametrize("field,m", [(Field.C, 2 * 10**14), (Field.H, 10**14)])
+    def test_rule_with_infinite_weights_answers_without_a_warning(self, field, m):
+        # the rule's weights hold +inf and -inf here; the terminating form answers
+        params = field_params(field, m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = yudin_bound(field, m, 4)
+        a, eps = params.alpha, rep.epsilon
+        terminating = 1.0 if field is Field.C else 1.0 - (a + 1.0) * eps / (a + 2.0)
+        assert math.isfinite(rep.yudin_raw) and rep.yudin_bound >= 1
+        assert projbound.specials.hypergeom_F(params.beta, a, eps) == terminating
 
     @pytest.mark.parametrize("field", list(Field), ids=lambda f: f.name)
     def test_no_bound_is_zero(self, field):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from projbound import AsymptoticRow, BoundReport, Field, asymptotic_report, circle_design
+from projbound import field_params
 from projbound import cli, specials
 from projbound.cli import build_parser, main
 from projbound.jacobi import NumericalError
@@ -329,6 +330,16 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert err == f"error: p must be a positive even integer, got {p}\n"
 
+    def test_p_past_its_degree_table_is_a_file_error_exit_2(self, capsys, tmp_path):
+        # numpy refuses a table of 5e399 degrees; the usage line of an argv error is not printed
+        path = write_circle_file(tmp_path / "c.json", 10)
+        doc = json.loads(path.read_text())
+        doc["p"] = 10**400
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(path))  # no SystemExit
+        assert (code, out) == (2, "")
+        assert err == f"error: 'p' is too large for its degree table, got {10**400}\n"
+
     def test_coincident_pair_reported_once(self, tmp_path):
         path = tmp_path / "dup.json"
         nodes = [[[1.0], [0.0]], [[-1.0], [0.0]], [[0.0], [1.0]]]  # nodes 0 and 1: one line
@@ -370,6 +381,92 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", str(path), "--verbose")
         assert "M_1 =" in out and "M_3 =" in out
         assert "moment test" in out
+
+
+def corpus_base() -> dict:
+    """A valid point-set document: the R, m=2 circle design of index 10, weights given."""
+    ps = circle_design(10)
+    nodes = [[[float(c[0])] for c in node] for node in ps.nodes]
+    return {"field": "R", "m": 2, "p": 10, "nodes": nodes, "weights": [1.0 / ps.n] * ps.n}
+
+
+def corpus_docs():
+    """(id, document) of bad point-set files, each a change to `corpus_base`."""
+    base = corpus_base()
+
+    def changed(**changes):
+        return json.loads(json.dumps(base)) | changes  # a deep copy
+
+    docs = [(f"no-{key}", {k: v for k, v in base.items() if k != key})
+            for key in ("field", "m", "p", "nodes")]  # without weights a file is valid
+    values = {"str": "x", "bool": True, "null": None, "list": [1], "object": {"a": 1},
+              "-3": -3, "0": 0, "2.5": 2.5, "1e400": 10**400}
+    docs += [(f"{key}-{name}", changed(**{key: value}))
+             for key in base for name, value in values.items()
+             if (key, value) != ("weights", None)]  # null weights are the default weights
+    docs += [("doc-list", [base]), ("doc-str", "x"), ("doc-null", None)]
+    nodes = changed()["nodes"]
+    docs += [
+        ("ragged-node", changed(nodes=[nodes[0][:1], *nodes[1:]])),
+        ("two-components", changed(nodes=[[[nodes[0][0][0], 0.0], nodes[0][1]], *nodes[1:]])),
+        ("weights-short", changed(weights=base["weights"][:-1])),
+        ("weights-negative", changed(weights=[-w for w in base["weights"]])),
+        ("weights-sum", changed(weights=[0.5 * w for w in base["weights"]])),
+        ("non-unit-node", changed(nodes=[[[2.0 * nodes[0][0][0]], nodes[0][1]], *nodes[1:]])),
+        ("complex-field-real-coordinates", changed(field="C")),
+    ]
+    return docs
+
+
+CORPUS = corpus_docs()
+
+
+class TestBadPointSetFiles:
+    """A generated corpus of bad files: each is exit 2, stdout empty and one `error:` line."""
+
+    def test_the_base_file_passes(self, capsys, tmp_path):
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps(corpus_base()))
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, err) == (0, "") and out.startswith("PASS")
+
+    @pytest.mark.parametrize("doc", [doc for _, doc in CORPUS], ids=[label for label, _ in CORPUS])
+    def test_one_error_line(self, capsys, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = outcome(capsys, main, ["verify", str(path)])  # a traceback would raise
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err  # no usage line
+
+
+class TestHugeArguments:
+    """Arguments past what a list, an index or a float can hold: exit 2 and no traceback."""
+
+    @pytest.mark.parametrize("m_max", [10**20, 2**62])  # no host can hold these lists
+    def test_asym_m_max_past_memory_names_the_flag(self, capsys, m_max):
+        code, out, err = outcome(capsys, main, ["asym", "--field", "H", "--m-max", str(m_max)])
+        assert (code, out) == (2, "")
+        usage, error = err.splitlines()  # argparse's usage line, then the error
+        assert usage.startswith("usage: projbound ")
+        assert error == f"projbound: error: --m-max must fit in memory as a table, got {m_max}"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--field", "C", "--m", str(10**17), "--p", "4"],
+            ["bound", "--field", "H", "--m", str(10**16), "--p", "4"],
+            ["testfn", "--field", "C", "--m", str(10**20), "--l", "2"],
+        ],
+        ids=["bound-C", "bound-H", "testfn-C"],
+    )
+    def test_newton_step_past_the_float_range_is_one_error_line(self, capsys, argv):
+        # P_k' underflows to 0 at these alpha: the Newton step was a ZeroDivisionError
+        raised = field_params(Field.parse(argv[2]), int(argv[4])).raised()
+        code, out, err = outcome(capsys, main, argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: Newton step not finite at alpha={raised.alpha}, beta={raised.beta}, k=2\n"
+        )
 
 
 class TestAsymCommand:
@@ -520,7 +617,11 @@ class TestTestfnCommand:
         )
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("field,m,l", [("H", 280, 2), ("H", 550, 2), ("C", 516, 1)])
+    @pytest.mark.parametrize(
+        "field,m,l",
+        # ("H", 520, 40) meets the tail rule's error: its weights overflow at alpha = 1037
+        [("H", 280, 2), ("H", 550, 2), ("C", 516, 1), ("H", 520, 40)],
+    )
     def test_past_the_float_range_is_one_error_line(self, capsys, field, m, l):
         # these printed NaN or overflow-zeroed tables with exit 0, or ended in a traceback
         code, out, err = run(capsys, "testfn", "--field", field, "--m", str(m), "--l", str(l))

@@ -27,6 +27,8 @@ from projbound.cubature import _BLOCK_ELEMENTS, _exact_row_sums, _features
 from helpers import (
     Quaternion,
     deadline,
+    e8_root_lines,
+    embedding_constant,
     embedding_defect,
     field_alpha_beta,
     frozen_features,
@@ -139,6 +141,23 @@ class TestPointSetValidation:
         nodes[0, 0, 3] = 1.0 / math.sqrt(2.0)  # quaternionic component in a C set
         with pytest.raises(ValueError, match="scalar dimension"):
             PointSet(Field.C, 2, nodes)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3, 4), (2, 2, 2), (2, 2, 4, 1)])
+    def test_rejects_bad_node_shape(self, shape):
+        with pytest.raises(ValueError) as exc:
+            PointSet(Field.R, 2, np.zeros(shape))
+        assert str(exc.value) == f"nodes must have shape (n, 2, 4), got {shape}"
+
+    def test_rejects_no_nodes(self):
+        with pytest.raises(ValueError, match="point set must contain at least one node"):
+            PointSet(Field.R, 2, np.zeros((0, 2, 4)))
+
+    @pytest.mark.parametrize("weights", [[1.0], [0.25] * 4, [[0.5, 0.5]]])
+    def test_rejects_bad_weight_shape(self, weights):
+        nodes = np.zeros((2, 2, 4))
+        nodes[0, 0, 0] = nodes[1, 1, 0] = 1.0
+        with pytest.raises(ValueError, match=r"weights must have shape \(2,\), got \("):
+            PointSet(Field.R, 2, nodes, weights)
 
     @pytest.mark.parametrize("what", ["node", "weight"])
     def test_rejects_non_finite(self, what):
@@ -603,13 +622,14 @@ class TestVerify:
 
 
 class TestTightDesigns:
-    """Tight C and H designs: verify meets the LP bound, and the embedding identity agrees.
+    """Tight R, C and H designs: verify meets the LP bound, and the embedding identity agrees.
 
     The identity sum_i w_i |(x, x_i)|^p = c |x|^p is computed from Quaternion
     products, the moments from the package's Gram features: the two routes
     share no code.  At p+2 each set has one nonzero moment, the last, whose
     exact value follows from its inner products |(x_i, x_j)|^2 (1/3 in the
-    SIC, 0 or 1/2 in the MUB, 1/4 in the Hesse SIC, 2/5 in the simplex).
+    SIC, 0 or 1/2 in the MUB, 1/4 in the Hesse SIC, 2/5 in the simplex, 0 or
+    1/4 in E8).  E8 meets the LP bound but not the Yudin bound.
     """
 
     DESIGNS = [
@@ -618,6 +638,7 @@ class TestTightDesigns:
         (mub_octahedron, 6, 6, 6, 7 / 12),
         (hesse_sic, 4, 9, 8, 7 / 8),
         (simplex_hp1, 4, 6, 5, 28 / 25),
+        (e8_root_lines, 6, 120, 101, 63 / 128),
     ]
     NAMES = [d[0].__name__ for d in DESIGNS]
 
@@ -637,12 +658,15 @@ class TestTightDesigns:
     @pytest.mark.parametrize("make,p", [d[:2] for d in DESIGNS], ids=NAMES)
     def test_isometric_embedding_identity(self, make, p):
         rng = np.random.default_rng(29)
-        for ps in (make(), unitary_image(make(), rng)):
+        built = make()
+        # a defect scales with c, from 1/3 (the SIC at p=4) down to 1/128 (E8 at p=8)
+        c_p, c_next = (embedding_constant(built.field, built.m, q) for q in (p, p + 2))
+        for ps in (built, unitary_image(make(), rng)):
             assert embedding_defect(ps, p, rng) <= 2e-15
-            assert embedding_defect(ps, p + 2, rng) > 1e-3  # the identity pins the index
+            assert embedding_defect(ps, p + 2, rng) > 0.01 * c_next  # the identity pins the index
         for _ in range(5):  # Haar-random sets of the same size miss by far more
             haar = haar_point_set(ps.field, ps.m, ps.n, rng)
-            assert embedding_defect(haar, p, rng) > 0.05
+            assert embedding_defect(haar, p, rng) > 0.2 * c_p
 
 
 class TestPointSetIO:
@@ -794,6 +818,17 @@ class TestPointSetIO:
         want[:, 0, :2] = np.reshape([float(v) for v in big], (4, 2))
         assert seen["nodes"].tobytes() == want.tobytes()
         assert [float(v) for v in seen["w"]] == [1.0, 0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("doc", [[], ["R"], "R", None, 3])
+    def test_document_must_be_an_object(self, doc):
+        with pytest.raises(ValueError, match="point set document must be an object, got "):
+            parse_point_set(doc)
+
+    def test_rejects_empty_nodes(self):
+        doc = self.circle_doc(2)
+        doc["nodes"] = []
+        with pytest.raises(ValueError, match="^'nodes' must be a nonempty list$"):
+            parse_point_set(doc)
 
     def test_missing_key(self):
         with pytest.raises(ValueError, match="missing required key"):

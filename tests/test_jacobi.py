@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gammaln
@@ -51,6 +52,14 @@ PINNED_DEGREES = [0, 1, 2, 3, 7, 64, 600, 1000, 2000]
 
 def binom_general(a: float, k: int) -> float:
     return math.exp(gammaln(a + k + 1) - gammaln(a + 1) - gammaln(k + 1))
+
+
+class TestFieldParse:
+    @pytest.mark.parametrize("name", ["Q", "", "RR", "1"])
+    def test_unknown_name(self, name):
+        with pytest.raises(ValueError) as exc:
+            Field.parse(name)
+        assert str(exc.value) == f"unknown field {name!r}: expected one of R, C, H"
 
 
 class TestEval:
@@ -295,6 +304,16 @@ class TestLargestRoot:
         assert positive(x * (1 - 1e-12)) != positive(x * (1 + 1e-12))
         assert all(positive(t) for t in np.linspace(x, 1.0, 41)[1:])
 
+    @pytest.mark.parametrize("field,m", [(Field.C, 10**17), (Field.H, 10**16), (Field.C, 10**20)])
+    def test_newton_step_past_the_float_range_is_a_numerical_error(self, field, m):
+        # P_k' underflows to 0 at these alpha: the step p/d was a ZeroDivisionError
+        params = field_params(field, m).raised()
+        with pytest.raises(NumericalError) as exc:
+            largest_root(params, 2)
+        assert str(exc.value) == (
+            f"Newton step not finite at alpha={params.alpha}, beta={params.beta}, k=2"
+        )
+
 
 
 #: the raised (alpha+1, beta+1) families whose largest roots are the xi of bound, table and testfn
@@ -434,3 +453,28 @@ class TestIncompleteWeightIntegral:
             incomplete_weight_integral(JacobiParams(0, 0), 1.0)
         with pytest.raises(ValueError):
             incomplete_weight_integral(JacobiParams(0, 0), -1.0)
+
+    @pytest.mark.parametrize("alpha", [1000.0, 1020.5, 1033.0])
+    def test_below_the_rule_overflow_matches_the_power(self, alpha):
+        # beta = 0: the integral is (1 - xi)^(alpha+1) / (alpha+1), near 1e288 at xi = -0.9
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for xi in (-0.9, 0.5):
+                want = float(mpmath.mpf(1.0 - xi) ** (alpha + 1) / (alpha + 1))
+                got = incomplete_weight_integral(JacobiParams(alpha, 0.0), xi)
+                assert got == pytest.approx(want, rel=1e-12) and math.isfinite(got)
+
+    @pytest.mark.parametrize(
+        "alpha,beta,xi",
+        # inf with two RuntimeWarnings (mpmath: 1.489e286); NaN (true value 9.3e-2206);
+        # NaN nodes as well as weights
+        [(1040, 1, -0.9), (1100, 0, 0.99), (2e14, 0, 0.5)],
+    )
+    def test_rule_past_the_float_range_is_a_numerical_error(self, alpha, beta, xi):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError) as exc:
+                incomplete_weight_integral(JacobiParams(alpha, beta), xi)
+        assert str(exc.value) == (
+            f"tail_rule: weights past the float range for {JacobiParams(alpha, beta)}, xi={xi}"
+        )

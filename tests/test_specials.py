@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -88,6 +89,27 @@ class TestHypergeomF:
             assert hypergeom_F(1.0, alpha, eps) == 1.0 - (alpha + 1.0) * eps / (alpha + 2.0)
             want = mp_hyp2f1(-1.0, alpha + 1.0, alpha + 2.0, eps)
             assert hypergeom_F(1.0, alpha, eps) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("alpha,eps", [(1028.5, 0.999), (1033.0, 0.3)])
+    def test_a_dot_past_the_float_range_raises_no_warning(self, alpha, eps):
+        # finite weights, but their dot with (1 - eps s)^(-1/2) overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="out of the float range"):
+                hypergeom_F(-0.5, alpha, eps)
+
+    @pytest.mark.parametrize("alpha", [1e14, 2e14, 1e17])
+    def test_no_arithmetic_on_infinite_weights(self, alpha):
+        # here the rule's weights hold both +inf and -inf, and their dot product
+        # warned "invalid value" before the terminating series answered
+        eps = 0.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert hypergeom_F(0.0, alpha, eps) == 1.0
+            assert hypergeom_F(1.0, alpha, eps) == 1.0 - (alpha + 1.0) * eps / (alpha + 2.0)
+            with pytest.raises(NumericalError) as exc:
+                hypergeom_F(-0.5, alpha, eps)
+        assert str(exc.value).endswith(f"at alpha={alpha}, beta=-0.5, eps=0.5")
 
     @pytest.mark.parametrize("beta", [-0.5, 0.5, 2.0])
     def test_other_beta_past_the_rule_is_a_numerical_error(self, beta):
