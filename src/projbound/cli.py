@@ -89,10 +89,14 @@ def cmd_table(args) -> int:
         raise ValueError(f"empty range: p-min {args.p_min} > p-max {args.p_max}")
     if args.p_min % 2 or args.p_max % 2 or args.p_min < 2:
         raise ValueError("p-min and p-max must be even integers >= 2")
+    try:
+        p_list = list(range(args.p_min, args.p_max + 1, 2))
+    except (OverflowError, MemoryError):  # more p values than an index or memory holds
+        raise ValueError(f"--p-max must fit in memory as a table, got {args.p_max}") from None
     field = Field.parse(args.field)
     columns = _TABLE_SCHEMA.split(",")
     rows = []
-    for p in range(args.p_min, args.p_max + 1, 2):
+    for p in p_list:
         report = yudin_bound(field, args.m, p)
         rows.append({c: getattr(report, c) for c in columns})
     if args.verbose and field is Field.H and args.m == 2:

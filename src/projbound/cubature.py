@@ -44,6 +44,9 @@ _BLOCK_ELEMENTS = 1 << 15
 #: coincident pairs kept, in scan order, beside their total count
 _DUPLICATES_KEPT = 100
 
+#: characters of a bad entry's repr that a parse error repeats, before its ellipsis
+_SHOWN_CHARS = 200
+
 #: reading of the vanishing-moment condition used by this verifier
 INTERPRETATION_NOTE = (
     "moment test: harmonic components are required to vanish with the node "
@@ -315,17 +318,23 @@ def verify(ps: PointSet, p: int, tol: Optional[float] = None) -> VerificationRep
     )
 
 
+def _shown(value) -> str:
+    """repr(value), cut to _SHOWN_CHARS characters and "..." where it is longer."""
+    text = repr(value)
+    return text if len(text) <= _SHOWN_CHARS else text[:_SHOWN_CHARS] + "..."
+
+
 def _json_int(doc: dict, key: str) -> int:
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key!r} must be a JSON integer, got {value!r}")
+        raise ValueError(f"{key!r} must be a JSON integer, got {_shown(value)}")
     return value
 
 
 def _json_float(value, where: str) -> float:
     """A JSON number (int or float, not bool, not a string) as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{where}: expected a JSON number, got {value!r}")
+        raise ValueError(f"{where}: expected a JSON number, got {_shown(value)}")
     try:
         return float(value)
     except OverflowError:  # an integer literal beyond the float range
@@ -357,7 +366,11 @@ def parse_point_set(doc: dict) -> tuple[PointSet, int]:
     for key in ("field", "m", "p", "nodes"):
         if key not in doc:
             raise ValueError(f"point set document is missing required key {key!r}")
-    field = Field.parse(str(doc["field"]))
+    name = str(doc["field"])
+    try:
+        field = Field.parse(name)
+    except ValueError:  # its message repeats the whole name
+        raise ValueError(f"unknown field {_shown(name)}: expected one of R, C, H") from None
     m = _json_int(doc, "m")
     p = _json_int(doc, "p")
     _check_even_p(p)
@@ -374,17 +387,18 @@ def parse_point_set(doc: dict) -> tuple[PointSet, int]:
     filled = shaped and _json_floats(raw_nodes, nodes[..., : field.delta])
     for i, node in enumerate(() if filled else raw_nodes):  # raises on a bad entry
         if not isinstance(node, list) or len(node) != m:
-            raise ValueError(f"nodes[{i}]: expected {m} coordinates, got {node!r}")
+            raise ValueError(f"nodes[{i}]: expected {m} coordinates, got {_shown(node)}")
         for j, c in enumerate(node):
             where = f"nodes[{i}][{j}]"
             if not isinstance(c, (list, tuple)) or len(c) != field.delta:
-                raise ValueError(f"{where}: expected {field.delta} real components, got {c!r}")
+                got = _shown(c)
+                raise ValueError(f"{where}: expected {field.delta} real components, got {got}")
             for value in c:
                 _json_float(value, where)
     weights = doc.get("weights")
     if weights is not None:
         if not isinstance(weights, list):
-            raise ValueError(f"'weights' must be a list, got {weights!r}")
+            raise ValueError(f"'weights' must be a list, got {_shown(weights)}")
         values = np.empty(len(weights))
         if not _json_floats(weights, values):
             values = [_json_float(w, f"weights[{i}]") for i, w in enumerate(weights)]
@@ -401,6 +415,8 @@ def load_point_set(path) -> tuple[PointSet, int]:
             raise ValueError(
                 f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from None
+        except RecursionError:  # lists or objects nested deeper than the decoder recurses
+            raise ValueError(f"{path}: invalid JSON: nested too deeply to decode") from None
     return parse_point_set(doc)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 
-from .jacobi import JacobiParams
+from .jacobi import JacobiParams, NumericalError
 
 
 class Field(enum.Enum):
@@ -37,4 +37,8 @@ def field_params(field: Field, m: int) -> JacobiParams:
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
     d = field.delta
-    return JacobiParams((d * (m - 1) - 2) / 2.0, (d - 2) / 2.0)
+    try:
+        alpha = (d * (m - 1) - 2) / 2.0
+    except OverflowError:  # an int m past the float range
+        raise NumericalError(f"alpha past the float range for field={field.name}, m={m}") from None
+    return JacobiParams(alpha, (d - 2) / 2.0)

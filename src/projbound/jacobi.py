@@ -7,8 +7,9 @@ Orthogonal Polynomials, 4.5) over one array of coefficients.  The same array
 gives the largest root: LAPACK bisection finds the top eigenvalue of the Jacobi
 matrix (Golub & Welsch 1969), and Newton steps polish it; each solved root is
 kept in a bounded per-process memo, so a repeated (alpha, beta, k) costs one
-lookup.  Gauss-Jacobi nodes serve only the integrals over a tail [xi, 1] of the
-weight.
+lookup.  One bounded memo, `_gauss_jacobi`, reads scipy's Gauss-Jacobi rules:
+the Euler integral behind specials.hypergeom_F and the integrals over a tail
+[xi, 1] of the weight are evaluated on them.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import numpy as np
 from scipy.special import gammaln, roots_jacobi
 
 
-#: Gauss-Jacobi order of the tail weight integral
-_TAIL_ORDER = 64
+#: Gauss-Jacobi order of hypergeom_F's Euler integral and of the tail weight integral
+_RULE_ORDER = 64
 
 #: magnitude past which the Newton polish of largest_root rescales P_k and P_k'
 _RESCALE = 1e100
@@ -214,13 +215,19 @@ def _solve_largest_root(alpha: float, beta: float, k: int) -> float:
     return x
 
 
-@lru_cache(maxsize=256)
-def _roots_jacobi_cached(order: int, alpha: float, beta: float):
-    with np.errstate(over="ignore"):  # weights overflow from alpha = 1033.5: tail_rule refuses them
-        x, w = roots_jacobi(order, alpha, beta)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+@lru_cache(maxsize=512, typed=True)
+def _gauss_jacobi(order: int, alpha: float, beta: float):
+    """Nodes u, weights w, half-nodes (1+u)/2 of scipy's Gauss-Jacobi rule, and whether w is finite.
+
+    The arrays are read-only.  In the (alpha, 0) and (0, alpha) rules read here scipy's
+    weights overflow from alpha = 1033.5; the flag is then False and callers read no weight.
+    """
+    with np.errstate(over="ignore"):
+        u, w = roots_jacobi(order, alpha, beta)
+    s = 0.5 * (1.0 + u)
+    for array in (u, w, s):
+        array.setflags(write=False)
+    return u, w, s, bool(np.isfinite(w).all())
 
 
 def tail_rule(params: JacobiParams, xi: float, order: int):
@@ -228,13 +235,14 @@ def tail_rule(params: JacobiParams, xi: float, order: int):
 
     The endpoint factor (1-t)^alpha is absorbed into a Gauss-Jacobi rule with
     parameters (alpha, 0) mapped affinely onto [xi, 1]; the remaining factor
-    (1+t)^beta is smooth there and is folded into the weights.  A rule whose
-    weights are not finite (from alpha = 1033.5) raises NumericalError.
+    (1+t)^beta is smooth there and is folded into the weights.  The rule is
+    read from `_gauss_jacobi` at (order, alpha, 0); one whose weights are not
+    finite (from alpha = 1033.5) raises NumericalError.
     """
     if not (-1.0 < xi < 1.0):
         raise ValueError(f"xi must lie in (-1, 1), got {xi}")
-    u, w = _roots_jacobi_cached(order, params.alpha, 0.0)
-    if not np.isfinite(w).all():
+    u, w, _, finite = _gauss_jacobi(order, params.alpha, 0.0)
+    if not finite:
         raise NumericalError(f"tail_rule: weights past the float range for {params}, xi={xi}")
     t = 0.5 * ((1.0 + xi) + (1.0 - xi) * u)
     scale = (0.5 * (1.0 - xi)) ** (params.alpha + 1.0)
@@ -243,5 +251,5 @@ def tail_rule(params: JacobiParams, xi: float, order: int):
 
 def incomplete_weight_integral(params: JacobiParams, xi: float) -> float:
     """Integral of (1-t)^alpha (1+t)^beta over [xi, 1], xi in (-1, 1)."""
-    _, w = tail_rule(params, xi, _TAIL_ORDER)
+    _, w = tail_rule(params, xi, _RULE_ORDER)
     return float(w.sum())

@@ -2,7 +2,7 @@
 
 Only the narrow slices needed by the bound formulas are exposed: the
 hypergeometric value F(-beta, alpha+1; alpha+2; eps) of the closed-form
-bound, its quadrature rule kept per alpha, and the first positive zero
+bound, on jacobi's Gauss-Jacobi rule reader, and the first positive zero
 j_{nu,1} behind its large-p behavior, for an array of orders at once, each
 solved once while a bounded memo keeps it.
 """
@@ -11,20 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, roots_jacobi
+from scipy.special import gammaln
 from scipy.special import jv as _besselj
 
-from .jacobi import NumericalError
+from .jacobi import _RULE_ORDER, NumericalError, _gauss_jacobi
 
 # The scan step must stay below the minimal gap between consecutive zeros of
 # J_nu (>= 3.11 over all nu >= 0), so a sign change is never skipped.
 _SCAN_STEP = 1.5
-
-#: Gauss-Jacobi order of the Euler integral behind hypergeom_F
-_HYPERGEOM_ORDER = 64
 
 _ZERO_CACHE: dict[float, BesselZero] = {}  # bessel_first_zeros: nu -> its BesselZero
 _ZERO_CACHE_SIZE = 1 << 14  # most orders _ZERO_CACHE holds, about 3 MB
@@ -42,18 +38,19 @@ def hypergeom_F(beta: float, alpha: float, eps: float) -> float:
 
     Computed through the Euler integral
         (alpha+1) * integral_0^1 s^alpha (1 - eps*s)^beta ds,
-    where the endpoint factor s^alpha is absorbed into a Gauss-Jacobi rule and
-    the remaining factor is analytic for eps < 1.  The rule's nodes, weights
-    and prefactor are kept per alpha.  From alpha = 1033.5 the weights
-    overflow, and from alpha = 1074 0.5^(alpha+1) underflows; where the
-    rule's value is not finite and positive, beta = 0 and beta = 1 take the
-    terminating series, and any other beta raises NumericalError.
+    where s = (1+u)/2 turns s^alpha ds into the (0, alpha) Jacobi weight, read
+    as a 64-point rule from jacobi's `_gauss_jacobi`; the remaining factor is
+    analytic for eps < 1.  From alpha = 1033.5 the weights overflow, and from
+    alpha = 1074 0.5^(alpha+1) underflows; where the rule's value is not
+    finite and positive, beta = 0 and beta = 1 take the terminating series,
+    and any other beta raises NumericalError.
     """
     if not alpha > -1.0:
         raise ValueError(f"hypergeom_F requires alpha > -1, got {alpha}")
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"hypergeom_F requires 0 <= eps < 1, got {eps}")
-    s, w, scale = _euler_rule(alpha)
+    _, w, s, finite = _gauss_jacobi(_RULE_ORDER, 0.0, alpha)
+    scale = (alpha + 1.0) * 0.5 ** (alpha + 1.0) if finite else 0.0  # 0: no weight is read
     f = (1.0 - eps * s) ** beta
     if scale > 2.0**-960:  # the weights sum to 1/scale: for beta > -1 the dot stays finite
         value = scale * float(np.dot(w, f))
@@ -70,19 +67,6 @@ def hypergeom_F(beta: float, alpha: float, eps: float) -> float:
         f"hypergeom_F: Gauss-Jacobi rule out of the float range at alpha={alpha}, "
         f"beta={beta}, eps={eps}"
     )
-
-
-@lru_cache(maxsize=256, typed=True)
-def _euler_rule(alpha: float):
-    """Nodes s = (1+u)/2, weights and prefactor (alpha+1) * 0.5^(alpha+1) of hypergeom_F's rule."""
-    # s = (1+u)/2 turns s^alpha ds into a (0, alpha) Jacobi weight on (-1, 1); from alpha =
-    # 1033.5 scipy's weights overflow: the prefactor is then 0, and hypergeom_F reads no weight
-    with np.errstate(over="ignore"):
-        u, w = roots_jacobi(_HYPERGEOM_ORDER, 0.0, alpha)
-    s = 0.5 * (1.0 + u)
-    s.setflags(write=False)
-    w.setflags(write=False)
-    return s, w, (alpha + 1.0) * 0.5 ** (alpha + 1.0) if np.isfinite(w).all() else 0.0
 
 
 def bessel_j(nu: float, x: float) -> float:

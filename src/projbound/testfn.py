@@ -17,6 +17,7 @@ import numpy as np
 
 from .fields import Field, field_params
 from .jacobi import (
+    _RULE_ORDER,
     JacobiParams,
     NumericalError,
     incomplete_weight_integral,
@@ -89,7 +90,7 @@ def build_test_function(field: Field, m: int, l: int, k_max: int = 200) -> Yudin
         coeff_h[1:] = w_raised * raised_at_xi / (2.0 * k[1:])
 
         # the tail nodes of g's direct quadrature at k = r (below), and xi last
-        t_q, w_q = tail_rule(params, xi, order=64 + 2 * r)
+        t_q, w_q = tail_rule(params, xi, order=_RULE_ORDER + 2 * r)
         p_r = jacobi_eval(params, r, np.append(t_q, xi))
         p_r_q, p_r_at_xi = p_r[:-1], float(p_r[-1])
         coeff_g = r * (r + lam) * p_r_at_xi / ((k - r) * (k + r + lam)) * coeff_h

@@ -12,6 +12,7 @@ import pytest
 
 import projbound.bounds
 import projbound.cli
+import projbound.jacobi
 import projbound.specials
 from projbound import (
     BoundReport,
@@ -284,7 +285,7 @@ class TestFieldConstantsAreShared:
     @pytest.fixture(autouse=True)
     def cold_memos(self):
         projbound.bounds._field_constants.cache_clear()
-        projbound.specials._euler_rule.cache_clear()
+        projbound.jacobi._gauss_jacobi.cache_clear()
 
     def test_reports_and_json_match_the_uncached_expressions(self, capsys):
         # the field alternates from call to call and each (field, m) comes back
@@ -338,7 +339,7 @@ class TestFieldConstantsAreShared:
         assert projbound.bounds._field_constants.cache_info().currsize == 0
 
     def test_both_memos_are_bounded_and_typed(self):
-        for memo in (projbound.bounds._field_constants, projbound.specials._euler_rule):
+        for memo in (projbound.bounds._field_constants, projbound.jacobi._gauss_jacobi):
             params = memo.cache_parameters()
             assert params["typed"] and 0 < params["maxsize"] <= 1 << 14
 

@@ -391,7 +391,7 @@ def corpus_base() -> dict:
 
 
 def corpus_docs():
-    """(id, document) of bad point-set files, each a change to `corpus_base`."""
+    """(id, file text) of bad point-set files, each a change to `corpus_base`."""
     base = corpus_base()
 
     def changed(**changes):
@@ -414,8 +414,20 @@ def corpus_docs():
         ("weights-sum", changed(weights=[0.5 * w for w in base["weights"]])),
         ("non-unit-node", changed(nodes=[[[2.0 * nodes[0][0][0]], nodes[0][1]], *nodes[1:]])),
         ("complex-field-real-coordinates", changed(field="C")),
+        # an error repeats at most a few hundred characters of the entry it names
+        ("coordinate-1e5-numbers", changed(nodes=[[list(range(10**5)), nodes[0][1]], *nodes[1:]])),
+        ("weight-1e6-chars", changed(weights=["x" * 10**6, *base["weights"][1:]])),
+        ("weights-1e6-chars", changed(weights="x" * 10**6)),
+        ("field-1e6-chars", changed(field="x" * 10**6)),
+        ("m-1e6-chars", changed(m="x" * 10**6)),
     ]
-    return docs
+    texts = [(label, json.dumps(doc)) for label, doc in docs]
+    # nesting past the decoder's recursion limit; json.dumps cannot write it
+    for depth in (1000, 10**5):
+        deep = "[" * depth + "1.0" + "]" * depth
+        texts += [(f"nodes-nested-{depth}", json.dumps(base)[:-1] + f', "nodes": {deep}}}'),
+                  (f"weights-nested-{depth}", json.dumps(base)[:-1] + f', "weights": {deep}}}')]
+    return texts
 
 
 CORPUS = corpus_docs()
@@ -430,13 +442,29 @@ class TestBadPointSetFiles:
         code, out, err = run(capsys, "verify", str(path))
         assert (code, err) == (0, "") and out.startswith("PASS")
 
-    @pytest.mark.parametrize("doc", [doc for _, doc in CORPUS], ids=[label for label, _ in CORPUS])
-    def test_one_error_line(self, capsys, tmp_path, doc):
+    @pytest.mark.parametrize("text", [text for _, text in CORPUS], ids=[name for name, _ in CORPUS])
+    def test_one_error_line(self, capsys, tmp_path, text):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(text)
         code, out, err = outcome(capsys, main, ["verify", str(path)])  # a traceback would raise
         assert (code, out) == (2, "")
-        assert err.startswith("error: ") and err.count("\n") == 1, err  # no usage line
+        assert err.startswith("error: ") and err.count("\n") == 1, err[:500]  # no usage line
+        # the longest is a 401-digit p or m echoed in full; a longer entry is cut
+        assert len(err.replace(str(path), "")) <= 500, err[:500]
+
+    def test_a_long_entry_is_cut_to_an_ellipsis(self, capsys, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(corpus_base() | {"weights": ["x" * 10**6]}))
+        code, out, err = outcome(capsys, main, ["verify", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"error: weights[0]: expected a JSON number, got '{'x' * 199}...\n"
+
+    def test_nesting_past_the_decoder_is_invalid_json(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"field": "R", "m": 2, "p": 10, "nodes": ' + "[" * 1000 + "]" * 1000 + "}")
+        code, out, err = outcome(capsys, main, ["verify", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: invalid JSON: nested too deeply to decode\n"
 
 
 class TestHugeArguments:
@@ -449,6 +477,27 @@ class TestHugeArguments:
         usage, error = err.splitlines()  # argparse's usage line, then the error
         assert usage.startswith("usage: projbound ")
         assert error == f"projbound: error: --m-max must fit in memory as a table, got {m_max}"
+
+    @pytest.mark.parametrize("p_max", [2**62, 2**70])
+    def test_table_p_max_past_memory_names_the_flag(self, capsys, p_max):
+        argv = ["table", "--field", "C", "--m", "2", "--p-min", "2", "--p-max", str(p_max)]
+        with deadline(60):  # a loop over every even p up to p_max would not return
+            code, out, err = outcome(capsys, main, argv)
+        assert (code, out) == (2, "")
+        usage, error = err.splitlines()
+        assert usage.startswith("usage: projbound ")
+        assert error == f"projbound: error: --p-max must fit in memory as a table, got {p_max}"
+
+    @pytest.mark.parametrize("command", ["bound", "table", "testfn"])
+    def test_m_past_the_float_range_is_one_error_line(self, capsys, command):
+        # alpha = (delta (m-1) - 2) / 2 is past the float range
+        m = 10**400
+        argv = [command, "--field", "H", "--m", str(m)]
+        argv += {"bound": ["--p", "4"], "table": ["--p-min", "2", "--p-max", "4"],
+                 "testfn": ["--l", "2"]}[command]
+        code, out, err = outcome(capsys, main, argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: alpha past the float range for field=H, m={m}\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -467,6 +516,90 @@ class TestHugeArguments:
         assert err == (
             f"error: Newton step not finite at alpha={raised.alpha}, beta={raised.beta}, k=2\n"
         )
+
+
+#: a valid request of each command, by option string or positional name; the bad argv change it
+ARGV_BASE = {
+    "bound": {"--field": "C", "--m": "3", "--p": "4"},
+    "table": {"--field": "C", "--m": "3", "--p-min": "2", "--p-max": "6"},
+    "verify": {"file": str(REPO_ROOT / "demos" / "data" / "circle_r_p10.json")},
+    "asym": {"--field": "C", "--m-max": "5"},
+    "testfn": {"--field": "C", "--m": "3", "--l": "2"},
+}
+
+#: int options whose value must be even, and the generated changes that are valid requests
+EVEN_OPTIONS = {"--p", "--p-min", "--p-max"}
+VALID_CHANGES = {("testfn", "--l", "1")}
+
+
+def as_argv(command: str, request: dict) -> list:
+    """argv of `command` with each option and its value, or a positional's value, in order."""
+    return [command, *(t for key, value in request.items()
+                       for t in ((key, value) if key.startswith("-") else (value,)))]
+
+
+def argv_corpus():
+    """(id, argv) of bad requests, generated from the option tables `cli._parser()` builds.
+
+    Each required option or positional dropped; each int option given x, 1.5, -3, 0, 1, 2**70
+    and 10**400, and 3 where it must be even; each float option nan, inf, -1, 0 and 1e400;
+    each option with choices a value outside them.
+    """
+    corpus = []
+    for command, (options, _, required, _) in cli._parser()[1].items():
+        base = ARGV_BASE[command]
+        for action in required:
+            key = (action.option_strings or [action.dest])[0]
+            dropped = {k: v for k, v in base.items() if k != key}
+            corpus.append((f"{command}-without-{key.lstrip('-')}", as_argv(command, dropped)))
+        for option, action in options.items():
+            if action.type is int:
+                values = ["x", "1.5", "-3", "0", "1", str(2**70), str(10**400)]
+                values += ["3"] if option in EVEN_OPTIONS else []
+            elif action.type is float:
+                values = ["nan", "inf", "-1", "0", "1e400"]
+            else:
+                values = [] if action.choices is None else ["Q"]
+            corpus += [(f"{command}{option}={value[:6]}", as_argv(command, base | {option: value}))
+                       for value in values if (command, option, value) not in VALID_CHANGES]
+    return corpus
+
+
+ARGV_CORPUS = argv_corpus()
+
+
+def usage_block(capsys, argv) -> str:
+    """The usage lines argparse prints for argv: the head of its -h output."""
+    code, text, _ = outcome(capsys, main, [*argv, "-h"])
+    assert code == 0
+    return text.split("\n\n", 1)[0] + "\n"
+
+
+class TestBadArgv:
+    """A generated corpus of bad argv: each is exit 2, stdout empty, and argparse's usage and
+    one `error:` line, or a single `error:` line where the library raises NumericalError."""
+
+    def test_the_base_requests_and_valid_changes_pass(self, capsys):
+        requests = [as_argv(command, base) for command, base in ARGV_BASE.items()]
+        requests += [as_argv(c, ARGV_BASE[c] | {o: v}) for c, o, v in VALID_CHANGES]
+        for argv in requests:
+            code, out, _ = outcome(capsys, main, argv)
+            assert code == 0 and out, argv
+        assert {argv[0] for _, argv in ARGV_CORPUS} == set(cli._parser()[1])
+
+    @pytest.mark.parametrize("argv", [a for _, a in ARGV_CORPUS], ids=[i for i, _ in ARGV_CORPUS])
+    def test_usage_and_one_error_line(self, capsys, argv):
+        usages = {"projbound": usage_block(capsys, []),
+                  f"projbound {argv[0]}": usage_block(capsys, argv[:1])}
+        with deadline(60):  # a hang fails here
+            code, out, err = outcome(capsys, main, argv)  # a traceback would raise
+        assert (code, out) == (2, "")
+        *usage, error = err.splitlines(keepends=True)
+        if usage:  # argparse's: the usage of the parser that failed, then prog: error: ...
+            prog, _, message = error.partition(": error: ")
+            assert "".join(usage) == usages[prog] and message.count("\n") == 1, err
+        else:  # the library's NumericalError
+            assert error.startswith("error: ") and error.endswith("\n"), err
 
 
 class TestAsymCommand:

@@ -10,17 +10,24 @@ from projbound import (
     Field,
     JacobiParams,
     NumericalError,
+    build_test_function,
     field_params,
+    hypergeom_F,
     incomplete_weight_integral,
+    jacobi,
     jacobi_deriv,
     jacobi_eval,
     jacobi_eval_all,
     largest_root,
     tau,
+    yudin_bound,
 )
 from projbound.jacobi import (
+    _RULE_ORDER,
     _coefficients,
+    _gauss_jacobi,
     _solve_largest_root,
+    tail_rule,
     jacobi_norm_nu_all,
     jacobi_value_at_one_all,
 )
@@ -374,6 +381,53 @@ class TestLargestRootMemo:
             with pytest.raises(ValueError, match="degree must be >= 1"):
                 largest_root(JacobiParams(0, 0), 0)
         assert _solve_largest_root.cache_info().currsize == 0
+
+
+class TestRuleReader:
+    """hypergeom_F and tail_rule read scipy's rules through one memo: each key is fetched once."""
+
+    @pytest.fixture
+    def fetched(self, monkeypatch):
+        """The (order, alpha, beta) of every roots_jacobi call, from an empty memo on."""
+        calls, fetch = [], jacobi.roots_jacobi
+
+        def counting(order, alpha, beta):
+            calls.append((order, alpha, beta))
+            return fetch(order, alpha, beta)
+
+        monkeypatch.setattr(jacobi, "roots_jacobi", counting)
+        _gauss_jacobi.cache_clear()
+        yield calls
+        _gauss_jacobi.cache_clear()  # keep no rule fetched through the wrapper
+
+    def test_real_bound_fetches_one_rule(self, fetched):
+        # the closed form's F(-b, a+1; a+2; eps) and the integral ratio's F(-a, a+1; a+2; h/2)
+        # both read the (0, a) rule: over R, alpha = a = (m-3)/2
+        for _ in range(2):
+            yudin_bound(Field.R, 7, 40)
+            assert fetched == [(_RULE_ORDER, 0.0, 2.0)]
+
+    def test_test_function_fetches_its_two_tail_rules_once(self, fetched):
+        alpha = field_params(Field.C, 3).alpha
+        for _ in range(2):
+            build_test_function(Field.C, 3, 5)
+            assert sorted(fetched) == [(_RULE_ORDER, alpha, 0.0), (_RULE_ORDER + 12, alpha, 0.0)]
+
+    def test_overflowed_rules_are_fetched_once_and_read_by_no_caller(self, fetched):
+        # from alpha = 1033.5 scipy's weights overflow: C and H take the terminating series
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(2):
+                assert hypergeom_F(0.0, 1040.0, 0.3) == 1.0
+                assert hypergeom_F(1.0, 1040.0, 0.3) == 1.0 - 1041.0 * 0.3 / 1042.0
+                with pytest.raises(NumericalError, match="^tail_rule: weights past the float"):
+                    tail_rule(JacobiParams(1040.0, 1.0), -0.9, _RULE_ORDER)
+        assert fetched == [(_RULE_ORDER, 0.0, 1040.0), (_RULE_ORDER, 1040.0, 0.0)]
+
+    def test_rule_arrays_are_read_only(self, fetched):
+        u, w, s, finite = _gauss_jacobi(_RULE_ORDER, 0.0, 2.0)
+        assert finite and not any(a.flags.writeable for a in (u, w, s))
+        assert s.tobytes() == (0.5 * (1.0 + u)).tobytes()
 
 
 class TestGaussJacobi:
