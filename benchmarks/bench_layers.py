@@ -1,6 +1,6 @@
 """In-process timings of two source trees of projbound, written as one JSON record.
 
-    python benchmarks/bench_layers.py --parent OLD/src --change src --out BENCH_27.json
+    python benchmarks/bench_layers.py --parent OLD/src --change src --out BENCH_31.json
 
 The two trees are timed in rounds that alternate between them (parent then
 change, then change then parent, and so on), so a drift of the host's speed
@@ -25,7 +25,8 @@ spread of a tree's own rounds shows next to the difference between trees:
 * one-order ``bessel_first_zero`` at nu in {0.5, 10, 147, 598}, per call over
   200 calls: a single zero, as ``kappa`` and ``root_asymptotic_ratio`` ask;
 * ``table --field H --p-min 2 --p-max 1200`` and ``asym --field H --m-max 300``
-  through ``cli.main``, and ``asym`` again with its zeros already solved;
+  through ``cli.main``, and ``asym`` again with its rows (or zeros) already
+  solved;
 * bound-sweep's slowest kinds of request, ``bound --field C --m 3 --p 1868
   --format json`` and ``table --field H --m 3 --p-min 1728 --p-max 1732
   --format json``, through ``cli.main`` with their roots already solved, per
@@ -42,8 +43,8 @@ spread of a tree's own rounds shows next to the difference between trees:
   verify-sweep's median kind of request, where reading the file, building
   the point set and setting up the Gram pass are much of the time;
 * the rows alone, without the CLI's CSV writer: ``asymptotic_report`` over H,
-  m = 2..300, with its zeros already solved, per call over 20 calls, and
-  ``oscillation_report(200)``;
+  m = 2..300, with its rows (or zeros) already solved, per call over 20
+  calls, and ``oscillation_report(200)``;
 * ``import projbound.cli`` in a new interpreter;
 * one-shot ``python -m projbound.cli`` runs of ``bound --field C --m 3 --p 40``,
   ``table --field H --p-min 2 --p-max 1200`` and ``asym --field H --m-max 300``,
@@ -58,15 +59,18 @@ the same calls.  Time that other processes take from the run counts in the
 wall time but not in the CPU time; a host that runs the whole machine slower
 slows both alike.
 
-The package keeps each solved Bessel zero and each solved largest Jacobi root
-in a per-process memo (``specials._ZERO_CACHE`` and the ``lru_cache`` of
-``jacobi._solve_largest_root``).  Every ``bessel_first_zero`` and ``asym``
-entry but the one named as warm empties the zero memo before each timed
-call, and every ``largest_root`` entry and the cold ``table`` entry empties
-the root memo (the (2, 2) root cases fill keys the H, m=2 table reads), so
-each times the solver, not a lookup; a tree without a memo is timed as it
-is.  The ``bound`` and ``table`` entries named as warm, and the ``testfn``
-and ``oscillation_report`` entries after their first call, read their roots
+The package keeps each solved ``asym`` row and each solved largest Jacobi
+root in a per-process memo (``bounds._ASYM_ROWS`` and the ``lru_cache`` of
+``jacobi._solve_largest_root``); older trees kept each Bessel zero instead
+(``specials._ZERO_CACHE``).  Every ``bessel_first_zero`` and ``asym`` entry
+but the ones named as warm empties whichever of the row and zero memos the
+tree has before each timed call, and every ``largest_root`` entry and the
+cold ``table`` entry empties the root memo (the (2, 2) root cases fill keys
+the H, m=2 table reads), so each times the solver, not a lookup; a tree
+without a memo is timed as it is.  The ``asym`` and ``asymptotic_report``
+entries named as warm read their rows (or zeros) from the memo.  The
+``bound`` and ``table`` entries named as warm, and the ``testfn`` and
+``oscillation_report`` entries after their first call, read their roots
 from the memo.
 
 The record also holds the machine: CPU count and model, Python, numpy and
@@ -202,12 +206,17 @@ def measure() -> dict:
         _time(out, f"moment_test({name},m={m},n={n},p={p})", moments, MOMENT_REPS, calls)
         del ps
 
-    zero_memo = getattr(specials, "_ZERO_CACHE", {})
+    asym_memos = [getattr(bounds, "_ASYM_ROWS", {}), getattr(specials, "_ZERO_CACHE", {})]
+
+    def clear_asym_memos():
+        for memo in asym_memos:
+            memo.clear()
+
     for nu in BESSEL_ORDERS:
 
         def zeros():
             for _ in range(BESSEL_NUMBER):
-                zero_memo.clear()
+                clear_asym_memos()
                 specials.bessel_first_zero(nu)
 
         _time(out, f"bessel_first_zero(nu={nu:g})", zeros, REPS, BESSEL_NUMBER)
@@ -217,7 +226,7 @@ def measure() -> dict:
             cli.main(argv)
 
     def run_asym_cold():
-        zero_memo.clear()
+        clear_asym_memos()
         run_cli(ASYM_ARGV)
 
     def run_table_cold():
@@ -261,7 +270,7 @@ def measure() -> dict:
         for _ in range(ASYM_ROWS_NUMBER):
             bounds.asymptotic_report(bounds.Field.H, range(2, 301))
 
-    asym_rows()  # solves the zeros, so the timed calls build rows only
+    asym_rows()  # solves the rows, so the timed calls read them
     _time(out, "asymptotic_report(H,m=2..300) warm", asym_rows, REPS, ASYM_ROWS_NUMBER)
     _time(
         out,

@@ -12,7 +12,8 @@ l_2^m into l_p^n over the same field):
 
 The module also provides the large-p and large-m comparisons: the quotient
 kappa of the two asymptotic constants, its exponential decay, and the
-difference tables delta_C / delta_H with their oscillation report.
+difference tables delta_C / delta_H with their oscillation report.  Each
+solved large-m row is kept per (field, m) in one bounded per-process memo.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .fields import Field, field_params
-from .jacobi import JacobiParams, NumericalError, largest_root
+from .jacobi import JacobiParams, NumericalError, _shown, largest_root
 from .specials import bessel_first_zero, bessel_first_zeros, hypergeom_F, log_gamma
 
 #: relative slack within which the real closed form must match the integral ratio
@@ -58,9 +59,9 @@ def lp_bound(field: Field, m: int, q: int) -> int:
     37th q up to 4000.
     """
     if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
+        raise ValueError(f"m must be >= 2, got {_shown(m)}")
     if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
+        raise ValueError(f"q must be >= 1, got {_shown(q)}")
     if field is Field.R:
         return math.comb(m + q - 1, m - 1)
     if field is Field.C:
@@ -110,7 +111,7 @@ class BoundReport:
 
 def _check_even_p(p: int) -> None:
     if p < 2 or p % 2 != 0:
-        raise ValueError(f"p must be a positive even integer, got {p}")
+        raise ValueError(f"p must be a positive even integer, got {_shown(p)}")
 
 
 @lru_cache(maxsize=1 << 12, typed=True)  # a failed (field, m) is not kept
@@ -166,21 +167,21 @@ def yudin_bound(field: Field, m: int, p: int) -> BoundReport:
     xi = largest_root(raised, p // 2)
     eps = (1.0 - xi) / 2.0
     if not 0.0 < eps < 1.0:
-        raise NumericalError(f"epsilon={eps} outside (0,1) for field={field.name}, m={m}, p={p}")
+        where = f"field={field.name}, m={_shown(m)}, p={p}"
+        raise NumericalError(f"epsilon={eps} outside (0,1) for {where}")
 
     log_raw = log_gammas - math.log(hypergeom_F(b, a, eps)) - (a + 1.0) * math.log(eps)
     try:
         raw = math.exp(log_raw)
     except OverflowError:
-        raise NumericalError(
-            f"bound past the float range for field={field.name}, m={m}, p={p}: log_raw={log_raw!r}"
-        ) from None
+        where = f"field={field.name}, m={_shown(m)}, p={p}"
+        raise NumericalError(f"bound past the float range for {where}: {log_raw=!r}") from None
 
     if field is Field.R:
         reference = _real_ratio_from_xi(m, xi)
         if abs(raw - reference) > _CONSISTENCY_RTOL * abs(reference):
             raise NumericalError(
-                f"bound forms disagree for field={field.name}, m={m}, p={p}: "
+                f"bound forms disagree for field={field.name}, m={_shown(m)}, p={p}: "
                 f"closed form {raw!r} vs integral ratio {reference!r}"
             )
 
@@ -259,8 +260,32 @@ class AsymptoticRow:
     gap_factor_log: float  # log of 2^{d(m-1)} * kappa
 
 
-def _asymptotic_columns(field: Field, m_list) -> list[list]:
-    """asymptotic_report's rows as columns: one list per AsymptoticRow field, in order.
+_ASYM_ROWS: dict[tuple[Field, int], tuple] = {}  # (field, m) -> the 10 fields of its row after m
+_ASYM_ROWS_SIZE = 1 << 14  # most rows _ASYM_ROWS holds
+
+
+def _asymptotic_columns(field: Field, m_list) -> list:
+    """asymptotic_report's rows as columns: one sequence per AsymptoticRow field, in order.
+
+    The m column is m_list; the other fields of each row come from _ASYM_ROWS, which
+    keeps them per (field, m), or from one _solve_rows batch of the rows it lacks.  A
+    batch that raises stores nothing, and one that would pass _ASYM_ROWS_SIZE empties it.
+    """
+    m_list = list(m_list)
+    for m in m_list:
+        if m < 2:
+            raise ValueError(f"m must be >= 2, got {_shown(m)}")
+    rows = {m: row for m in m_list if (row := _ASYM_ROWS.get((field, m)))}  # atomic against clear
+    if missing := [m for m in dict.fromkeys(m_list) if m not in rows]:
+        rows.update(zip(missing, zip(*_solve_rows(field, missing))))
+        if len(_ASYM_ROWS) + len(missing) > _ASYM_ROWS_SIZE:
+            _ASYM_ROWS.clear()
+        _ASYM_ROWS.update(((field, m), rows[m]) for m in missing[:_ASYM_ROWS_SIZE])
+    return [m_list, *(zip(*map(rows.__getitem__, m_list)) if m_list else [()] * 10)]
+
+
+def _solve_rows(field: Field, m_list: list) -> list[list]:
+    """The columns of AsymptoticRow's fields after m, for each m of m_list (each m >= 2).
 
     The Bessel zeros j_{nu,1} of all rows come from one bessel_first_zeros call.
     Each column is one float64 pass over the m list, with the operands of every
@@ -268,10 +293,6 @@ def _asymptotic_columns(field: Field, m_list) -> list[list]:
     each cell is the double the per-row formula gives.
     """
     d = field.delta
-    m_list = list(m_list)
-    for m in m_list:
-        if m < 2:
-            raise ValueError(f"m must be >= 2, got {m}")
     nus = [d * (m - 1) / 2.0 for m in m_list]
     zeros = bessel_first_zeros(nus)
     j1 = [z.value for z in zeros]
@@ -294,7 +315,7 @@ def _asymptotic_columns(field: Field, m_list) -> list[list]:
     )
     log_kappa, *rest = (c.tolist() for c in columns)
     residuals = [z.residual for z in zeros]
-    return [m_list, nus, j1, residuals, list(map(_exp_safe, log_kappa)), log_kappa, *rest]
+    return [nus, j1, residuals, list(map(_exp_safe, log_kappa)), log_kappa, *rest]
 
 
 def asymptotic_report(field: Field, m_list) -> list[AsymptoticRow]:
@@ -341,7 +362,7 @@ def oscillation_report(p_max: int) -> OscillationReport:
     this report flags them without asserting them.
     """
     if p_max < 8 or p_max % 2 != 0:
-        raise ValueError(f"p_max must be an even integer >= 8, got {p_max}")
+        raise ValueError(f"p_max must be an even integer >= 8, got {_shown(p_max)}")
     ps = list(range(2, p_max + 1, 2))
     dh, dc = [delta_H(p) for p in ps], [delta_C(p) for p in ps]
     d1h, d1c = _differences(dh), _differences(dc)

@@ -27,7 +27,7 @@ import sys
 from .bounds import _asymptotic_columns, lp_bound_h_alt, yudin_bound
 from .cubature import _coincident_note, load_point_set, verify
 from .fields import Field
-from .jacobi import NumericalError
+from .jacobi import NumericalError, _shown
 from .testfn import build_test_function
 
 _TABLE_SCHEMA = "p,lp_bound,yudin_raw,yudin_bound,delta"
@@ -86,13 +86,14 @@ def cmd_bound(args) -> int:
 
 def cmd_table(args) -> int:
     if args.p_min > args.p_max:
-        raise ValueError(f"empty range: p-min {args.p_min} > p-max {args.p_max}")
+        raise ValueError(f"empty range: p-min {_shown(args.p_min)} > p-max {_shown(args.p_max)}")
     if args.p_min % 2 or args.p_max % 2 or args.p_min < 2:
         raise ValueError("p-min and p-max must be even integers >= 2")
     try:
         p_list = list(range(args.p_min, args.p_max + 1, 2))
     except (OverflowError, MemoryError):  # more p values than an index or memory holds
-        raise ValueError(f"--p-max must fit in memory as a table, got {args.p_max}") from None
+        got = _shown(args.p_max)
+        raise ValueError(f"--p-max must fit in memory as a table, got {got}") from None
     field = Field.parse(args.field)
     columns = _TABLE_SCHEMA.split(",")
     rows = []
@@ -152,7 +153,8 @@ def cmd_asym(args) -> int:
     try:
         m_list = list(range(2, args.m_max + 1))
     except (OverflowError, MemoryError):  # more m values than an index or memory holds
-        raise ValueError(f"--m-max must fit in memory as a table, got {args.m_max}") from None
+        got = _shown(args.m_max)
+        raise ValueError(f"--m-max must fit in memory as a table, got {got}") from None
     m, nu, zero, _residual, *rest = _asymptotic_columns(field, m_list)
     columns = (m, nu, zero, *rest)  # every field but the residual
     return _write_csv(f"asym v1 field={field.name}", _ASYM_SCHEMA, columns, args.out)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .bounds import _check_even_p, yudin_bound
 from .fields import Field, field_params
-from .jacobi import NumericalError, _coefficients
+from .jacobi import NumericalError, _coefficients, _shown
 
 _UNIT_NORM_TOL = 1e-12
 _DUPLICATE_TOL = 1e-12
@@ -43,9 +43,6 @@ _BLOCK_ELEMENTS = 1 << 15
 
 #: coincident pairs kept, in scan order, beside their total count
 _DUPLICATES_KEPT = 100
-
-#: characters of a bad entry's repr that a parse error repeats, before its ellipsis
-_SHOWN_CHARS = 200
 
 #: reading of the vanishing-moment condition used by this verifier
 INTERPRETATION_NOTE = (
@@ -69,10 +66,10 @@ class PointSet:
 
     def __init__(self, field: Field, m: int, nodes, weights=None):
         if m < 2:
-            raise ValueError(f"m must be >= 2, got {m}")
+            raise ValueError(f"m must be >= 2, got {_shown(m)}")
         nodes = np.array(nodes, dtype=float)
         if nodes.ndim != 3 or nodes.shape[1] != m or nodes.shape[2] != 4:
-            raise ValueError(f"nodes must have shape (n, {m}, 4), got {nodes.shape}")
+            raise ValueError(f"nodes must have shape (n, {_shown(m)}, 4), got {nodes.shape}")
         n = nodes.shape[0]
         if n < 1:
             raise ValueError("point set must contain at least one node")
@@ -318,12 +315,6 @@ def verify(ps: PointSet, p: int, tol: Optional[float] = None) -> VerificationRep
     )
 
 
-def _shown(value) -> str:
-    """repr(value), cut to _SHOWN_CHARS characters and "..." where it is longer."""
-    text = repr(value)
-    return text if len(text) <= _SHOWN_CHARS else text[:_SHOWN_CHARS] + "..."
-
-
 def _json_int(doc: dict, key: str) -> int:
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, int):
@@ -338,7 +329,7 @@ def _json_float(value, where: str) -> float:
     try:
         return float(value)
     except OverflowError:  # an integer literal beyond the float range
-        raise ValueError(f"{where}: {value} is outside the float range") from None
+        raise ValueError(f"{where}: {_shown(value)} is outside the float range") from None
 
 
 def _json_floats(raw: list, out: np.ndarray) -> bool:
@@ -377,7 +368,7 @@ def parse_point_set(doc: dict) -> tuple[PointSet, int]:
     try:  # verify's table of p/2 degrees: a size numpy refuses is the file's error, not argv's
         np.empty((4, p // 2))
     except (ValueError, MemoryError):
-        raise ValueError(f"'p' is too large for its degree table, got {p}") from None
+        raise ValueError(f"'p' is too large for its degree table, got {_shown(p)}") from None
     raw_nodes = doc["nodes"]
     if not isinstance(raw_nodes, list) or not raw_nodes:
         raise ValueError("'nodes' must be a nonempty list")
@@ -387,7 +378,7 @@ def parse_point_set(doc: dict) -> tuple[PointSet, int]:
     filled = shaped and _json_floats(raw_nodes, nodes[..., : field.delta])
     for i, node in enumerate(() if filled else raw_nodes):  # raises on a bad entry
         if not isinstance(node, list) or len(node) != m:
-            raise ValueError(f"nodes[{i}]: expected {m} coordinates, got {_shown(node)}")
+            raise ValueError(f"nodes[{i}]: expected {_shown(m)} coordinates, got {_shown(node)}")
         for j, c in enumerate(node):
             where = f"nodes[{i}][{j}]"
             if not isinstance(c, (list, tuple)) or len(c) != field.delta:

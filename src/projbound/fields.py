@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 
-from .jacobi import JacobiParams, NumericalError
+from .jacobi import JacobiParams, NumericalError, _shown
 
 
 class Field(enum.Enum):
@@ -35,10 +35,11 @@ class Field(enum.Enum):
 def field_params(field: Field, m: int) -> JacobiParams:
     """Jacobi parameters (alpha, beta) for the projective space over `field` in K^m."""
     if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
+        raise ValueError(f"m must be >= 2, got {_shown(m)}")
     d = field.delta
     try:
         alpha = (d * (m - 1) - 2) / 2.0
     except OverflowError:  # an int m past the float range
-        raise NumericalError(f"alpha past the float range for field={field.name}, m={m}") from None
+        where = f"field={field.name}, m={_shown(m)}"
+        raise NumericalError(f"alpha past the float range for {where}") from None
     return JacobiParams(alpha, (d - 2) / 2.0)

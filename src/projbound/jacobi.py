@@ -33,6 +33,12 @@ class NumericalError(RuntimeError):
     """A numeric routine failed to converge, or its value is past the float range."""
 
 
+def _shown(value) -> str:
+    """value as an error message repeats it, a str quoted: cut to 200 characters and "..."."""
+    text = repr(value) if isinstance(value, str) else str(value)
+    return text if len(text) <= 200 else text[:200] + "..."
+
+
 @dataclass(frozen=True)
 class JacobiParams:
     """Weight exponents alpha, beta; both must exceed -1 for integrability."""
@@ -67,12 +73,12 @@ def _coefficients(params: JacobiParams, k: int) -> np.ndarray:
     and product left to right, so each entry is the double a per-row loop gives.
     """
     if k < 0:
-        raise ValueError(f"degree must be >= 0, got {k}")
+        raise ValueError(f"degree must be >= 0, got {_shown(k)}")
     a, b = params.alpha, params.beta
     try:
         coeffs = np.empty((4, k))
     except (ValueError, MemoryError):  # numpy refuses k, or cannot find 32 k bytes
-        raise ValueError(f"degree {k} is too large for its recurrence table") from None
+        raise ValueError(f"degree {_shown(k)} is too large for its recurrence table") from None
     if k >= 1:
         coeffs[:, 0] = (2.0, a - b, a + b + 2.0, 0.0)
     if k >= 2:
@@ -124,7 +130,7 @@ def jacobi_eval_all(params: JacobiParams, k_max: int, t) -> np.ndarray:
 def jacobi_deriv(params: JacobiParams, k: int, t):
     """d/dt P_k(t), via the degree-shift identity to the (alpha+1, beta+1) family."""
     if k < 0:
-        raise ValueError(f"degree must be >= 0, got {k}")
+        raise ValueError(f"degree must be >= 0, got {_shown(k)}")
     if k == 0:
         return 0.0 if np.isscalar(t) else np.zeros_like(np.asarray(t, dtype=float))
     return 0.5 * (k + params.lam) * jacobi_eval(params.raised(), k - 1, t)
@@ -184,7 +190,7 @@ def largest_root(params: JacobiParams, k: int) -> float:
 @lru_cache(maxsize=1 << 14, typed=True)  # about 4 MB when full; a failed solve is not kept
 def _solve_largest_root(alpha: float, beta: float, k: int) -> float:
     if k < 1:
-        raise ValueError(f"degree must be >= 1, got {k}")
+        raise ValueError(f"degree must be >= 1, got {_shown(k)}")
     params = JacobiParams(alpha, beta)
     coeffs = _coefficients(params, k)
     c1, c2, c3, c4 = coeffs

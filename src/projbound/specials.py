@@ -3,8 +3,8 @@
 Only the narrow slices needed by the bound formulas are exposed: the
 hypergeometric value F(-beta, alpha+1; alpha+2; eps) of the closed-form
 bound, on jacobi's Gauss-Jacobi rule reader, and the first positive zero
-j_{nu,1} behind its large-p behavior, for an array of orders at once, each
-solved once while a bounded memo keeps it.
+j_{nu,1} behind its large-p behavior, for an array of orders at once.  The
+module keeps no memo: bounds keeps each solved asymptotic row instead.
 """
 
 from __future__ import annotations
@@ -21,9 +21,6 @@ from .jacobi import _RULE_ORDER, NumericalError, _gauss_jacobi
 # The scan step must stay below the minimal gap between consecutive zeros of
 # J_nu (>= 3.11 over all nu >= 0), so a sign change is never skipped.
 _SCAN_STEP = 1.5
-
-_ZERO_CACHE: dict[float, BesselZero] = {}  # bessel_first_zeros: nu -> its BesselZero
-_ZERO_CACHE_SIZE = 1 << 14  # most orders _ZERO_CACHE holds, about 3 MB
 
 
 def log_gamma(x: float) -> float:
@@ -101,9 +98,7 @@ def bessel_first_zeros(nus) -> list[BesselZero]:
     scipy.special.jv call on the orders still running, and an order drops
     out of the arrays once it is bracketed or converged.  Every operation is
     elementwise, so each zero and residual is the same double that solving
-    its order alone gives.  A memo keyed by the order's float value keeps the
-    zeros of every batch that passed all its checks, so each order is solved
-    once per process; an insert past _ZERO_CACHE_SIZE orders empties it first.
+    its order alone gives.  An order repeated in the sequence is solved once.
     """
     nu = np.asarray(nus, dtype=float)
     if nu.ndim != 1:
@@ -111,15 +106,9 @@ def bessel_first_zeros(nus) -> list[BesselZero]:
     if not np.all(nu >= 0.0):
         raise ValueError(f"bessel_first_zeros requires nu >= 0, got {nu[~(nu >= 0.0)][0]}")
     orders = nu.tolist()
-    found = {n: z for n in orders if (z := _ZERO_CACHE.get(n))}  # one get, atomic against clear()
-    if missing := [n for n in dict.fromkeys(orders) if n not in found]:
-        solved = zip(missing, *_solve_first_zeros(np.array(missing)))
-        found.update((n, BesselZero(n, value, residual)) for n, value, residual in solved)
-        if len(_ZERO_CACHE) + len(missing) > _ZERO_CACHE_SIZE:
-            _ZERO_CACHE.clear()
-        _ZERO_CACHE.update((n, found[n]) for n in missing[:_ZERO_CACHE_SIZE])
-    # 0.0 and -0.0 share one key; a requested zero order keeps its own sign
-    return [found[n] if n else BesselZero(n, found[n].value, found[n].residual) for n in orders]
+    distinct = list(dict.fromkeys(orders))  # 0.0 and -0.0 are one order
+    solved = dict(zip(distinct, zip(*_solve_first_zeros(np.array(distinct)))))
+    return [BesselZero(n, *solved[n]) for n in orders]
 
 
 def _solve_first_zeros(nu: np.ndarray) -> tuple[list[float], list[float]]:

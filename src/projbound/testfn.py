@@ -20,6 +20,7 @@ from .jacobi import (
     _RULE_ORDER,
     JacobiParams,
     NumericalError,
+    _shown,
     incomplete_weight_integral,
     jacobi_eval,
     jacobi_eval_all,
@@ -69,9 +70,9 @@ def build_test_function(field: Field, m: int, l: int, k_max: int = 200) -> Yudin
         k_max: truncation degree of the coefficient tables, >= l+2.
     """
     if l < 1:
-        raise ValueError(f"l must be >= 1, got {l}")
+        raise ValueError(f"l must be >= 1, got {_shown(l)}")
     if k_max < l + 2:
-        raise ValueError(f"k_max must be >= l+2, got {k_max} (l={l})")
+        raise ValueError(f"k_max must be >= l+2, got {_shown(k_max)} (l={_shown(l)})")
     params = field_params(field, m)
     r = l + 1
     lam = params.lam
@@ -81,7 +82,7 @@ def build_test_function(field: Field, m: int, l: int, k_max: int = 200) -> Yudin
     try:
         k = np.arange(k_max + 1, dtype=float)
     except (ValueError, MemoryError):  # numpy refuses k_max, or cannot find 8 k_max bytes
-        raise ValueError(f"k_max must fit in memory as a table, got {k_max}") from None
+        raise ValueError(f"k_max must fit in memory as a table, got {_shown(k_max)}") from None
     try:
         raised_at_xi = jacobi_eval_all(params.raised(), k_max - 1, xi)
         w_raised = params.raised().weight(xi)
@@ -107,9 +108,8 @@ def build_test_function(field: Field, m: int, l: int, k_max: int = 200) -> Yudin
         if not all(np.isfinite(values).all() for values in checked):
             raise OverflowError
     except (OverflowError, NumericalError):  # also a float power, exp or tail rule past the range
-        raise NumericalError(
-            f"test function (field={field.name}, m={m}, l={l}): coefficients past the float range"
-        ) from None
+        where = f"test function (field={field.name}, m={_shown(m)}, l={l})"
+        raise NumericalError(f"{where}: coefficients past the float range") from None
 
     for arr in (coeff_h, coeff_g, coeff_f):
         arr.setflags(write=False)

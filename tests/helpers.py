@@ -30,8 +30,8 @@ uncached_yudin_bound are the bound's expressions before its (field, m) terms
 and its Euler-rule nodes were kept per process: three log_gamma calls per
 bound, the nodes from roots_jacobi, the root from the unmemoised solver; they
 pin every report field to the same double.
-clear_bessel_zero_memo and clear_largest_root_memo empty the package's
-per-process memos of first Bessel zeros and of largest Jacobi roots, so a test
+clear_asym_row_memo and clear_largest_root_memo empty the package's
+per-process memos of asymptotic rows and of largest Jacobi roots, so a test
 that needs a cold solve gets one.  deadline turns a call that does not return
 in time into a failed test instead of a hung suite.
 """
@@ -485,9 +485,9 @@ def bessel_first_zero_scan(nu: float) -> tuple[float, float]:
     raise RuntimeError(f"bessel_first_zero_scan: no convergence for nu={nu}")
 
 
-def clear_bessel_zero_memo() -> None:
-    """Empty the memo of bessel_first_zeros, so its next call solves every order it gets."""
-    specials._ZERO_CACHE.clear()
+def clear_asym_row_memo() -> None:
+    """Empty the memo of asymptotic rows, so the next report solves every (field, m) it gets."""
+    bounds._ASYM_ROWS.clear()
 
 
 def clear_largest_root_memo() -> None:

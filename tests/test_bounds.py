@@ -41,7 +41,7 @@ from projbound.bounds import lp_bound_h_alt
 from helpers import (
     asymptotic_rows_loop,
     bound_json_line,
-    clear_bessel_zero_memo,
+    clear_asym_row_memo,
     lambda_factorial,
     mp_inverse_betainc,
     mp_real_yudin,
@@ -513,7 +513,7 @@ class TestAsymptoticConstants:
                 assert row.lp_liminf_log == want
 
     def test_three_log_gammas_per_row(self, monkeypatch):
-        # log Gamma at nu+1 and d*m/2 per row, at d/2 once per report
+        # log Gamma at nu+1 and d*m/2 per solved row, at d/2 once per batch
         calls = []
         scalar, array = projbound.bounds.log_gamma, projbound.bounds.gammaln
 
@@ -525,11 +525,15 @@ class TestAsymptoticConstants:
             calls.extend(np.ravel(x).tolist())
             return array(x)
 
-        rows = asymptotic_report(Field.H, range(2, 301))  # the zeros are solved
+        rows = asymptotic_rows_loop(Field.H, range(2, 301))
+        clear_asym_row_memo()
         monkeypatch.setattr(projbound.bounds, "log_gamma", counting_scalar)
         monkeypatch.setattr(projbound.bounds, "gammaln", counting_array)
-        assert asymptotic_report(Field.H, range(2, 301)) == rows
+        assert asymptotic_report(Field.H, range(2, 301)) == rows  # cold
         assert len(calls) == 2 * len(rows) + 1
+        calls.clear()
+        assert asymptotic_report(Field.H, range(2, 301)) == rows  # every row from the memo
+        assert calls == []
 
     @pytest.mark.parametrize("field", list(Field), ids=lambda f: f.name)
     @pytest.mark.parametrize(
@@ -558,10 +562,12 @@ class TestAsymptoticConstants:
             for m_list in ([0], [2, 0]):
                 with pytest.raises(ValueError, match="m must be >= 2, got 0"):
                     asymptotic_report(field, m_list)
-            clear_bessel_zero_memo()
+            clear_asym_row_memo()
             with pytest.raises(ValueError, match="m must be >= 2, got 1"):
                 asymptotic_report(field, [1])
-            assert projbound.specials._ZERO_CACHE == {}
+            assert projbound.bounds._ASYM_ROWS == {}
+            with pytest.raises(ValueError, match="m must be >= 2, got 1$"):  # not np.int64(1)
+                asymptotic_report(field, np.arange(1, 4))
 
     def test_one_zero_solve_per_report(self, monkeypatch):
         # the per-order solves made about 13,000 jv calls for this report
@@ -572,12 +578,12 @@ class TestAsymptoticConstants:
             calls.append(nu)
             return original(nu, x)
 
-        clear_bessel_zero_memo()
+        clear_asym_row_memo()
         monkeypatch.setattr(projbound.specials, "_besselj", counting)
         rows = asymptotic_report(Field.H, range(2, 301))
         assert len(rows) == 299
         assert len(calls) <= 80
-        # a second report over the same orders reads every zero from the memo
+        # a second report over the same m reads every row from the memo
         calls.clear()
         assert asymptotic_report(Field.H, range(2, 301)) == rows
         assert calls == []
@@ -593,6 +599,69 @@ class TestAsymptoticConstants:
         rows = asymptotic_report(Field.C, [50, 100, 200])
         logs = [r.log_kappa for r in rows]
         assert logs[0] > logs[1] > logs[2]
+
+
+class TestAsymRowMemo:
+    """_asymptotic_columns solves each (field, m) row once, and its memo never changes a row."""
+
+    @staticmethod
+    def recording(monkeypatch):
+        """The orders of each bessel_first_zeros call the rows make, as a list of lists."""
+        solved = []
+        solve = projbound.bounds.bessel_first_zeros
+
+        def recording(nus):
+            solved.append(list(nus))
+            return solve(nus)
+
+        monkeypatch.setattr(projbound.bounds, "bessel_first_zeros", recording)
+        return solved
+
+    def test_each_field_and_m_is_solved_once(self, monkeypatch):
+        clear_asym_row_memo()
+        solved = self.recording(monkeypatch)
+        for field, m_list in [(Field.H, [2, 3, 4, 3]), (Field.H, range(2, 7)), (Field.C, [3, 2])]:
+            assert asymptotic_report(field, m_list) == asymptotic_rows_loop(field, m_list)
+        # a repeated m is solved once, a warm m not again, and the key holds the field
+        assert solved == [[2.0, 4.0, 6.0], [8.0, 10.0], [2.0, 1.0]]
+        assert kappa(Field.H, 5).log_value == asymptotic_rows_loop(Field.H, [5])[0].log_kappa
+        assert len(solved) == 3
+        assert set(projbound.bounds._ASYM_ROWS) == {
+            *((Field.H, m) for m in range(2, 7)), (Field.C, 2), (Field.C, 3)
+        }
+
+    def test_failed_batch_stores_nothing(self, monkeypatch):
+        clear_asym_row_memo()
+        asymptotic_report(Field.R, [2])
+        # J_nu never turns negative, so no order can be bracketed
+        monkeypatch.setattr(projbound.specials, "_besselj", lambda nu, x: np.ones_like(x))
+        with pytest.raises(NumericalError, match="bracketing failed"):
+            asymptotic_report(Field.R, [2, 3, 40])
+        assert set(projbound.bounds._ASYM_ROWS) == {(Field.R, 2)}
+        monkeypatch.undo()
+        assert asymptotic_report(Field.R, [2, 3, 40]) == asymptotic_rows_loop(Field.R, [2, 3, 40])
+
+    def test_memo_is_bounded(self, monkeypatch):
+        clear_asym_row_memo()
+        monkeypatch.setattr(projbound.bounds, "_ASYM_ROWS_SIZE", 8)
+        m_list = list(range(2, 52))
+        want = asymptotic_rows_loop(Field.C, m_list)
+        assert asymptotic_report(Field.C, m_list) == want
+        assert len(projbound.bounds._ASYM_ROWS) <= 8
+        clear_asym_row_memo()
+        assert [asymptotic_report(Field.C, [m])[0] for m in m_list] == want
+        assert len(projbound.bounds._ASYM_ROWS) <= 8
+        assert asymptotic_report(Field.C, m_list) == want  # partly warm
+
+    @pytest.mark.parametrize("first", [3, 3.0], ids=["int-first", "float-first"])
+    def test_each_m_comes_back_as_requested(self, first):
+        clear_asym_row_memo()
+        asymptotic_report(Field.H, [first])
+        rows = asymptotic_report(Field.H, [3.0, 3, 3.0])
+        assert [type(row.m) for row in rows] == [float, int, float]
+        assert rows == asymptotic_rows_loop(Field.H, [3.0, 3, 3.0])
+        assert asymptotic_report(Field.H, [3])[0].m == 3
+        assert len(projbound.bounds._ASYM_ROWS) == 1
 
 
 class TestOscillationReport:

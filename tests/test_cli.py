@@ -14,13 +14,13 @@ import pytest
 
 from projbound import AsymptoticRow, BoundReport, Field, asymptotic_report, circle_design
 from projbound import field_params
-from projbound import cli, specials
+from projbound import bounds, cli
 from projbound.cli import build_parser, main
 from projbound.jacobi import NumericalError
 
 from helpers import (
     asymptotic_rows_loop,
-    clear_bessel_zero_memo,
+    clear_asym_row_memo,
     clear_largest_root_memo,
     deadline,
 )
@@ -338,7 +338,7 @@ class TestVerifyCommand:
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "verify", str(path))  # no SystemExit
         assert (code, out) == (2, "")
-        assert err == f"error: 'p' is too large for its degree table, got {10**400}\n"
+        assert err == f"error: 'p' is too large for its degree table, got {'1' + '0' * 199}...\n"
 
     def test_coincident_pair_reported_once(self, tmp_path):
         path = tmp_path / "dup.json"
@@ -400,7 +400,8 @@ def corpus_docs():
     docs = [(f"no-{key}", {k: v for k, v in base.items() if k != key})
             for key in ("field", "m", "p", "nodes")]  # without weights a file is valid
     values = {"str": "x", "bool": True, "null": None, "list": [1], "object": {"a": 1},
-              "-3": -3, "0": 0, "2.5": 2.5, "1e400": 10**400}
+              "-3": -3, "0": 0, "2.5": 2.5, "1e400": 10**400,
+              "1e4000": 10**4000, "1e4000+1": 10**4000 + 1}
     docs += [(f"{key}-{name}", changed(**{key: value}))
              for key in base for name, value in values.items()
              if (key, value) != ("weights", None)]  # null weights are the default weights
@@ -421,6 +422,9 @@ def corpus_docs():
         ("field-1e6-chars", changed(field="x" * 10**6)),
         ("m-1e6-chars", changed(m="x" * 10**6)),
     ]
+    for name, value in [("1e4000", 10**4000), ("1e4000+1", 10**4000 + 1)]:
+        docs += [(f"weight-{name}", changed(weights=[value, *base["weights"][1:]])),
+                 (f"coordinate-{name}", changed(nodes=[[[value], nodes[0][1]], *nodes[1:]]))]
     texts = [(label, json.dumps(doc)) for label, doc in docs]
     # nesting past the decoder's recursion limit; json.dumps cannot write it
     for depth in (1000, 10**5):
@@ -449,8 +453,8 @@ class TestBadPointSetFiles:
         code, out, err = outcome(capsys, main, ["verify", str(path)])  # a traceback would raise
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1, err[:500]  # no usage line
-        # the longest is a 401-digit p or m echoed in full; a longer entry is cut
-        assert len(err.replace(str(path), "")) <= 500, err[:500]
+        # an echoed entry is cut to 200 characters and "..."
+        assert len(err.replace(str(path), "")) <= 300, err[:500]
 
     def test_a_long_entry_is_cut_to_an_ellipsis(self, capsys, tmp_path):
         path = tmp_path / "long.json"
@@ -497,7 +501,7 @@ class TestHugeArguments:
                  "testfn": ["--l", "2"]}[command]
         code, out, err = outcome(capsys, main, argv)
         assert (code, out) == (2, "")
-        assert err == f"error: alpha past the float range for field=H, m={m}\n"
+        assert err == f"error: alpha past the float range for field=H, m={str(m)[:200]}...\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -541,9 +545,9 @@ def as_argv(command: str, request: dict) -> list:
 def argv_corpus():
     """(id, argv) of bad requests, generated from the option tables `cli._parser()` builds.
 
-    Each required option or positional dropped; each int option given x, 1.5, -3, 0, 1, 2**70
-    and 10**400, and 3 where it must be even; each float option nan, inf, -1, 0 and 1e400;
-    each option with choices a value outside them.
+    Each required option or positional dropped; each int option given x, 1.5, -3, 0, 1, 2**70,
+    10**400, 10**4000 and 10**4000+1, and 3 where it must be even; each float option nan, inf,
+    -1, 0 and 1e400; each option with choices a value outside them.
     """
     corpus = []
     for command, (options, _, required, _) in cli._parser()[1].items():
@@ -554,14 +558,16 @@ def argv_corpus():
             corpus.append((f"{command}-without-{key.lstrip('-')}", as_argv(command, dropped)))
         for option, action in options.items():
             if action.type is int:
-                values = ["x", "1.5", "-3", "0", "1", str(2**70), str(10**400)]
-                values += ["3"] if option in EVEN_OPTIONS else []
+                values = {v[:6]: v for v in ["x", "1.5", "-3", "0", "1", str(2**70), str(10**400)]}
+                values |= {"1e4000": str(10**4000), "1e4000+1": str(10**4000 + 1)}
+                values |= {"3": "3"} if option in EVEN_OPTIONS else {}
             elif action.type is float:
-                values = ["nan", "inf", "-1", "0", "1e400"]
+                values = {v: v for v in ["nan", "inf", "-1", "0", "1e400"]}
             else:
-                values = [] if action.choices is None else ["Q"]
-            corpus += [(f"{command}{option}={value[:6]}", as_argv(command, base | {option: value}))
-                       for value in values if (command, option, value) not in VALID_CHANGES]
+                values = {} if action.choices is None else {"Q": "Q"}
+            corpus += [(f"{command}{option}={name}", as_argv(command, base | {option: value}))
+                       for name, value in values.items()
+                       if (command, option, value) not in VALID_CHANGES]
     return corpus
 
 
@@ -595,6 +601,7 @@ class TestBadArgv:
             code, out, err = outcome(capsys, main, argv)  # a traceback would raise
         assert (code, out) == (2, "")
         *usage, error = err.splitlines(keepends=True)
+        assert len(error) <= 300, error[:500]  # an echoed value is cut to 200 characters
         if usage:  # argparse's: the usage of the parser that failed, then prog: error: ...
             prog, _, message = error.partition(": error: ")
             assert "".join(usage) == usages[prog] and message.count("\n") == 1, err
@@ -647,26 +654,26 @@ class TestAsymCommand:
         assert len(out.splitlines()) == 2 + 299
 
 
-class TestAsymZeroMemo:
-    """asym's bytes are the same whether the Bessel zero memo is empty, partly or fully warm."""
+class TestAsymRowMemo:
+    """asym's bytes are the same whether the row memo is empty, partly or fully warm."""
 
     @pytest.mark.parametrize("field", ["R", "C", "H"])
     def test_cold_and_warm_bytes_match_the_per_row_loop(self, capsys, field):
-        clear_bessel_zero_memo()
+        clear_asym_row_memo()
         for m_max in (300, 2, 150, 301, 3, 300):
             code, out, _ = run(capsys, "asym", "--field", field, "--m-max", str(m_max))
             assert code == 0
             assert out.encode() == asym_expected(field, m_max)
 
     def test_out_file_cold_and_warm(self, capsys, tmp_path):
-        clear_bessel_zero_memo()
+        clear_asym_row_memo()
         for name in ("cold.csv", "warm.csv"):
             argv = ("asym", "--field", "C", "--m-max", "120", "--out", str(tmp_path / name))
             assert run(capsys, *argv)[:2] == (0, "")
             assert (tmp_path / name).read_bytes() == asym_expected("C", 120)
 
     def test_concurrent_requests(self, tmp_path):
-        clear_bessel_zero_memo()
+        clear_asym_row_memo()
         m_maxes = (300, 40, 300, 40)
         paths = [tmp_path / f"asym_{i}.csv" for i in range(len(m_maxes))]
         codes = [None] * len(m_maxes)
@@ -687,7 +694,7 @@ class TestAsymZeroMemo:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert codes == [0] * len(m_maxes)
-        assert {2.0 * (m - 1) for m in range(2, 301)} <= specials._ZERO_CACHE.keys()
+        assert {(Field.H, m) for m in range(2, 301)} <= bounds._ASYM_ROWS.keys()
         for path, m_max in zip(paths, m_maxes):
             assert path.read_bytes() == asym_expected("H", m_max)
 

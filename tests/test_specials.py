@@ -18,7 +18,6 @@ from projbound import (
 
 from helpers import (
     bessel_first_zero_scan,
-    clear_bessel_zero_memo,
     hypergeom_series,
     mp_bessel_first_zero,
     mp_besselj,
@@ -204,17 +203,12 @@ class TestBesselFirstZero:
         field_orders = [d * (m - 1) / 2.0 for d in (1, 2, 4) for m in range(2, 301)]
         fractional = np.random.default_rng(31).uniform(0.0, 600.0, 200).tolist()
         orders = field_orders + fractional + [0.0]
-        clear_bessel_zero_memo()
         zeros = bessel_first_zeros(orders)
         assert [z.nu for z in zeros] == orders
-        warm = bessel_first_zeros(orders)
-        for nu, z, w in zip(orders, zeros, warm):
+        for nu, z in zip(orders, zeros):
             want = bessel_first_zero_scan(nu)
             assert (z.value, z.residual) == want, nu
-            assert w == z, nu
-            # solved alone, not read from the memo the array call filled
-            clear_bessel_zero_memo()
-            one = bessel_first_zero(nu)
+            one = bessel_first_zero(nu)  # solved alone
             assert (one.value, one.residual) == want, nu
 
     def test_domain(self):
@@ -235,52 +229,17 @@ class TestBesselFirstZero:
             assert math.sqrt(nu * (nu + 2.0)) < j < math.sqrt(2.0 * (nu + 1.0) * (nu + 3.0))
 
 
-class TestBesselZeroMemo:
-    """bessel_first_zeros solves each order once, and its memo never changes a result."""
-
-    def test_failed_batch_stores_nothing(self, monkeypatch):
-        clear_bessel_zero_memo()
-        # J_nu never turns negative, so no order can be bracketed
-        monkeypatch.setattr(projbound.specials, "_besselj", lambda nu, x: np.ones_like(x))
-        with pytest.raises(NumericalError, match="bracketing failed"):
-            bessel_first_zeros([1.0, 7.5])
-        assert projbound.specials._ZERO_CACHE == {}
-        monkeypatch.undo()
-        z = bessel_first_zeros([1.0, 7.5])
-        assert [(r.value, r.residual) for r in z] == [
-            bessel_first_zero_scan(1.0),
-            bessel_first_zero_scan(7.5),
-        ]
-
-    def test_cached_orders_are_still_checked(self):
-        bessel_first_zero(1.0)
-        assert 1.0 in projbound.specials._ZERO_CACHE
-        with pytest.raises(ValueError, match="bessel_first_zeros requires nu >= 0, got nan"):
-            bessel_first_zeros([1.0, math.nan])
+class TestRepeatedOrders:
+    """bessel_first_zeros solves each distinct order of one call once, and returns every order."""
 
     def test_signed_zero_order_comes_back_as_requested(self):
-        clear_bessel_zero_memo()
         zeros = bessel_first_zeros([-0.0, 0.0]) + bessel_first_zeros([0.0, -0.0])
         signs = [math.copysign(1.0, z.nu) for z in zeros]
         assert signs == [-1.0, 1.0, 1.0, -1.0]
         want = bessel_first_zero_scan(0.0)
         assert all((z.value, z.residual) == want for z in zeros)
 
-    def test_memo_is_bounded(self, monkeypatch):
-        clear_bessel_zero_memo()
-        monkeypatch.setattr(projbound.specials, "_ZERO_CACHE_SIZE", 8)
-        orders = [0.5 * k for k in range(50)]
-        one_call = bessel_first_zeros(orders)
-        assert len(projbound.specials._ZERO_CACHE) <= 8
-        clear_bessel_zero_memo()
-        one_by_one = [bessel_first_zero(nu) for nu in orders]
-        assert len(projbound.specials._ZERO_CACHE) <= 8
-        assert one_call == one_by_one
-        for nu, z in zip(orders, one_call):
-            assert (z.value, z.residual) == bessel_first_zero_scan(nu), nu
-
     def test_repeated_orders_are_solved_once(self, monkeypatch):
-        clear_bessel_zero_memo()
         solved = []
         solve = projbound.specials._solve_first_zeros
 
@@ -292,5 +251,6 @@ class TestBesselZeroMemo:
         zeros = bessel_first_zeros([3.0, 40.5, 3.0, 3.0, 40.5])
         assert solved == [[3.0, 40.5]]
         assert zeros[0] == zeros[2] == zeros[3] and zeros[1] == zeros[4]
-        bessel_first_zeros([40.5, 3.0, 9.0])
-        assert solved == [[3.0, 40.5], [9.0]]
+        # no memo: a later call solves its orders again
+        bessel_first_zeros([40.5, 3.0, 9.0, 40.5])
+        assert solved == [[3.0, 40.5], [40.5, 3.0, 9.0]]
