@@ -1,6 +1,6 @@
 """In-process timings of two source trees of projbound, written as one JSON record.
 
-    python benchmarks/bench_layers.py --parent OLD/src --change src --out BENCH_31.json
+    python benchmarks/bench_layers.py --parent OLD/src --change src --out BENCH_32.json
 
 The two trees are timed in rounds that alternate between them (parent then
 change, then change then parent, and so on), so a drift of the host's speed
@@ -27,6 +27,9 @@ spread of a tree's own rounds shows next to the difference between trees:
 * ``table --field H --p-min 2 --p-max 1200`` and ``asym --field H --m-max 300``
   through ``cli.main``, and ``asym`` again with its rows (or zeros) already
   solved;
+* one-m ``kappa(H, 150)``, per call over 200 calls, its row (or zero) solved
+  for each call: one Bessel zero and one row, as ``kappa``, ``lambda_asym``
+  and ``root_asymptotic_ratio`` ask;
 * bound-sweep's slowest kinds of request, ``bound --field C --m 3 --p 1868
   --format json`` and ``table --field H --m 3 --p-min 1728 --p-max 1732
   --format json``, through ``cli.main`` with their roots already solved, per
@@ -62,8 +65,8 @@ slows both alike.
 The package keeps each solved ``asym`` row and each solved largest Jacobi
 root in a per-process memo (``bounds._ASYM_ROWS`` and the ``lru_cache`` of
 ``jacobi._solve_largest_root``); older trees kept each Bessel zero instead
-(``specials._ZERO_CACHE``).  Every ``bessel_first_zero`` and ``asym`` entry
-but the ones named as warm empties whichever of the row and zero memos the
+(``specials._ZERO_CACHE``).  Every ``bessel_first_zero``, ``kappa`` and ``asym``
+entry but the ones named as warm empties whichever of the row and zero memos the
 tree has before each timed call, and every ``largest_root`` entry and the
 cold ``table`` entry empties the root memo (the (2, 2) root cases fill keys
 the H, m=2 table reads), so each times the solver, not a lookup; a tree
@@ -117,6 +120,8 @@ TESTFN_NUMBER = 20
 WARM_VERIFY_CASES = [("C", 4, 14, 2), ("R", 3, 71, 2)]
 WARM_VERIFY_NUMBER = 200
 ASYM_ROWS_NUMBER = 20
+KAPPA_M = 150
+KAPPA_NUMBER = 200
 OSCILLATION_P_MAX = 200
 BESSEL_ORDERS = [0.5, 10.0, 147.0, 598.0]
 BESSEL_NUMBER = 200
@@ -237,6 +242,14 @@ def measure() -> dict:
     run_asym_cold()  # warm-up, not timed
     _time(out, "cli " + " ".join(ASYM_ARGV), run_asym_cold, REPS)
     _time(out, "cli " + " ".join(ASYM_ARGV) + " warm", lambda: run_cli(ASYM_ARGV), REPS)
+
+    def kappas():
+        for _ in range(KAPPA_NUMBER):
+            clear_asym_memos()
+            bounds.kappa(bounds.Field.H, KAPPA_M)
+
+    kappas()  # warm-up, not timed
+    _time(out, f"kappa(H,m={KAPPA_M})", kappas, REPS, KAPPA_NUMBER)
 
     def testfns():
         for _ in range(TESTFN_NUMBER):
@@ -394,6 +407,7 @@ def main() -> int:
                 "moment_test": f"{MOMENT_REPS} x 1 call (n >= 2000), 20 or 200 calls",
                 "bessel_first_zero": f"{REPS} x {BESSEL_NUMBER} calls",
                 "table": 1, "asym": REPS, "asym warm": REPS,
+                "kappa": f"{REPS} x {KAPPA_NUMBER} calls",
                 "testfn": f"{REPS} x {TESTFN_NUMBER} calls",
                 "verify warm": f"{REPS} x {WARM_VERIFY_NUMBER} calls",
                 **{f"{argv[0]} warm ({' '.join(argv[1:7])})": f"{REPS} x {number} calls"

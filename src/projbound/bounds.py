@@ -12,8 +12,8 @@ l_2^m into l_p^n over the same field):
 
 The module also provides the large-p and large-m comparisons: the quotient
 kappa of the two asymptotic constants, its exponential decay, and the
-difference tables delta_C / delta_H with their oscillation report.  Each
-solved large-m row is kept per (field, m) in one bounded per-process memo.
+difference tables delta_C / delta_H with their oscillation report.  Every
+Bessel zero comes from a large-m row, kept per (field, m) in a bounded memo.
 """
 
 from __future__ import annotations
@@ -21,14 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Optional
-
-import numpy as np
-from scipy.special import gammaln
+from typing import Iterator, Optional
 
 from .fields import Field, field_params
 from .jacobi import JacobiParams, NumericalError, _shown, largest_root
-from .specials import bessel_first_zero, bessel_first_zeros, hypergeom_F, log_gamma
+from .specials import bessel_first_zeros, hypergeom_F, log_gamma
 
 #: relative slack within which the real closed form must match the integral ratio
 _CONSISTENCY_RTOL = 1e-9
@@ -277,45 +274,32 @@ def _asymptotic_columns(field: Field, m_list) -> list:
             raise ValueError(f"m must be >= 2, got {_shown(m)}")
     rows = {m: row for m in m_list if (row := _ASYM_ROWS.get((field, m)))}  # atomic against clear
     if missing := [m for m in dict.fromkeys(m_list) if m not in rows]:
-        rows.update(zip(missing, zip(*_solve_rows(field, missing))))
+        rows.update(zip(missing, _solve_rows(field, missing)))
         if len(_ASYM_ROWS) + len(missing) > _ASYM_ROWS_SIZE:
             _ASYM_ROWS.clear()
         _ASYM_ROWS.update(((field, m), rows[m]) for m in missing[:_ASYM_ROWS_SIZE])
     return [m_list, *(zip(*map(rows.__getitem__, m_list)) if m_list else [()] * 10)]
 
 
-def _solve_rows(field: Field, m_list: list) -> list[list]:
-    """The columns of AsymptoticRow's fields after m, for each m of m_list (each m >= 2).
+def _solve_rows(field: Field, m_list: list) -> Iterator[tuple]:
+    """AsymptoticRow's fields after m, one tuple per m of m_list (each m >= 2), in order.
 
-    The Bessel zeros j_{nu,1} of all rows come from one bessel_first_zeros call.
-    Each column is one float64 pass over the m list, with the operands of every
-    + - * in the per-row formula's order; log and exp stay scalar libm calls, so
-    each cell is the double the per-row formula gives.
+    The Bessel zeros j_{nu,1} of all rows come from one bessel_first_zeros call;
+    log Gamma(d/2) is taken once, and each row is the per-row formula in scalars.
     """
     d = field.delta
-    nus = [d * (m - 1) / 2.0 for m in m_list]
-    zeros = bessel_first_zeros(nus)
-    j1 = [z.value for z in zeros]
-    nu, m_float = np.array(nus), np.array(m_list, dtype=float)
-    dm1 = 2.0 * nu  # d*(m-1) as a float, exactly
-    log_j1 = np.array(list(map(math.log, j1)))
-    lg_nu, lg_d, lg_dm = gammaln(nu + 1.0), log_gamma(d / 2.0), gammaln(d * m_float / 2.0)
-    log_kap = 2.0 * nu * log_j1 - 2.0 * lg_nu - nu * math.log(16.0)
-    log_pidm = np.array(list(map(math.log, (math.pi * d * m_float).tolist())))
-    log_approx = -log_pidm + dm1 * (1.0 - math.log(4.0))
-    columns = (  # AsymptoticRow's fields from log_kappa on
-        log_kap,
-        log_approx,
-        log_kap - log_approx,
-        # 1/lambda and Gamma(a+2) Gamma(b+1) / Gamma(a+b+2) / j^{d(m-1)}, whose
+    lg_d = log_gamma(d / 2.0)
+    for m, zero in zip(m_list, bessel_first_zeros([d * (m - 1) / 2.0 for m in m_list])):
+        nu, j1 = zero.nu, zero.value
+        dm1 = 2.0 * nu  # d*(m-1) as a float, exactly
+        lg_nu, lg_dm, log_j1 = log_gamma(nu + 1.0), log_gamma(d * m / 2.0), math.log(j1)
+        log_kap = 2.0 * nu * log_j1 - 2.0 * lg_nu - nu * math.log(16.0)
+        log_approx = -math.log(math.pi * d * m) + dm1 * (1.0 - math.log(4.0))
+        # then 1/lambda and Gamma(a+2) Gamma(b+1) / Gamma(a+b+2) / j^{d(m-1)}, whose
         # a+2, b+1, a+b+2 are exactly nu+1, d/2, d*m/2
-        -(lg_dm + lg_nu - lg_d + 2.0 * dm1 * math.log(2.0)),
-        lg_nu + lg_d - lg_dm - dm1 * log_j1,
-        dm1 * math.log(2.0) + log_kap,
-    )
-    log_kappa, *rest = (c.tolist() for c in columns)
-    residuals = [z.residual for z in zeros]
-    return [nus, j1, residuals, list(map(_exp_safe, log_kappa)), log_kappa, *rest]
+        yield (nu, j1, zero.residual, _exp_safe(log_kap), log_kap, log_approx,
+               log_kap - log_approx, -(lg_dm + lg_nu - lg_d + 2.0 * dm1 * math.log(2.0)),
+               lg_nu + lg_d - lg_dm - dm1 * log_j1, dm1 * math.log(2.0) + log_kap)
 
 
 def asymptotic_report(field: Field, m_list) -> list[AsymptoticRow]:
@@ -403,6 +387,5 @@ def root_asymptotic_ratio(field: Field, m: int, p: int) -> float:
     effective degree p/2 + (alpha+beta+3)/2), so it approaches 1 from below.
     """
     report = yudin_bound(field, m, p)
-    nu = field_params(field, m).alpha + 1.0
-    j1 = bessel_first_zero(nu).value
+    j1 = asymptotic_report(field, [m])[0].bessel_zero  # nu = d(m-1)/2 = alpha + 1
     return report.epsilon * p * p / (j1 * j1)

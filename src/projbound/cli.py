@@ -178,6 +178,20 @@ def cmd_testfn(args) -> int:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but a bad value past 200 characters is echoed as _shown cuts it."""
+
+    def _get_values(self, action, arg_strings):
+        try:
+            return super()._get_values(action, arg_strings)
+        except argparse.ArgumentError as exc:
+            for token in arg_strings:
+                if _shown(token) != repr(token):  # the message ends there: usage lists any choices
+                    message = exc.message.replace(repr(token), _shown(token))
+                    exc.message = message.partition(" (choose from ")[0]
+            raise
+
+
 def _build_parsers() -> tuple[argparse.ArgumentParser, dict]:
     """The top-level parser and, by command name, each command's option table.
 
@@ -185,7 +199,7 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict]:
     action, the positionals in order, the required actions, the defaults
     (with the command's name and function, as the top-level parser sets them).
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="projbound",
         description=(
             "Lower bounds for projective cubature formulas / isometric embeddings, "

@@ -408,6 +408,8 @@ def load_point_set(path) -> tuple[PointSet, int]:
             ) from None
         except RecursionError:  # lists or objects nested deeper than the decoder recurses
             raise ValueError(f"{path}: invalid JSON: nested too deeply to decode") from None
+        except ValueError as exc:  # an integer past int's 4300-digit limit, or bytes not UTF-8
+            raise ValueError(f"{path}: invalid JSON: {exc}") from None
     return parse_point_set(doc)
 
 

@@ -192,7 +192,10 @@ def _solve_largest_root(alpha: float, beta: float, k: int) -> float:
     if k < 1:
         raise ValueError(f"degree must be >= 1, got {_shown(k)}")
     params = JacobiParams(alpha, beta)
-    coeffs = _coefficients(params, k)
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge alpha raises below instead
+        coeffs = _coefficients(params, k)
+    if not np.isfinite(coeffs).all():
+        raise NumericalError(f"Jacobi coefficients past the float range at {alpha=}, {beta=}, {k=}")
     c1, c2, c3, c4 = coeffs
     # 0.0 - c2, not -c2: a zero diagonal (alpha = beta) stays +0.0, and so does xi at k = 1
     diag = (0.0 - c2) / c3

@@ -4,7 +4,7 @@ Only the narrow slices needed by the bound formulas are exposed: the
 hypergeometric value F(-beta, alpha+1; alpha+2; eps) of the closed-form
 bound, on jacobi's Gauss-Jacobi rule reader, and the first positive zero
 j_{nu,1} behind its large-p behavior, for an array of orders at once.  The
-module keeps no memo: bounds keeps each solved asymptotic row instead.
+module is a pure solver: bounds keeps each solved asymptotic row instead.
 """
 
 from __future__ import annotations
@@ -98,17 +98,14 @@ def bessel_first_zeros(nus) -> list[BesselZero]:
     scipy.special.jv call on the orders still running, and an order drops
     out of the arrays once it is bracketed or converged.  Every operation is
     elementwise, so each zero and residual is the same double that solving
-    its order alone gives.  An order repeated in the sequence is solved once.
+    its order alone gives.
     """
     nu = np.asarray(nus, dtype=float)
     if nu.ndim != 1:
         raise ValueError(f"bessel_first_zeros takes a 1-D sequence of orders, got shape {nu.shape}")
     if not np.all(nu >= 0.0):
         raise ValueError(f"bessel_first_zeros requires nu >= 0, got {nu[~(nu >= 0.0)][0]}")
-    orders = nu.tolist()
-    distinct = list(dict.fromkeys(orders))  # 0.0 and -0.0 are one order
-    solved = dict(zip(distinct, zip(*_solve_first_zeros(np.array(distinct)))))
-    return [BesselZero(n, *solved[n]) for n in orders]
+    return list(map(BesselZero, nu.tolist(), *_solve_first_zeros(nu)))
 
 
 def _solve_first_zeros(nu: np.ndarray) -> tuple[list[float], list[float]]:

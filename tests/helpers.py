@@ -23,9 +23,9 @@ and one scalar jv call at a time and checks the array-valued solver's path;
 loop_coefficients and largest_root_eigh are the per-row Jacobi coefficient
 loop and the eigh_tridiagonal root that the package's array-built table and
 direct LAPACK call replaced, and pin both to the same doubles;
-asymptotic_rows_loop is the per-row scalar loop that the package's column
-passes over the asymptotic rows replaced, and pins every row field to the
-same double; uncached_hypergeom_F, uncached_real_integral_ratio and
+asymptotic_rows_loop is the per-row scalar formula of the asymptotic rows,
+written out apart from the package's batch and memo, and pins every row
+field to the same double; uncached_hypergeom_F, uncached_real_integral_ratio and
 uncached_yudin_bound are the bound's expressions before its (field, m) terms
 and its Euler-rule nodes were kept per process: three log_gamma calls per
 bound, the nodes from roots_jacobi, the root from the unmemoised solver; they
@@ -539,7 +539,7 @@ def asymptotic_rows_loop(field, m_list) -> list:
 
     The zeros come from the package's bessel_first_zeros; each row's log
     Gamma values, logs, sums and products are scalar Python floats, in the
-    order of the formula the package's column passes must reproduce.
+    formula's order, which every row the package solves must reproduce.
     """
     def exp_safe(x):
         try:

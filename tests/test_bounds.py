@@ -515,20 +515,15 @@ class TestAsymptoticConstants:
     def test_three_log_gammas_per_row(self, monkeypatch):
         # log Gamma at nu+1 and d*m/2 per solved row, at d/2 once per batch
         calls = []
-        scalar, array = projbound.bounds.log_gamma, projbound.bounds.gammaln
+        scalar = projbound.bounds.log_gamma
 
-        def counting_scalar(x):
+        def counting(x):
             calls.append(x)
             return scalar(x)
 
-        def counting_array(x):
-            calls.extend(np.ravel(x).tolist())
-            return array(x)
-
         rows = asymptotic_rows_loop(Field.H, range(2, 301))
         clear_asym_row_memo()
-        monkeypatch.setattr(projbound.bounds, "log_gamma", counting_scalar)
-        monkeypatch.setattr(projbound.bounds, "gammaln", counting_array)
+        monkeypatch.setattr(projbound.bounds, "log_gamma", counting)
         assert asymptotic_report(Field.H, range(2, 301)) == rows  # cold
         assert len(calls) == 2 * len(rows) + 1
         calls.clear()
@@ -737,3 +732,18 @@ class TestRootAsymptotics:
         errs = [abs(root_asymptotic_ratio(field, m, p) - 1.0) for p in (200, 400, 800, 1600)]
         assert all(a > b for a, b in zip(errs, errs[1:]))
         assert errs[-1] < 1.5e-2
+
+    @pytest.mark.parametrize("field", list(Field), ids=lambda f: f.name)
+    @pytest.mark.parametrize("m", [2, 3, 10, 100])
+    def test_ratio_takes_the_zero_of_alpha_plus_one(self, monkeypatch, field, m):
+        # the row's nu = d(m-1)/2 is alpha + 1: the ratio equals the one-order route's bits
+        from projbound import bessel_first_zero
+
+        for p in (4, 100, 400):
+            j1 = bessel_first_zero(field_params(field, m).alpha + 1.0).value
+            want = yudin_bound(field, m, p).epsilon * p * p / (j1 * j1)
+            assert root_asymptotic_ratio(field, m, p).hex() == want.hex()
+        solved = []
+        monkeypatch.setattr(projbound.bounds, "bessel_first_zeros", solved.append)
+        root_asymptotic_ratio(field, m, 400)  # warm: the zero comes from the row memo
+        assert solved == []

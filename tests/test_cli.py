@@ -426,6 +426,12 @@ def corpus_docs():
         docs += [(f"weight-{name}", changed(weights=[value, *base["weights"][1:]])),
                  (f"coordinate-{name}", changed(nodes=[[[value], nodes[0][1]], *nodes[1:]]))]
     texts = [(label, json.dumps(doc)) for label, doc in docs]
+    # an integer of 5001 digits, past int's 4300-digit limit; json.dumps cannot write it
+    digits = "1" + "0" * 5000
+    for label, doc in [("p", changed(p="DIGITS")), ("m", changed(m="DIGITS")),
+                       ("weight", changed(weights=["DIGITS", *base["weights"][1:]])),
+                       ("coordinate", changed(nodes=[[["DIGITS"], nodes[0][1]], *nodes[1:]]))]:
+        texts.append((f"{label}-5001-digits", json.dumps(doc).replace('"DIGITS"', digits)))
     # nesting past the decoder's recursion limit; json.dumps cannot write it
     for depth in (1000, 10**5):
         deep = "[" * depth + "1.0" + "]" * depth
@@ -462,6 +468,24 @@ class TestBadPointSetFiles:
         code, out, err = outcome(capsys, main, ["verify", str(path)])
         assert (code, out) == (2, "")
         assert err == f"error: weights[0]: expected a JSON number, got '{'x' * 199}...\n"
+
+    @pytest.mark.parametrize("text", [text for name, text in CORPUS if "5001-digits" in name],
+                             ids=[name for name in dict(CORPUS) if "5001-digits" in name])
+    def test_an_integer_past_the_digit_limit_is_invalid_json(self, capsys, tmp_path, text):
+        path = tmp_path / "digits.json"
+        path.write_text(text)
+        code, out, err = outcome(capsys, main, ["verify", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: invalid JSON: Exceeds the limit (4300 digits)"), err
+
+    def test_bytes_not_utf8_are_invalid_json(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        text = json.dumps(corpus_base() | {"field": "\xd8"}, ensure_ascii=False)
+        path.write_bytes(text.encode("latin-1"))  # the byte 0xd8 alone is not UTF-8
+        code, out, err = outcome(capsys, main, ["verify", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: invalid JSON: 'utf-8' codec can't decode"), err
+        assert err.count("\n") == 1
 
     def test_nesting_past_the_decoder_is_invalid_json(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
@@ -521,6 +545,23 @@ class TestHugeArguments:
             f"error: Newton step not finite at alpha={raised.alpha}, beta={raised.beta}, k=2\n"
         )
 
+    @pytest.mark.parametrize("exponent", [160, 300])
+    @pytest.mark.parametrize("field", ["R", "C", "H"])
+    def test_coefficients_past_the_float_range_are_one_error_line(self, capsys, field, exponent):
+        # alpha fits a float, but the recurrence's products of three such sums do not
+        m = 10**exponent
+        raised = field_params(Field.parse(field), m).raised()
+        want = (f"Jacobi coefficients past the float range at alpha={raised.alpha}, "
+                f"beta={raised.beta}, k=2")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            code, out, err = outcome(capsys, main, ["bound", "--field", field, "--m", str(m),
+                                                    "--p", "4"])
+            assert (code, out, err) == (2, "", f"error: {want}\n")
+            with pytest.raises(NumericalError) as exc:
+                bounds.yudin_bound(Field.parse(field), m, 4)
+        assert str(exc.value) == want
+
 
 #: a valid request of each command, by option string or positional name; the bad argv change it
 ARGV_BASE = {
@@ -546,8 +587,9 @@ def argv_corpus():
     """(id, argv) of bad requests, generated from the option tables `cli._parser()` builds.
 
     Each required option or positional dropped; each int option given x, 1.5, -3, 0, 1, 2**70,
-    10**400, 10**4000 and 10**4000+1, and 3 where it must be even; each float option nan, inf,
-    -1, 0 and 1e400; each option with choices a value outside them.
+    10**300, 10**400, 10**4000, 10**4000+1 and 5000 ones, and 3 where it must be even; each
+    float option nan, inf, -1, 0, 1e400 and 5000 x's; each option with choices a value outside
+    them, and 5000 x's.
     """
     corpus = []
     for command, (options, _, required, _) in cli._parser()[1].items():
@@ -559,12 +601,14 @@ def argv_corpus():
         for option, action in options.items():
             if action.type is int:
                 values = {v[:6]: v for v in ["x", "1.5", "-3", "0", "1", str(2**70), str(10**400)]}
-                values |= {"1e4000": str(10**4000), "1e4000+1": str(10**4000 + 1)}
+                values |= {"1e300": str(10**300), "1e4000": str(10**4000),
+                           "1e4000+1": str(10**4000 + 1), "5000-chars": "1" * 5000}
                 values |= {"3": "3"} if option in EVEN_OPTIONS else {}
             elif action.type is float:
                 values = {v: v for v in ["nan", "inf", "-1", "0", "1e400"]}
+                values |= {"5000-chars": "x" * 5000}
             else:
-                values = {} if action.choices is None else {"Q": "Q"}
+                values = {} if action.choices is None else {"Q": "Q", "5000-chars": "x" * 5000}
             corpus += [(f"{command}{option}={name}", as_argv(command, base | {option: value}))
                        for name, value in values.items()
                        if (command, option, value) not in VALID_CHANGES]
@@ -607,6 +651,25 @@ class TestBadArgv:
             assert "".join(usage) == usages[prog] and message.count("\n") == 1, err
         else:  # the library's NumericalError
             assert error.startswith("error: ") and error.endswith("\n"), err
+
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--p", "1" * 5000, "argument --p: invalid int value: '" + "1" * 199 + "..."),
+            ("--p", "1x", "argument --p: invalid int value: '1x'"),
+            ("--format", "x" * 5000, "argument --format: invalid choice: '" + "x" * 199 + "..."),
+            ("--format", "x",
+             "argument --format: invalid choice: 'x' (choose from 'text', 'json')"),
+        ],
+        ids=["int-5000", "int-short", "choice-5000", "choice-short"],
+    )
+    def test_a_long_value_is_cut_and_a_short_one_kept(self, capsys, option, value, message):
+        # a cut value's message ends at it: the usage line above lists the choices
+        argv = as_argv("bound", ARGV_BASE["bound"] | {option: value})
+        code, out, err = outcome(capsys, main, argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == f"projbound bound: error: {message}"
 
 
 class TestAsymCommand:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from scipy.special import roots_jacobi
 
-import projbound.specials
 from projbound import (
     NumericalError,
     bessel_first_zero,
@@ -230,7 +229,7 @@ class TestBesselFirstZero:
 
 
 class TestRepeatedOrders:
-    """bessel_first_zeros solves each distinct order of one call once, and returns every order."""
+    """bessel_first_zeros returns every order of one call, a repeated one each time it is given."""
 
     def test_signed_zero_order_comes_back_as_requested(self):
         zeros = bessel_first_zeros([-0.0, 0.0]) + bessel_first_zeros([0.0, -0.0])
@@ -239,18 +238,10 @@ class TestRepeatedOrders:
         want = bessel_first_zero_scan(0.0)
         assert all((z.value, z.residual) == want for z in zeros)
 
-    def test_repeated_orders_are_solved_once(self, monkeypatch):
-        solved = []
-        solve = projbound.specials._solve_first_zeros
-
-        def recording(nu):
-            solved.append(nu.tolist())
-            return solve(nu)
-
-        monkeypatch.setattr(projbound.specials, "_solve_first_zeros", recording)
-        zeros = bessel_first_zeros([3.0, 40.5, 3.0, 3.0, 40.5])
-        assert solved == [[3.0, 40.5]]
-        assert zeros[0] == zeros[2] == zeros[3] and zeros[1] == zeros[4]
-        # no memo: a later call solves its orders again
-        bessel_first_zeros([40.5, 3.0, 9.0, 40.5])
-        assert solved == [[3.0, 40.5], [40.5, 3.0, 9.0]]
+    def test_repeated_orders_match_each_order_solved_alone(self):
+        orders = [3.0, 40.5, 3.0, 3.0, 40.5, 598.0, 40.5]
+        zeros = bessel_first_zeros(orders)
+        assert [z.nu for z in zeros] == orders
+        for z in zeros:
+            alone = bessel_first_zero(z.nu)
+            assert (z.value.hex(), z.residual.hex()) == (alone.value.hex(), alone.residual.hex())
