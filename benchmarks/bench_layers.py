@@ -18,7 +18,8 @@ spread of a tree's own rounds shows next to the difference between trees:
   arguments like those a ``bound`` request over H passes;
 * ``gram_matrix`` for a random R, m=4, n=2000 point set;
 * ``moment_test`` for random equal-weight sets, Gram kernel included: H, m=2,
-  n=2000, p=8 and R, m=3, n=4000, p=4, many blocks of pairs with few moments;
+  n=2000, p=8, R, m=3, n=4000, p=4 and R, m=2, n=2000, p=2 (the shape of
+  verify-sweep's largest request), many blocks of pairs with few moments;
   and R, m=2, n=110, p=218 and C, m=2, n=40, p=16, one block with many
   moments, the shape of verify-sweep's circle and Gauss designs, per call
   over 20 and 200 calls;
@@ -55,6 +56,12 @@ spread of a tree's own rounds shows next to the difference between trees:
   point-set file with n in {2000, 4000, 10000}: wall time of the whole
   process (seconds) and its maximum resident set size (MiB, from
   ``os.wait4``).
+
+The record also counts, per entry, in how many rounds the change's value was
+below the parent's (``change_lower_in_rounds``, rounds paired in order): for
+every entry lower is faster, or smaller for ``_max_rss_mb``.  One tree's own
+rounds spread by up to 2x on a shared host, so a median near 1x means
+little; a change faster in most rounds does.
 
 Each in-process entry ``<entry>_s`` has a twin ``<entry>_cpu_s``: the
 process CPU time (``time.process_time()``, every thread of the process) of
@@ -127,8 +134,8 @@ BESSEL_ORDERS = [0.5, 10.0, 147.0, 598.0]
 BESSEL_NUMBER = 200
 SCALAR_NUMBER = 200
 #: (field, m, n, p, calls per repetition)
-MOMENT_CASES = [("H", 2, 2000, 8, 1), ("R", 3, 4000, 4, 1), ("R", 2, 110, 218, 20),
-                ("C", 2, 40, 16, 200)]
+MOMENT_CASES = [("H", 2, 2000, 8, 1), ("R", 3, 4000, 4, 1), ("R", 2, 2000, 2, 1),
+                ("R", 2, 110, 218, 20), ("C", 2, 40, 16, 200)]
 VERIFY_FIELD, VERIFY_M, VERIFY_P = "H", 3, 8
 VERIFY_SIZES = (2000, 4000, 10_000)
 REPS = 5
@@ -347,7 +354,8 @@ def run_round(src: str, verify_files: dict) -> dict:
 
 
 def run_trees(trees: dict, verify_files: dict) -> dict:
-    """Per-tree median and quartiles over ROUNDS rounds; the tree timed first alternates."""
+    """Per-tree median and quartiles over ROUNDS rounds, and per entry the rounds in which
+    the change read lower than the parent; the tree timed first alternates."""
     rounds = {name: [] for name in trees}
     order = list(trees)
     for _ in range(ROUNDS):
@@ -360,6 +368,10 @@ def run_trees(trees: dict, verify_files: dict) -> dict:
         for key in runs[0]:
             q1, median, q3 = statistics.quantiles([r[key] for r in runs], n=4)
             summary[name][key] = {"median": median, "q1": q1, "q3": q3}
+    summary["change_lower_in_rounds"] = {
+        key: sum(c[key] < p[key] for p, c in zip(rounds["parent"], rounds["change"]))
+        for key in rounds["parent"][0]
+    }
     return summary
 
 

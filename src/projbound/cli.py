@@ -179,7 +179,14 @@ def cmd_testfn(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse's parser, but a bad value past 200 characters is echoed as _shown cuts it."""
+    """argparse's parser, but a bad value or extra token past 200 characters is echoed cut."""
+
+    def parse_args(self, args=None, namespace=None):
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:  # argparse's message, each token cut as _shown cuts a value
+            cut = (t if len(t) <= 200 else t[:200] + "..." for t in extras)
+            self.error("unrecognized arguments: " + " ".join(cut))
+        return args
 
     def _get_values(self, action, arg_strings):
         try:

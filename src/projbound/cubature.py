@@ -10,13 +10,16 @@ not a failed design.
 Nodes are stored as quaternion coordinate quadruples for all three fields
 (real and complex scalars are embedded with vanishing imaginary parts).  The
 kernel |(x, y)|^2 is a sum of real products in a fixed order, without BLAS, so
-cos_ij and cos_ji are the same double and the pass forms each pair i <= j once,
-with pair weight w_i^2 or 2 w_i w_j.  The Gram matrix is never stored: the
-pairs come a row block at a time, each feeding the duplicate scan and, a group
-of degrees at a time, exact per-degree sums; doubling is exact, so a moment is
-the rounded sum over all n^2 ordered pairs in any order.  The duplicate scan
-masks the block's diagonal and locates a hit only off it, keeping the first
-100 coincident pairs and the count of all.
+cos_ij and cos_ji are the same double and the pass forms each unordered pair
+once, with pair weight w_i^2 or 2 w_i w_j.  The Gram matrix is never stored:
+the pairs come in blocks of wrap-around offsets, row d pairing every node i
+with node (i + d) mod n for d = 0 .. n/2 (at even n the second half of row n/2
+repeats its first and is left out), each block feeding the duplicate scan and,
+a group of degrees at a time, exact per-degree sums; doubling is exact, so a
+moment is the rounded sum over all n^2 ordered pairs in any order.  The
+duplicate scan skips the diagonal row, keys each hit by its pair i < j and
+keeps the 100 smallest keys, the first coincident pairs in row-major order,
+beside the count of all.
 """
 
 from __future__ import annotations
@@ -133,36 +136,66 @@ def _features(ps: PointSet) -> tuple[np.ndarray, np.ndarray]:
     return left, right
 
 
-def _gram_pairs(ps: PointSet):
-    """Yield (r0, keep, cos): the projective cosines of the pairs i <= j in rows r0.. .
+def _cosines(field: Field, terms) -> np.ndarray:
+    """2 |(x, y)|^2 - 1, from the products a * b of the (a, b) pairs of `_features` rows in terms.
 
-    keep masks j >= i over the block's rows and columns r0..n-1, and cos holds
-    those pairs row by row, about _BLOCK_ELEMENTS of them.  The products of
-    `_features` are added one feature at a time as elementwise outer products;
-    BLAS would round an entry by its place in a tile, so cos_ij != cos_ji.
+    The products are added one feature at a time, elementwise; BLAS would round an entry by
+    its place in a tile, so cos_ij != cos_ji.  Over R the sum is (x, y), and is squared.
+    """
+    terms = iter(terms)
+    a, b = next(terms)
+    g = a * b
+    product = np.empty_like(g)
+    for a, b in terms:
+        g += np.multiply(a, b, out=product)
+    if field is Field.R:
+        g *= g
+    return np.subtract(np.multiply(g, 2.0, out=g), 1.0, out=g)  # 2 g - 1 in place
+
+
+def _windows(x: np.ndarray, d0: int, rows: int) -> np.ndarray:
+    """windows[..., r, i] = x[..., (i + d0 + r) % n], r < rows: a view of one copy of the wrap."""
+    n = x.shape[-1]
+    x = np.concatenate((x[..., d0:], x[..., : d0 + rows - 1]), axis=-1)
+    step = x.strides[-1]
+    return np.ndarray(x.shape[:-1] + (rows, n), x.dtype, x, strides=x.strides[:-1] + (step, step))
+
+
+def _gram_pairs(ps: PointSet):
+    """Yield (d0, cos): the projective cosines of every unordered pair once, a block at a time.
+
+    Row r of a block pairs each node i with node (i + d) mod n, at offset d = d0 + r; the
+    offsets run 0 .. n // 2, max(1, _BLOCK_ELEMENTS // n) of them a block, so the first
+    block's row 0 is the diagonal.  cos holds the rows one after another, and at even n it
+    ends before the second half of row n/2, which repeats the first.  `left` meets the rows'
+    `_windows` of `right`, copied a few features at a time within the block's budget.
     """
     left, right = _features(ps)
-    r0 = 0
-    while r0 < ps.n:
-        width = ps.n - r0
-        rows = min(width, max(1, _BLOCK_ELEMENTS // width))
-        g = np.multiply.outer(left[0, r0 : r0 + rows], right[0, r0:])
-        for a, b in zip(left[1:, r0 : r0 + rows], right[1:, r0:]):
-            g += np.multiply.outer(a, b)
-        keep = np.arange(width) >= np.arange(rows)[:, None]
-        g = g[keep]
-        if ps.field is Field.R:
-            g *= g
-        yield r0, keep, np.subtract(np.multiply(g, 2.0, out=g), 1.0, out=g)  # 2 g - 1 in place
-        r0 += rows
+    n = ps.n
+    offsets = max(1, _BLOCK_ELEMENTS // n)
+    for d0 in range(0, n // 2 + 1, offsets):
+        rows = min(offsets, n // 2 + 1 - d0)
+        step = max(1, _BLOCK_ELEMENTS // (n + rows - 1))  # features copied at a time
+        terms = (ab for f0 in range(0, len(right), step)
+                 for ab in zip(left[f0 : f0 + step], _windows(right[f0 : f0 + step], d0, rows)))
+        yield d0, _cosines(ps.field, terms).ravel()[: n * (n + 1) // 2 - d0 * n]
 
 
 def gram_matrix(ps: PointSet) -> np.ndarray:
-    """All pairwise projective cosines, shape (n, n); the result is the only (n, n) array made."""
+    """All pairwise projective cosines, shape (n, n); the result is the only (n, n) array made.
+
+    Rows r0..r1 meet the columns r0..n-1 in one `_cosines` block written into the result, and
+    the block past column r1 is mirrored below the diagonal; about _BLOCK_ELEMENTS pairs a
+    block.  A block's own square is formed both ways round, each cosine the same double.
+    """
+    left, right = _features(ps)
     cos = np.empty((ps.n, ps.n))
-    for r0, keep, block in _gram_pairs(ps):
-        cos[r0 : r0 + len(keep), r0:][keep] = block
-        cos[r0:, r0 : r0 + len(keep)].T[keep] = block
+    r0 = 0
+    while r0 < ps.n:
+        r1 = r0 + max(1, _BLOCK_ELEMENTS // (ps.n - r0))
+        cos[r0:r1, r0:] = _cosines(ps.field, zip(left[:, r0:r1, None], right[:, r0:]))
+        cos[r1:, r0:r1] = cos[r0:r1, r1:].T
+        r0 = r1
     return cos
 
 
@@ -183,45 +216,49 @@ def _exact_row_sums(x: np.ndarray) -> np.ndarray:
         x[~ok] = largest[~ok] = 0.0
         sums.append(np.where(ok, 0.0, np.nan))
     sigma = np.ldexp(1.0, np.frexp(largest)[1] + shift)[:, None]
-    while x.any():
+    nonzero = largest.any()  # x.any(), read off the row maxima
+    while nonzero:
         np.add(x, sigma, out=q)
         q -= sigma
         sums.append(q.sum(axis=1))
         x -= q
+        nonzero = x.any()
         sigma *= 2.0 ** (shift - 52)  # a power of two, or 0 past the subnormals
     return np.array(sums).reshape(-1, len(x)).T
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a term past the float range gives a NaN moment
 def _gram_pass(ps: PointSet, p: int) -> tuple[list[float], list[tuple[int, int]], int]:
-    """(M_1 .. M_{p/2}, the first coincident pairs i < j, their count), from one pass over i <= j.
+    """(M_1 .. M_{p/2}, the first coincident pairs i < j, their count), from one pass of pairs.
 
-    A row block takes the degrees in groups of about _BLOCK_ELEMENTS values; math.fsum of
-    the `_exact_row_sums` partials rounds the n^2 values w_i w_j P_k(cos_ij) once, whatever
-    the node order.  Pairs i < j with cos_ij >= 1 - 1e-12 count as coincident; the first
-    _DUPLICATES_KEPT in scan order are kept.  The scan masks each block's diagonal pairs,
-    which may or may not pass the test (cos_ii < 1 - 1e-12 for a node inside the 1e-12 norm
-    tolerance), and finds rows and columns only for a hit off the diagonal.  A moment below
-    the -1e-10 guard, or NaN from a term past the float range, raises NumericalError.
+    A block of `_gram_pairs` takes the degrees in groups of about _BLOCK_ELEMENTS values, its
+    pair weights w_i^2 on the diagonal row and 2 w_i w_j elsewhere, the w_j from the block's
+    windows as the cosines; math.fsum of the `_exact_row_sums` partials rounds the n^2 values
+    w_i w_j P_k(cos_ij) once, whatever the order of the pairs.  Pairs i < j with cos_ij >=
+    1 - 1e-12 count as coincident; the diagonal row, which may or may not pass the test
+    (cos_ii < 1 - 1e-12 for a node inside the 1e-12 norm tolerance), is skipped.  Each hit
+    is keyed i n + j, and a sorted merge keeps the _DUPLICATES_KEPT smallest keys: the first
+    pairs in row-major order.  A moment below the -1e-10 guard, or NaN from a term past the
+    float range, raises NumericalError.
     """
     _check_even_p(p)
-    w = ps.weights
+    n, w = ps.n, ps.weights
     c1, c2, c3, c4 = _coefficients(field_params(ps.field, ps.m), p // 2)
     parts = [[] for _ in range(p // 2)]
-    duplicates, count = [], 0
-    for r0, keep, cos in _gram_pairs(ps):
-        a = np.arange(len(keep))
-        diagonal = a * (2 * keep.shape[1] + 1 - a) // 2  # row a holds its pairs from (a, a) on
+    kept, count = np.empty(0, dtype=np.int64), 0
+    for d0, cos in _gram_pairs(ps):
         hit = cos >= 1.0 - _DUPLICATE_TOL
-        hit[diagonal] = False
+        rows = -(-cos.size // n)
+        pair_w = (_windows(w, d0, rows) * (2.0 * w)).ravel()[: cos.size]  # 2 (w_i w_j) exactly
+        if d0 == 0:  # the diagonal row: weights w_i^2, and no coincident pair
+            hit[:n] = False
+            pair_w[:n] = w * w
         if np.count_nonzero(hit):
-            hits = np.flatnonzero(hit)
-            count += hits.size
-            hits = hits[: _DUPLICATES_KEPT - len(duplicates)]
-            i = np.searchsorted(diagonal, hits, side="right") - 1
-            duplicates += zip((r0 + i).tolist(), (r0 + i + hits - diagonal[i]).tolist())
-        pair_w = (2.0 * w[r0 : r0 + len(keep), None] * w[r0:])[keep]  # 2 (w_i w_j) exactly
-        pair_w[diagonal] = w[r0 : r0 + len(keep)] ** 2
+            r, i = np.divmod(np.flatnonzero(hit), n)
+            j = (i + d0 + r) % n
+            count += i.size
+            keys = np.minimum(i, j) * n + np.maximum(i, j)
+            kept = np.sort(np.concatenate((kept, keys)))[:_DUPLICATES_KEPT]
         group = max(1, _BLOCK_ELEMENTS // cos.size)
         p_last = 1.0  # P_0; each degree then moves (p_prev, p_last) one along
         for k0 in range(0, p // 2, group):
@@ -240,7 +277,7 @@ def _gram_pass(ps: PointSet, p: int) -> tuple[list[float], list[tuple[int, int]]
         if not m_k >= _MOMENT_NEGATIVE_GUARD:
             raise NumericalError(f"moment M_{k} = {m_k!r} is negative or not finite; "
                                  "numerical failure")
-    return moments, duplicates, count
+    return moments, [divmod(key, n) for key in kept.tolist()], count
 
 
 def _coincident_note(pairs, count: int) -> str:

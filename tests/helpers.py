@@ -16,6 +16,10 @@ purpose and pin one step of it bit for bit: fsum_moments takes the
 package's Gram cosines and checks the recurrence and moment summation;
 frozen_gram_pass is the full-square complex-pair pass the package's half
 pass over node pairs replaced, and pins the real moments to the same doubles;
+frozen_row_block_gram is the row-block pass over the pairs i <= j that the
+package's wrap-around offset blocks replaced, masks and all, and pins the
+Gram matrix, every moment, the kept coincident pairs and their count to the
+same values;
 frozen_features is the node-feature builder that the package's stacked complex
 passes replaced, and pins every feature to the same double, signed zeros included;
 bessel_first_zero_scan runs the package's Bessel-zero algorithm one order
@@ -52,7 +56,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import eval_jacobi, jv, roots_jacobi
 
-from projbound import bounds, jacobi, specials
+from projbound import bounds, cubature, jacobi, specials
 from projbound.bounds import AsymptoticRow, BoundReport
 from projbound.fields import Field, field_params
 from projbound.cubature import PointSet, gram_matrix
@@ -348,6 +352,86 @@ def frozen_gram_pass(ps, p: int) -> tuple[list[float], list[tuple[int, int]]]:
     cos = 2.0 * sq - 1.0
     i, j = np.nonzero(np.triu(cos >= 1.0 - 1e-12, 1))
     return fsum_moments(ps, p, cos), list(zip(i.tolist(), j.tolist()))
+
+
+def _frozen_exact_row_sums(x: np.ndarray) -> np.ndarray:
+    """Exact partial sums of each row of x, as the row-block pass took them (x ends all zero)."""
+    shift = (x.shape[1] + 1).bit_length()
+    q = np.empty_like(x)
+    largest = np.abs(x, out=q).max(axis=1)
+    ok = largest < 2.0 ** (1023 - shift)
+    sums = []
+    if not ok.all():
+        x[~ok] = largest[~ok] = 0.0
+        sums.append(np.where(ok, 0.0, np.nan))
+    sigma = np.ldexp(1.0, np.frexp(largest)[1] + shift)[:, None]
+    while x.any():
+        np.add(x, sigma, out=q)
+        q -= sigma
+        sums.append(q.sum(axis=1))
+        x -= q
+        sigma *= 2.0 ** (shift - 52)
+    return np.array(sums).reshape(-1, len(x)).T
+
+
+def frozen_row_block_gram(ps, p: int):
+    """(cos, M_1 .. M_{p/2}, the first 100 coincident pairs i < j, their count) by row blocks.
+
+    The replaced pass: blocks of rows r0.. against columns r0..n-1, about
+    `cubature._BLOCK_ELEMENTS` products each (read at call time), the kernel of
+    `cubature._features` as elementwise outer products, a boolean mask keeping the
+    pairs j >= i, pair weights 2 w_i w_j masked the same way and w_i^2 written on the
+    diagonal; the duplicate scan masks the diagonal and keeps hits in row-major order.
+    cos is the (n, n) matrix of the same cosines, mirrored.
+    """
+    n, w = ps.n, ps.weights
+    c1, c2, c3, c4 = jacobi._coefficients(field_params(ps.field, ps.m), p // 2)
+    left, right = cubature._features(ps)
+    cos_matrix = np.empty((n, n))
+    parts = [[] for _ in range(p // 2)]
+    duplicates, count = [], 0
+    r0 = 0
+    while r0 < n:
+        width = n - r0
+        rows = min(width, max(1, cubature._BLOCK_ELEMENTS // width))
+        g = np.multiply.outer(left[0, r0 : r0 + rows], right[0, r0:])
+        for a, b in zip(left[1:, r0 : r0 + rows], right[1:, r0:]):
+            g += np.multiply.outer(a, b)
+        keep = np.arange(width) >= np.arange(rows)[:, None]
+        g = g[keep]
+        if ps.field is Field.R:
+            g *= g
+        cos = 2.0 * g - 1.0
+        cos_matrix[r0 : r0 + rows, r0:][keep] = cos
+        cos_matrix[r0:, r0 : r0 + rows].T[keep] = cos
+        a = np.arange(rows)
+        diagonal = a * (2 * width + 1 - a) // 2
+        hit = cos >= 1.0 - 1e-12
+        hit[diagonal] = False
+        hits = np.flatnonzero(hit)
+        count += hits.size
+        hits = hits[: 100 - len(duplicates)]
+        i = np.searchsorted(diagonal, hits, side="right") - 1
+        duplicates += zip((r0 + i).tolist(), (r0 + i + hits - diagonal[i]).tolist())
+        pair_w = (2.0 * w[r0 : r0 + rows, None] * w[r0:])[keep]
+        pair_w[diagonal] = w[r0 : r0 + rows] ** 2
+        group = max(1, cubature._BLOCK_ELEMENTS // cos.size)
+        p_last = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k0 in range(0, p // 2, group):
+                values = np.multiply.outer(c3[k0 : k0 + group], cos)
+                values += c2[k0 : k0 + group, None]
+                for k, row in enumerate(values, start=k0):
+                    if k:
+                        row *= p_last
+                        row -= c4[k] * p_prev
+                    row /= c1[k]
+                    p_prev, p_last = p_last, row
+                sums = _frozen_exact_row_sums(values * pair_w).tolist()
+                for part, row_sums in zip(parts[k0:], sums):
+                    part += row_sums
+        r0 += rows
+    return cos_matrix, [math.fsum(part) for part in parts], duplicates, count
 
 
 def frozen_features(ps) -> tuple[np.ndarray, np.ndarray]:

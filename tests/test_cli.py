@@ -589,11 +589,12 @@ def argv_corpus():
     Each required option or positional dropped; each int option given x, 1.5, -3, 0, 1, 2**70,
     10**300, 10**400, 10**4000, 10**4000+1 and 5000 ones, and 3 where it must be even; each
     float option nan, inf, -1, 0, 1e400 and 5000 x's; each option with choices a value outside
-    them, and 5000 x's.
+    them, and 5000 x's; and an extra token of 5000 x's after the whole request.
     """
     corpus = []
     for command, (options, _, required, _) in cli._parser()[1].items():
         base = ARGV_BASE[command]
+        corpus.append((f"{command}-extra-5000-chars", [*as_argv(command, base), "x" * 5000]))
         for action in required:
             key = (action.option_strings or [action.dest])[0]
             dropped = {k: v for k, v in base.items() if k != key}
@@ -670,6 +671,19 @@ class TestBadArgv:
         code, out, err = outcome(capsys, main, argv)
         assert (code, out) == (2, "")
         assert err.splitlines()[-1] == f"projbound bound: error: {message}"
+
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [(["x" * 5000], "x" * 200 + "..."), (["extra"], "extra"),
+         (["extra", "x" * 5000], "extra " + "x" * 200 + "...")],
+        ids=["extra-5000", "extra-short", "short-and-5000"],
+    )
+    def test_a_long_extra_token_is_cut_and_a_short_one_kept(self, capsys, extra, message):
+        argv = [*as_argv("bound", ARGV_BASE["bound"]), *extra]
+        code, out, err = outcome(capsys, main, argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == f"projbound: error: unrecognized arguments: {message}"
 
 
 class TestAsymCommand:

@@ -33,6 +33,7 @@ from helpers import (
     field_alpha_beta,
     frozen_features,
     frozen_gram_pass,
+    frozen_row_block_gram,
     fsum_moments,
     haar_point_set,
     hesse_sic,
@@ -197,21 +198,22 @@ class TestPointSetValidation:
             with pytest.raises(ValueError, match="read-only"):
                 derived[0] = 0.0
 
-    # with 3 rows per block (30 Gram entries for n = 10) most pairs span two blocks
+    # with 3 offsets per block (30 Gram entries for n = 10) the offsets 0..5 make two blocks,
+    # and the pairs of one node fall in both
     @pytest.mark.parametrize(
-        "field, block_rows",
+        "field, block_offsets",
         [(f, None) for f in Field] + [(f, 3) for f in Field],
-        ids=[f.name for f in Field] + [f"{f.name}-3-rows" for f in Field],
+        ids=[f.name for f in Field] + [f"{f.name}-3-offsets" for f in Field],
     )
-    def test_duplicate_pairs_match_pairwise_scan(self, field, block_rows, monkeypatch):
+    def test_duplicate_pairs_match_pairwise_scan(self, field, block_offsets, monkeypatch):
         rng = np.random.default_rng(53)
         base = random_point_set(rng, field, 3, 6)
         a = random_unit_scalar(rng, field)
         moved = np.array([(Quaternion(*coord) * a).as_array() for coord in base.nodes[4]])
         nodes = np.concatenate([base.nodes, base.nodes[[1, 1]], moved[None], base.nodes[:1]])
         ps = PointSet(field, 3, nodes)
-        if block_rows is not None:
-            monkeypatch.setattr(projbound.cubature, "_BLOCK_ELEMENTS", block_rows * ps.n)
+        if block_offsets is not None:
+            monkeypatch.setattr(projbound.cubature, "_BLOCK_ELEMENTS", block_offsets * ps.n)
         duplicates = verify(ps, 2).duplicates
         want = [
             (i, j)
@@ -223,7 +225,7 @@ class TestPointSetValidation:
         assert duplicates == tuple(want)
         assert all(type(k) is int for pair in duplicates for k in pair)
 
-    # 700 rows make blocks of 46, 50, 54, ... rows, so pairs straddle block edges
+    # 700 nodes make 8 blocks of 46 offsets, the last 29, and (690, 3) wraps: offset 13 at 690
     @pytest.mark.parametrize("field", list(Field), ids=lambda f: f.name)
     def test_planted_duplicates_in_the_full_square_order(self, field):
         rng = np.random.default_rng(89)
@@ -241,7 +243,7 @@ class TestPointSetValidation:
 
 
 class TestDuplicateScan:
-    """The scan finds rows and columns only in a block with a hit off its diagonal."""
+    """The scan keys each hit off the diagonal row i n + j, i < j, and keeps the smallest keys."""
 
     @staticmethod
     def planted(field, n, pairs, seed=61):
@@ -253,32 +255,33 @@ class TestDuplicateScan:
             nodes[j] = [(Quaternion(*coord) * a).as_array() for coord in nodes[i]]
         return nodes
 
-    # n = 12: one block of every pair, or blocks of 2 rows with pairs inside and across them
-    @pytest.mark.parametrize("block_rows", [None, 2], ids=["one-block", "2-rows"])
+    # n = 12: one block of every pair, or blocks of 2 offsets (the last only the half row of
+    # offset 6); (4, 11) is offset 7, found wrapped at offset 5 as (11, 4)
+    @pytest.mark.parametrize("block_offsets", [None, 2], ids=["one-block", "2-offsets"])
     @pytest.mark.parametrize("field", list(Field), ids=lambda f: f.name)
-    def test_planted_pairs_in_one_block_and_across_blocks(self, field, block_rows, monkeypatch):
+    def test_planted_pairs_in_one_block_and_across_blocks(self, field, block_offsets, monkeypatch):
         nodes = self.planted(field, 12, [(0, 1), (2, 3), (4, 11), (7, 10)])
         ps = PointSet(field, 3, nodes)
-        if block_rows is not None:
-            monkeypatch.setattr(projbound.cubature, "_BLOCK_ELEMENTS", block_rows * ps.n)
+        if block_offsets is not None:
+            monkeypatch.setattr(projbound.cubature, "_BLOCK_ELEMENTS", block_offsets * ps.n)
         want = frozen_gram_pass(ps, 2)[1]
         assert want == [(0, 1), (2, 3), (4, 11), (7, 10)]
         report = verify(ps, 2)
         assert report.duplicates == tuple(want) and report.duplicate_count == len(want)
 
-    @pytest.mark.parametrize("block_rows", [None, 3], ids=["one-block", "3-rows"])
+    @pytest.mark.parametrize("block_offsets", [None, 3], ids=["one-block", "3-offsets"])
     @pytest.mark.parametrize("field", list(Field), ids=lambda f: f.name)
-    def test_diagonal_miss_beside_a_pair_off_the_diagonal(self, field, block_rows, monkeypatch):
+    def test_diagonal_miss_beside_a_pair_off_the_diagonal(self, field, block_offsets, monkeypatch):
         # node 4 is short by 9e-13, inside the 1e-12 norm tolerance, so cos_44 < 1 - 1e-12:
-        # with the pair (2, 5) the block has as many hits as rows, none at (4, 4)
+        # with the pair (2, 5) the upper triangle has as many hits as nodes, none at (4, 4)
         nodes = self.planted(field, 8, [(2, 5)])
         nodes[4] *= 1.0 - 9e-13
         ps = PointSet(field, 3, nodes)
         cos = gram_matrix(ps)
         assert cos[4, 4] < 1.0 - 1e-12 <= cos[2, 5]
         assert np.count_nonzero(np.triu(cos >= 1.0 - 1e-12)) == ps.n
-        if block_rows is not None:
-            monkeypatch.setattr(projbound.cubature, "_BLOCK_ELEMENTS", block_rows * ps.n)
+        if block_offsets is not None:
+            monkeypatch.setattr(projbound.cubature, "_BLOCK_ELEMENTS", block_offsets * ps.n)
         assert frozen_gram_pass(ps, 2)[1] == [(2, 5)]
         assert verify(ps, 2).duplicates == ((2, 5),)
 
@@ -287,7 +290,8 @@ class TestDuplicateScan:
         nodes[:, 0, 0] = 1.0  # 1000 copies of one line: 499500 pairs
         ps = PointSet(Field.R, 2, nodes)
         report = verify(ps, 2)
-        assert report.duplicates == tuple((0, j) for j in range(1, 101))  # row 0 comes first
+        # row 0 comes first, though its pairs past (0, 500) come from the offsets 500..1 wrapped
+        assert report.duplicates == tuple((0, j) for j in range(1, 101))
         assert report.duplicate_count == 499500
         with pytest.warns(UserWarning) as caught:
             moment_test(ps, 2)
@@ -301,10 +305,72 @@ class TestDuplicateScan:
         nodes = np.zeros((16, 2, 4))
         nodes[:, 0, 0] = 1.0  # 120 pairs
         ps = PointSet(Field.R, 2, nodes)
-        monkeypatch.setattr(projbound.cubature, "_BLOCK_ELEMENTS", 3 * ps.n)
+        monkeypatch.setattr(projbound.cubature, "_BLOCK_ELEMENTS", 3 * ps.n)  # offsets 3 a block
         report = verify(ps, 2)
         want = [(i, j) for i in range(16) for j in range(i + 1, 16)]
         assert report.duplicates == tuple(want[:100]) and report.duplicate_count == 120
+
+
+class TestOffsetBlocks:
+    """The offset blocks against the row-block pass they replaced, bit for bit."""
+
+    @staticmethod
+    def assert_matches_row_blocks(ps, p):
+        cos, moments, duplicates, count = frozen_row_block_gram(ps, p)
+        assert gram_matrix(ps).tobytes() == cos.tobytes()
+        got = projbound.cubature._gram_pass(ps, p)
+        assert [m_k.hex() for m_k in got[0]] == [m_k.hex() for m_k in moments]
+        assert got[1:] == (duplicates, count)
+        assert all(type(k) is int for pair in got[1] for k in pair)
+
+    # 1 and 3 offsets a block split the offsets 0..n//2 of every n > 1; with 3 the window is
+    # copied a few features at a time (H, m=3 has 15 features)
+    @pytest.mark.parametrize("block_offsets", [None, 1, 3], ids=["default", "1", "3"])
+    @pytest.mark.parametrize("equal_weights", [True, False], ids=["equal", "unequal"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 181, 182, 255, 256, 257, 700])
+    @pytest.mark.parametrize("field", list(Field), ids=lambda f: f.name)
+    def test_random_sets(self, field, n, equal_weights, block_offsets, monkeypatch):
+        if block_offsets is not None:
+            monkeypatch.setattr(projbound.cubature, "_BLOCK_ELEMENTS", block_offsets * n)
+        ps = random_point_set(np.random.default_rng(n), field, 3, n, equal_weights)
+        self.assert_matches_row_blocks(ps, 8)
+
+    def test_features_copied_in_chunks(self):
+        # H, m=20 has 780 features; a copy of 40 + 20 columns holds 546 of them at a time
+        ps = random_point_set(np.random.default_rng(7), Field.H, 20, 40)
+        self.assert_matches_row_blocks(ps, 4)
+
+    # (0, n-1) and (1, n-1) come wrapped, from row n-1 at offsets 1 and 2; at even n the
+    # pair (2, 2 + n/2) is in the kept half of row n/2, and its repeat is cut off
+    @pytest.mark.parametrize("block_offsets", [None, 2], ids=["one-block", "2-offsets"])
+    @pytest.mark.parametrize("n", [11, 12])
+    @pytest.mark.parametrize("field", list(Field), ids=lambda f: f.name)
+    def test_wrapped_and_half_row_duplicates(self, field, n, block_offsets, monkeypatch):
+        pairs = [(0, 1), (0, n - 1)] + ([(2, 2 + n // 2)] if n % 2 == 0 else [])
+        ps = PointSet(field, 3, TestDuplicateScan.planted(field, n, pairs))
+        if block_offsets is not None:
+            monkeypatch.setattr(projbound.cubature, "_BLOCK_ELEMENTS", block_offsets * n)
+        want = [(0, 1), (0, n - 1), (1, n - 1)] + ([(2, 2 + n // 2)] if n % 2 == 0 else [])
+        report = verify(ps, 2)
+        assert report.duplicates == tuple(sorted(want)) and report.duplicate_count == len(want)
+        self.assert_matches_row_blocks(ps, 2)
+
+    # 120 nodes on 4 lines, node i on line i mod 4: 1740 coincident pairs over every block
+    @pytest.mark.parametrize("block_offsets", [None, 5], ids=["one-block", "5-offsets"])
+    @pytest.mark.parametrize("field", list(Field), ids=lambda f: f.name)
+    def test_more_than_100_duplicates_across_blocks(self, field, block_offsets, monkeypatch):
+        rng = np.random.default_rng(13)
+        lines = random_point_set(rng, field, 3, 4).nodes
+        nodes = np.zeros((120, 3, 4))
+        for i in range(120):  # node i on line i mod 4, times a unit scalar
+            a = random_unit_scalar(rng, field)
+            nodes[i] = [(Quaternion(*coord) * a).as_array() for coord in lines[i % 4]]
+        ps = PointSet(field, 3, nodes)
+        if block_offsets is not None:
+            monkeypatch.setattr(projbound.cubature, "_BLOCK_ELEMENTS", block_offsets * ps.n)
+        report = verify(ps, 2)
+        assert report.duplicate_count == 4 * 30 * 29 // 2 and len(report.duplicates) == 100
+        self.assert_matches_row_blocks(ps, 2)
 
 
 class TestMomentTest:
@@ -397,8 +463,8 @@ class TestMomentTest:
             slope = (k + alpha + beta + 1) / 2 * eval_jacobi(k - 1, alpha + 1, beta + 1, 1.0)
             assert abs(got - want) <= 16 * np.finfo(float).eps * slope
 
-    # the first block of 512 rows is 64 rows against 512 columns, of 511 rows 64 against 511;
-    # later blocks take more rows as their columns r0..n-1 shrink
+    # 511 nodes make 4 blocks of 64 offsets (0..255); 512 nodes 4 such blocks and a fifth of
+    # offset 256 alone, of which only the first half row is kept
     @pytest.mark.parametrize(
         "field, n, equal_weights",
         [(f, n, eq) for f in Field for n in (1, 511, 512) for eq in (True, False)]
@@ -412,9 +478,9 @@ class TestMomentTest:
         p = 8 if n > 1000 else 16
         assert moment_test(ps, p) == fsum_moments(ps, p)
 
-    # circle_design(218) is 110 nodes, one block of 6105 pairs, 5 degrees a group; C, m=2,
-    # n=300 is blocks of 109, 171 and 20 rows, one degree a group but all 32 in the last.
-    # With 2000 values a block they make 4 and 26 blocks, the last with 2 and 32 a group.
+    # circle_design(218) is 110 nodes, one block of 56 offsets, 6105 pairs, 5 degrees a group;
+    # C, m=2, n=300 is blocks of 109 and 42 offsets, one and two degrees a group.  With 2000
+    # values a block they make 4 and 26 blocks, the last with 12 and 13 degrees a group.
     @pytest.mark.parametrize("block", [None, 2000], ids=["default-blocks", "small-blocks"])
     @pytest.mark.parametrize("case", ["circle-p218", "C-m2-n300-p64"])
     def test_degree_groups_match_full_matrix_fsum_bit_for_bit(self, case, block, monkeypatch):
