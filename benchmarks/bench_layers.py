@@ -20,6 +20,7 @@ spread of a tree's own rounds shows next to the difference between trees:
 * ``moment_test`` for random equal-weight sets, Gram kernel included: H, m=2,
   n=2000, p=8, R, m=3, n=4000, p=4 and R, m=2, n=2000, p=2 (the shape of
   verify-sweep's largest request), many blocks of pairs with few moments;
+  H, m=3, n=6000, p=8, where 15 features a pair make the kernel most of the time;
   and R, m=2, n=110, p=218 and C, m=2, n=40, p=16, one block with many
   moments, the shape of verify-sweep's circle and Gauss designs, per call
   over 20 and 200 calls;
@@ -135,6 +136,7 @@ BESSEL_NUMBER = 200
 SCALAR_NUMBER = 200
 #: (field, m, n, p, calls per repetition)
 MOMENT_CASES = [("H", 2, 2000, 8, 1), ("R", 3, 4000, 4, 1), ("R", 2, 2000, 2, 1),
+                ("H", 3, 6000, 8, 1),
                 ("R", 2, 110, 218, 20), ("C", 2, 40, 16, 200)]
 VERIFY_FIELD, VERIFY_M, VERIFY_P = "H", 3, 8
 VERIFY_SIZES = (2000, 4000, 10_000)

@@ -73,6 +73,15 @@ def _write_csv(comment: str, schema: str, columns, out_path) -> int:
     return _write_output("\n".join(lines) + "\n", out_path)
 
 
+def _table_rows(values: range, flag: str) -> list[int]:
+    """The values as a list, or an error naming `flag`, whose value is values.stop - 1."""
+    try:
+        return list(values)
+    except (OverflowError, MemoryError):  # more values than an index or memory holds
+        got = _shown(values.stop - 1)
+        raise ValueError(f"{flag} must fit in memory as a table, got {got}") from None
+
+
 def cmd_bound(args) -> int:
     report = yudin_bound(Field.parse(args.field), args.m, args.p)
     if args.format == "json":
@@ -89,11 +98,7 @@ def cmd_table(args) -> int:
         raise ValueError(f"empty range: p-min {_shown(args.p_min)} > p-max {_shown(args.p_max)}")
     if args.p_min % 2 or args.p_max % 2 or args.p_min < 2:
         raise ValueError("p-min and p-max must be even integers >= 2")
-    try:
-        p_list = list(range(args.p_min, args.p_max + 1, 2))
-    except (OverflowError, MemoryError):  # more p values than an index or memory holds
-        got = _shown(args.p_max)
-        raise ValueError(f"--p-max must fit in memory as a table, got {got}") from None
+    p_list = _table_rows(range(args.p_min, args.p_max + 1, 2), "--p-max")
     field = Field.parse(args.field)
     columns = _TABLE_SCHEMA.split(",")
     rows = []
@@ -150,11 +155,7 @@ def cmd_asym(args) -> int:
     field = Field.parse(args.field)
     if args.m_max < 2:
         raise ValueError("m-max must be >= 2")
-    try:
-        m_list = list(range(2, args.m_max + 1))
-    except (OverflowError, MemoryError):  # more m values than an index or memory holds
-        got = _shown(args.m_max)
-        raise ValueError(f"--m-max must fit in memory as a table, got {got}") from None
+    m_list = _table_rows(range(2, args.m_max + 1), "--m-max")
     m, nu, zero, _residual, *rest = _asymptotic_columns(field, m_list)
     columns = (m, nu, zero, *rest)  # every field but the residual
     return _write_csv(f"asym v1 field={field.name}", _ASYM_SCHEMA, columns, args.out)

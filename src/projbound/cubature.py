@@ -14,12 +14,13 @@ cos_ij and cos_ji are the same double and the pass forms each unordered pair
 once, with pair weight w_i^2 or 2 w_i w_j.  The Gram matrix is never stored:
 the pairs come in blocks of wrap-around offsets, row d pairing every node i
 with node (i + d) mod n for d = 0 .. n/2 (at even n the second half of row n/2
-repeats its first and is left out), each block feeding the duplicate scan and,
-a group of degrees at a time, exact per-degree sums; doubling is exact, so a
-moment is the rounded sum over all n^2 ordered pairs in any order.  The
-duplicate scan skips the diagonal row, keys each hit by its pair i < j and
-keeps the 100 smallest keys, the first coincident pairs in row-major order,
-beside the count of all.
+repeats its first and is left out).  One operand's features and the weights
+are wrapped once a pass, so a block's rows are strided views of them.  Each
+block feeds the duplicate scan and, a group of degrees at a time, exact
+per-degree sums; doubling is exact, so a moment is the rounded sum over all
+n^2 ordered pairs in any order.  The duplicate scan skips the diagonal row,
+keys each hit by its pair i < j and keeps the 100 smallest keys, the first
+coincident pairs in row-major order, beside the count of all.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ _UNIT_NORM_TOL = 1e-12
 _DUPLICATE_TOL = 1e-12
 _MOMENT_NEGATIVE_GUARD = -1e-10
 
-#: Gram entries per row block of the Gram pass (256 KiB of doubles)
+#: Gram entries per block of the Gram pass and of `gram_matrix` (256 KiB of doubles)
 _BLOCK_ELEMENTS = 1 << 15
 
 #: coincident pairs kept, in scan order, beside their total count
@@ -136,49 +137,49 @@ def _features(ps: PointSet) -> tuple[np.ndarray, np.ndarray]:
     return left, right
 
 
-def _cosines(field: Field, terms) -> np.ndarray:
-    """2 |(x, y)|^2 - 1, from the products a * b of the (a, b) pairs of `_features` rows in terms.
+def _cosines(field: Field, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """2 |(x, y)|^2 - 1, from `_features` operand stacks: the sum over f of left[f] * right[f].
 
     The products are added one feature at a time, elementwise; BLAS would round an entry by
     its place in a tile, so cos_ij != cos_ji.  Over R the sum is (x, y), and is squared.
     """
-    terms = iter(terms)
-    a, b = next(terms)
-    g = a * b
+    g = left[0] * right[0]
     product = np.empty_like(g)
-    for a, b in terms:
+    for a, b in zip(left[1:], right[1:]):
         g += np.multiply(a, b, out=product)
     if field is Field.R:
         g *= g
     return np.subtract(np.multiply(g, 2.0, out=g), 1.0, out=g)  # 2 g - 1 in place
 
 
-def _windows(x: np.ndarray, d0: int, rows: int) -> np.ndarray:
-    """windows[..., r, i] = x[..., (i + d0 + r) % n], r < rows: a view of one copy of the wrap."""
-    n = x.shape[-1]
-    x = np.concatenate((x[..., d0:], x[..., : d0 + rows - 1]), axis=-1)
+def _windows(x: np.ndarray, d0: int, shape: tuple[int, int]) -> np.ndarray:
+    """windows[..., r, i] = x[..., d0 + r + i] for (r, i) < shape: a view of contiguous x."""
     step = x.strides[-1]
-    return np.ndarray(x.shape[:-1] + (rows, n), x.dtype, x, strides=x.strides[:-1] + (step, step))
+    return np.ndarray(x.shape[:-1] + shape, x.dtype, x, d0 * step, x.strides[:-1] + (step, step))
 
 
 def _gram_pairs(ps: PointSet):
-    """Yield (d0, cos): the projective cosines of every unordered pair once, a block at a time.
+    """Yield (d0, cos, pair_w): every unordered pair's cosine and weight once, a block at a time.
 
     Row r of a block pairs each node i with node (i + d) mod n, at offset d = d0 + r; the
     offsets run 0 .. n // 2, max(1, _BLOCK_ELEMENTS // n) of them a block, so the first
     block's row 0 is the diagonal.  cos holds the rows one after another, and at even n it
-    ends before the second half of row n/2, which repeats the first.  `left` meets the rows'
-    `_windows` of `right`, copied a few features at a time within the block's budget.
+    ends before the second half of row n/2, which repeats the first.  `right` and the weights
+    are wrapped once, their first n // 2 columns repeated after the last, and each block reads
+    its rows as `_windows` at d0.  pair_w is 2 w_i w_j, and w_i^2 on the diagonal row.
     """
     left, right = _features(ps)
-    n = ps.n
+    n, w = ps.n, ps.weights
+    right, w_wrapped = (np.concatenate((x, x[..., : n // 2]), axis=-1) for x in (right, w))
     offsets = max(1, _BLOCK_ELEMENTS // n)
     for d0 in range(0, n // 2 + 1, offsets):
-        rows = min(offsets, n // 2 + 1 - d0)
-        step = max(1, _BLOCK_ELEMENTS // (n + rows - 1))  # features copied at a time
-        terms = (ab for f0 in range(0, len(right), step)
-                 for ab in zip(left[f0 : f0 + step], _windows(right[f0 : f0 + step], d0, rows)))
-        yield d0, _cosines(ps.field, terms).ravel()[: n * (n + 1) // 2 - d0 * n]
+        shape = (min(offsets, n // 2 + 1 - d0), n)
+        end = n * (n + 1) // 2 - d0 * n  # the pairs from offset d0 on: cuts the last block
+        cos = _cosines(ps.field, left, _windows(right, d0, shape)).ravel()[:end]
+        pair_w = (_windows(w_wrapped, d0, shape) * (2.0 * w)).ravel()[:end]  # 2 (w_i w_j) exactly
+        if d0 == 0:
+            pair_w[:n] = w * w
+        yield d0, cos, pair_w
 
 
 def gram_matrix(ps: PointSet) -> np.ndarray:
@@ -193,7 +194,7 @@ def gram_matrix(ps: PointSet) -> np.ndarray:
     r0 = 0
     while r0 < ps.n:
         r1 = r0 + max(1, _BLOCK_ELEMENTS // (ps.n - r0))
-        cos[r0:r1, r0:] = _cosines(ps.field, zip(left[:, r0:r1, None], right[:, r0:]))
+        cos[r0:r1, r0:] = _cosines(ps.field, left[:, r0:r1, None], right[:, r0:])
         cos[r1:, r0:r1] = cos[r0:r1, r1:].T
         r0 = r1
     return cos
@@ -231,28 +232,24 @@ def _exact_row_sums(x: np.ndarray) -> np.ndarray:
 def _gram_pass(ps: PointSet, p: int) -> tuple[list[float], list[tuple[int, int]], int]:
     """(M_1 .. M_{p/2}, the first coincident pairs i < j, their count), from one pass of pairs.
 
-    A block of `_gram_pairs` takes the degrees in groups of about _BLOCK_ELEMENTS values, its
-    pair weights w_i^2 on the diagonal row and 2 w_i w_j elsewhere, the w_j from the block's
-    windows as the cosines; math.fsum of the `_exact_row_sums` partials rounds the n^2 values
-    w_i w_j P_k(cos_ij) once, whatever the order of the pairs.  Pairs i < j with cos_ij >=
-    1 - 1e-12 count as coincident; the diagonal row, which may or may not pass the test
-    (cos_ii < 1 - 1e-12 for a node inside the 1e-12 norm tolerance), is skipped.  Each hit
-    is keyed i n + j, and a sorted merge keeps the _DUPLICATES_KEPT smallest keys: the first
-    pairs in row-major order.  A moment below the -1e-10 guard, or NaN from a term past the
-    float range, raises NumericalError.
+    A block of `_gram_pairs` takes the degrees in groups of about _BLOCK_ELEMENTS values,
+    each P_k(cos) times the block's pair weights, w_i^2 or 2 w_i w_j; math.fsum of the
+    `_exact_row_sums` partials rounds the n^2 values w_i w_j P_k(cos_ij) once, whatever the
+    order of the pairs.  Pairs i < j with cos_ij >= 1 - 1e-12 count as coincident; the
+    diagonal row, which may or may not pass the test (cos_ii < 1 - 1e-12 for a node inside
+    the 1e-12 norm tolerance), is skipped.  Each hit is keyed i n + j, and a sorted merge
+    keeps the _DUPLICATES_KEPT smallest keys: the first pairs in row-major order.  A moment
+    below the -1e-10 guard, or NaN from a term past the float range, raises NumericalError.
     """
     _check_even_p(p)
-    n, w = ps.n, ps.weights
+    n = ps.n
     c1, c2, c3, c4 = _coefficients(field_params(ps.field, ps.m), p // 2)
     parts = [[] for _ in range(p // 2)]
     kept, count = np.empty(0, dtype=np.int64), 0
-    for d0, cos in _gram_pairs(ps):
+    for d0, cos, pair_w in _gram_pairs(ps):
         hit = cos >= 1.0 - _DUPLICATE_TOL
-        rows = -(-cos.size // n)
-        pair_w = (_windows(w, d0, rows) * (2.0 * w)).ravel()[: cos.size]  # 2 (w_i w_j) exactly
-        if d0 == 0:  # the diagonal row: weights w_i^2, and no coincident pair
+        if d0 == 0:  # the diagonal row: no coincident pair
             hit[:n] = False
-            pair_w[:n] = w * w
         if np.count_nonzero(hit):
             r, i = np.divmod(np.flatnonzero(hit), n)
             j = (i + d0 + r) % n
@@ -260,14 +257,13 @@ def _gram_pass(ps: PointSet, p: int) -> tuple[list[float], list[tuple[int, int]]
             keys = np.minimum(i, j) * n + np.maximum(i, j)
             kept = np.sort(np.concatenate((kept, keys)))[:_DUPLICATES_KEPT]
         group = max(1, _BLOCK_ELEMENTS // cos.size)
-        p_last = 1.0  # P_0; each degree then moves (p_prev, p_last) one along
+        p_prev, p_last = 0.0, 1.0  # P_{-1} and P_0; each degree moves them one along
         for k0 in range(0, p // 2, group):
             rows = np.multiply.outer(c3[k0 : k0 + group], cos)
             rows += c2[k0 : k0 + group, None]  # c2 + c3 cos, degrees k0 + 1 ..
             for k, row in enumerate(rows, start=k0):
-                if k:  # P_1 = (c2 + c3 cos) / c1, as P_0 = 1 and P_{-1} = 0
-                    row *= p_last
-                    row -= c4[k] * p_prev
+                row *= p_last  # exact at degree 1, as is the c4 = 0 term
+                row -= c4[k] * p_prev
                 row /= c1[k]
                 p_prev, p_last = p_last, row
             for part, row_sums in zip(parts[k0:], _exact_row_sums(rows * pair_w).tolist()):

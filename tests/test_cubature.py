@@ -336,9 +336,34 @@ class TestOffsetBlocks:
         self.assert_matches_row_blocks(ps, 8)
 
     def test_features_copied_in_chunks(self):
-        # H, m=20 has 780 features; a copy of 40 + 20 columns holds 546 of them at a time
+        # H, m=20: 780 features of 40 nodes, each read from the one wrap of `right`, 780 x
+        # (40 + 20) doubles, many times the block's 21 x 40 cosines
         ps = random_point_set(np.random.default_rng(7), Field.H, 20, 40)
         self.assert_matches_row_blocks(ps, 4)
+
+    # 1 and 3 offsets a block split the offsets 0..n//2 of n > 1 and of n > 5; at even n the
+    # last block ends halfway through row n/2.  Each block is rebuilt from its d0 alone, row r pairing i with
+    # (i + d0 + r) mod n, and its cosines and weights are checked at those pairs
+    @pytest.mark.parametrize("block_offsets", [None, 1, 3], ids=["default", "1", "3"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 12, 181, 256])
+    @pytest.mark.parametrize("field", list(Field), ids=lambda f: f.name)
+    def test_blocks_yield_each_unordered_pair_once(self, field, n, block_offsets, monkeypatch):
+        if block_offsets is not None:
+            monkeypatch.setattr(projbound.cubature, "_BLOCK_ELEMENTS", block_offsets * n)
+        ps = random_point_set(np.random.default_rng(n), field, 3, n)
+        w, full = ps.weights, gram_matrix(ps)
+        pairs, weights = [], []
+        for d0, cos, pair_w in projbound.cubature._gram_pairs(ps):
+            assert cos.ndim == 1 and cos.shape == pair_w.shape
+            r, i = np.divmod(np.arange(cos.size), n)
+            j = (i + d0 + r) % n
+            assert cos.tobytes() == full[i, j].tobytes()
+            assert pair_w.tobytes() == np.where(i == j, w[i] * w[i], 2.0 * w[i] * w[j]).tobytes()
+            pairs += zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist())
+            weights += pair_w.tolist()
+        assert sorted(pairs) == [(i, j) for i in range(n) for j in range(i, n)]
+        total = math.fsum(w.tolist()) ** 2
+        assert abs(math.fsum(weights) - total) <= 4 * math.ulp(total)
 
     # (0, n-1) and (1, n-1) come wrapped, from row n-1 at offsets 1 and 2; at even n the
     # pair (2, 2 + n/2) is in the kept half of row n/2, and its repeat is cut off
@@ -669,6 +694,19 @@ class TestVerify:
             tracemalloc.stop()
         # one (2000, 2000) float array is 30.5 MiB, a block of 2^15 pairs 256 KiB
         assert peak < 4 * 2**20
+
+    def test_many_features_peak_is_a_multiple_of_the_features(self):
+        # H, m=60: 7140 features of 60 nodes, 3.27 MiB an array.  The peak, about 5 such arrays,
+        # is set inside `_features`; the pass then holds left and right's wrap, 2.5 of them
+        ps = orthonormal_design(Field.H, 60)
+        features = _features(ps)[1].nbytes
+        tracemalloc.start()
+        try:
+            verify(ps, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.5 * features
 
     def test_icosahedron_diagonals(self):
         phi = (1.0 + math.sqrt(5.0)) / 2.0
